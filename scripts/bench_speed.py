@@ -1,134 +1,72 @@
-"""Speed benchmark: flat-array engine vs dict-based reference hot paths.
+"""Speed benchmark: every fast path against a reference the repo keeps.
 
-Times full equilibrium checks (``equilibrium_report``) and best-response
-walks (``run_best_response_walk``) at n in {8, 16, 32, 64} (k = 2), against
-both the flat-array :class:`~repro.engine.CostEngine` path (the default) and
-the reference :class:`~repro.core.best_response.DeviationOracle` path
-(``engine=False`` / ``use_engine=False``).  Results go to
-``benchmarks/output/BENCH_speed.json`` as a machine-readable trajectory for
-future PRs, plus a rendered table in ``BENCH_speed.txt``.
+One declarative :data:`SCENARIOS` table drives the script.  Each scenario
+names a workload, its sizes and smoke sizes, the engine arm, and a
+reference arm from :data:`REFERENCES`: the dict/LP oracle
+(``engine=False``), the list kernels (``backend="python"``), or a serial run
+(``processes=1``).  Both arms must return the same result, so every speedup
+doubles as a parity check.  Arms are built outside the timed region; each
+timing is the best over the scenario's repeats, on a fresh arm per repeat.
+A floored scenario gates every compared, non-smoke row at or above its
+``floor_n``.
 
-``--sweep`` runs the sweep-engine scenarios instead — exhaustive equilibrium
-search (n = 7, k = 2 uniform, Gray order + incremental checks vs a
-from-scratch check per profile), the Figure 4 completion scan, one
-process-parallel study grid, and the sharded exhaustive search (the same
-restricted grid split into contiguous Gray-rank subranges over
-``--processes`` shared-memory workers, certified bit-identical to the serial
-summary) — and merges them into the same JSON under ``sweep_results``,
-preserving whatever the other modes last wrote.  The sharded row's scaling
-floor only gates non-smoke recordings taken with at least two workers on at
-least two CPUs; single-core boxes record the fork overhead unfloored.
-
-``--fractional`` runs the fractional-game scenarios — iterated best-response
-dynamics from the empty profile and the epsilon-equilibrium report of the
-resulting profile, both against the shared-structure
-:class:`~repro.engine.FractionalEngine` (cached environment flow networks +
-sparse patched LPs) and the from-scratch FlowNetwork / dense-LP reference —
-and merges them under ``fractional_results`` the same way.
-
-``--incremental`` runs the incremental-engine scenarios — long best-response
-walks, single-deviation equilibrium rechecks, and the restricted exhaustive
-sweep — against a reconstruction of the PR 3 engine
-(``CostEngine(game, incremental=False, vectorized=False)``: drop-on-sync
-invalidation, per-element scoring loops).  The recheck row additionally
-isolates the repair win by timing ``incremental=False`` with vectorisation
-kept on.  Results merge under ``incremental_results``.
-
-``--backend`` runs the traversal-backend scenarios — equilibrium reports
-with per-node restricted candidate targets at n in {64, 256, 1024} on a
-uniform (BFS-backed) and an integer-weighted (Dijkstra-backed) game, plus
-whole-profile ``all_costs`` sweeps at the largest size — timing
-``CostEngine(game, backend="python")`` (list kernels) against
-``backend="numpy"`` (vectorised frontier kernels).  On top of those, the
-giant-batch scenarios time whole reports against the per-node-batch path
-(``giant_batch=False``) at n = 4096 on both kernels plus a giant-only
-n = 16384 BFS report, each row carrying a bottleneck profile (in-kernel
-traversal seconds vs scoring/enumeration) and the engine's cache counters
-(chunk evictions, rows per giant traversal, recomputes after eviction).
-Results merge under ``backend_results``; the Dijkstra-backed report and the
-giant-batch BFS report at their largest sizes must each clear a 3x floor.
-Without numpy the mode runs a tiny python-kernel giant-batch parity check
-(the fallback the minimal-deps CI leg exercises) and records nothing.
-
-``--check-floors`` runs no benchmarks: it re-reads ``BENCH_speed.json`` and
-exits non-zero if any recorded (non-smoke) mode fell below its enforced
-floor — the reusable regression gate CI wires in.
+Rows go to ``benchmarks/output/BENCH_speed.json`` (one row list, merged by
+scenario name) and ``BENCH_speed.txt``.  Each row carries the engine arm's
+counters: ``CostEngine.snapshot_stats()`` (with ``traversal_seconds``),
+``FractionalEngine.stats``, or ``last_run_stats()`` for worker counts.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_speed.py                      # core scenarios
-    PYTHONPATH=src python scripts/bench_speed.py --sweep              # sweep scenarios
-    PYTHONPATH=src python scripts/bench_speed.py --fractional         # fractional scenarios
-    PYTHONPATH=src python scripts/bench_speed.py --incremental        # incremental-engine scenarios
-    PYTHONPATH=src python scripts/bench_speed.py --backend            # traversal-backend scenarios
-    PYTHONPATH=src python scripts/bench_speed.py --smoke [--sweep | ...]
-    PYTHONPATH=src python scripts/bench_speed.py --check-floors       # regression gate only
+    PYTHONPATH=src python scripts/bench_speed.py                  # every scenario
+    PYTHONPATH=src python scripts/bench_speed.py report sweep     # a subset, by name
+    PYTHONPATH=src python scripts/bench_speed.py --smoke [NAME ...]
+    PYTHONPATH=src python scripts/bench_speed.py --check-floors   # regression gate only
+    PYTHONPATH=src python scripts/bench_speed.py --readme-table   # README.md's table
 
-The reference path is skipped above ``--max-reference-n`` (default 32: at
-n = 64 the dict-based oracle takes minutes for no extra information — the
-speedup trend is already established).
+Scenarios that need numpy or scipy are skipped, with the reason printed,
+where those are missing.  ``--check-floors`` runs nothing: it re-reads this
+recording and ``BENCH_service.json`` and exits 0 when every floor holds, 1
+on a violation or a missing recording, and 2 on a corrupt one.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
 import platform
+import random
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core import (  # noqa: E402
-    FractionalBBCGame,
-    UniformBBCGame,
-    epsilon_equilibrium_report,
-    equilibrium_report,
-    exhaustive_equilibrium_search,
-    iterated_best_response,
+    BBCGame, FractionalBBCGame, UniformBBCGame, epsilon_equilibrium_report,
+    equilibrium_report, exhaustive_equilibrium_search, iterated_best_response,
 )
 from repro.core.search import candidate_strategy_sets  # noqa: E402
-from repro.dynamics import reconstruct_figure4, run_best_response_walk  # noqa: E402
+from repro.dynamics import run_best_response_walk  # noqa: E402
 from repro.engine import CostEngine, FractionalEngine  # noqa: E402
 from repro.experiments import (  # noqa: E402
-    default_processes,
-    last_run_stats,
-    max_cost_first_convergence_study,
+    default_processes, last_run_stats, max_cost_first_convergence_study,
 )
+from repro.experiments.workloads import random_initial_profile  # noqa: E402
 from repro.reliability import atomic_write_text  # noqa: E402
-from repro.experiments.workloads import (  # noqa: E402
-    empty_initial_profile,
-    random_initial_profile,
-)
 
 OUTPUT_DIR = REPO_ROOT / "benchmarks" / "output"
 K = 2
 PROFILE_SEED = 7
-WALK_MAX_ROUNDS = 8
-#: The exhaustive-search sweep scenario must stay at least this much faster
-#: than the from-scratch reference; the script exits non-zero below it.
-SWEEP_SPEEDUP_FLOOR = 5.0
-#: The sharded exhaustive search must at least break even against the serial
-#: sweep — but only on recordings that actually had parallelism available
-#: (non-smoke, >= 2 workers, >= 2 CPUs); anything else just records.
-SHARDED_SCALING_FLOOR = 1.0
-#: The fractional dynamics scenario must stay at least this much faster than
-#: the FlowNetwork / dense-LP reference at the largest size benchmarked.
-FRACTIONAL_SPEEDUP_FLOOR = 3.0
-#: The long-walk incremental scenario at the largest size must stay at least
-#: this much faster than the reconstructed PR 3 engine.
-INCREMENTAL_WALK_FLOOR = 2.0
-#: The core equilibrium_report scenario must stay at least this much faster
-#: than the dict-based oracle at every benchmarked n >= 32.
-CORE_REPORT_FLOOR = 3.0
-#: The Dijkstra-backed backend report at the largest benchmarked size must
-#: stay at least this much faster on the numpy kernels than the list kernels.
-BACKEND_DIJKSTRA_FLOOR = 3.0
-#: The giant-batch BFS report at its largest compared size must stay at
-#: least this much faster than the per-node-batch path (giant_batch=False)
-#: on the same numpy kernels.
-BACKEND_GIANT_FLOOR = 3.0
+CANDIDATE_SEED = 11
+#: Candidate targets per node in the restricted reports: C(6, 2) strategies
+#: per node keep thousand-node reports enumerable while every check still
+#: pays one masked SSSP per candidate per node.
+CANDIDATES_PER_NODE = 6
+FRACTIONAL_MAX_ROUNDS = 12
+FRACTIONAL_TOLERANCE = 1e-5
 #: The service load generator (``scripts/bench_service.py``) must sustain at
 #: least this many queries per second across its whole catalog; the floor is
 #: deliberately an order of magnitude under warm-cache measurements so it
@@ -139,439 +77,20 @@ SERVICE_QPS_FLOOR = 25.0
 #: giant batches: total batched queries per executed batch across the
 #: catalog.  A value near 1.0 means the worker loop stopped batching.
 SERVICE_COALESCING_FLOOR = 3.0
-FRACTIONAL_MAX_ROUNDS = 12
-FRACTIONAL_TOLERANCE = 1e-5
-#: Candidate targets per node in the backend reports: restricting deviations
-#: keeps thousand-node equilibrium checks enumerable (C(6, 2) strategies per
-#: node) while every check still pays one masked SSSP per candidate per node.
-BACKEND_CANDIDATES_PER_NODE = 6
 
 
-def time_call(fn, repeats):
-    """Return (best wall-clock seconds, last result) over ``repeats`` runs."""
-    best = None
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
+# Workloads: ``build(n)`` returns ``(game, run)``; only ``run(**arm)`` is timed.
+def _uniform(n):
+    return UniformBBCGame(n, K)
 
 
-def bench_equilibrium(n, repeats, include_reference):
-    game = UniformBBCGame(n, K)
-    profile = random_initial_profile(game, seed=PROFILE_SEED)
-    # A fresh engine per call: time the cold path (snapshot build + all SSSPs),
-    # not a warmed cache, so the comparison against the oracle is fair.
-    engine_time, engine_report = time_call(
-        lambda: equilibrium_report(game, profile, engine=CostEngine(game)), repeats
-    )
-    row = {
-        "task": "equilibrium_report",
-        "n": n,
-        "k": K,
-        "engine_seconds": engine_time,
-        "max_regret": engine_report.max_regret,
-    }
-    if include_reference:
-        reference_time, reference_report = time_call(
-            lambda: equilibrium_report(game, profile, engine=False), repeats
-        )
-        assert reference_report.max_regret == engine_report.max_regret
-        row["reference_seconds"] = reference_time
-        row["speedup"] = reference_time / engine_time
-    return row
-
-
-def bench_walk(n, repeats, include_reference):
-    game = UniformBBCGame(n, K)
-    initial = empty_initial_profile(game)
-
-    def run(engine):
-        return run_best_response_walk(
-            game, initial, max_rounds=WALK_MAX_ROUNDS, engine=engine
-        )
-
-    # Fresh engine per timing so every repeat pays the cold path, matching
-    # the per-call oracle construction of the reference.
-    engine_time, engine_result = time_call(lambda: run(CostEngine(game)), repeats)
-    row = {
-        "task": "best_response_walk",
-        "n": n,
-        "k": K,
-        "max_rounds": WALK_MAX_ROUNDS,
-        "engine_seconds": engine_time,
-        "probes": engine_result.probes,
-        "deviations": engine_result.deviations,
-    }
-    if include_reference:
-        reference_time, reference_result = time_call(lambda: run(False), repeats)
-        assert reference_result.final_profile == engine_result.final_profile
-        assert reference_result.probes == engine_result.probes
-        row["reference_seconds"] = reference_time
-        row["speedup"] = reference_time / engine_time
-    return row
-
-
-def bench_exhaustive_search(repeats, smoke):
-    """Exhaustive search over a restricted (7, 2)-uniform profile grid.
-
-    The full 15^7 product is out of reach for a benchmark, so the tail nodes
-    are pinned to their first budget-maximal strategy and the head nodes
-    sweep their full strategy sets — the same restricted-candidates call
-    both paths support, exhausted to the end (``stop_at_first=False``) so
-    the timing covers the whole grid.
-    """
-    game = UniformBBCGame(7, K)
-    sets = candidate_strategy_sets(game, None, None)
-    free = 2 if smoke else 3
-    candidates = {node: sets[node][:1] for node in range(free, 7)}
-    kwargs = dict(candidate_strategies=candidates, stop_at_first=False)
-
-    sweep_time, sweep_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, engine=CostEngine(game), **kwargs),
-        repeats,
-    )
-    reference_time, reference_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, engine=False, **kwargs), repeats
-    )
-    assert reference_summary == sweep_summary
-    return {
-        "task": "exhaustive_search",
-        "n": 7,
-        "k": K,
-        "free_nodes": free,
-        "profiles": sweep_summary.profiles_examined,
-        "equilibria": sweep_summary.equilibria_found,
-        "engine_seconds": sweep_time,
-        "reference_seconds": reference_time,
-        "speedup": reference_time / sweep_time,
-    }
-
-
-def bench_figure4(repeats, include_reference):
-    engine_time, engine_results = time_call(
-        lambda: reconstruct_figure4(max_results=1), repeats
-    )
-    row = {
-        "task": "figure4_reconstruction",
-        "n": 7,
-        "k": K,
-        "reconstructions": len(engine_results),
-        "engine_seconds": engine_time,
-    }
-    if include_reference:
-        reference_time, reference_results = time_call(
-            lambda: reconstruct_figure4(max_results=1, engine=False), repeats
-        )
-        assert [r.profile for r in reference_results] == [
-            r.profile for r in engine_results
-        ]
-        row["reference_seconds"] = reference_time
-        row["speedup"] = reference_time / engine_time
-    return row
-
-
-def bench_study_grid(repeats, smoke):
-    """Process-parallel study grid: serial vs fan-out over worker processes.
-
-    On a single-CPU box the parallel run records the fork overhead rather
-    than a speedup; ``cpus`` is stored alongside so the trajectory stays
-    interpretable across machines.
-    """
-    n = 7 if smoke else 8
-    starts = 3 if smoke else 6
-    processes = default_processes()
-
-    def run(process_count):
-        return max_cost_first_convergence_study(
-            n, K, num_starts=starts, max_rounds=50, seed=0, processes=process_count
-        )
-
-    serial_time, serial_rows = time_call(lambda: run(1), repeats)
-    parallel_time, parallel_rows = time_call(lambda: run(max(processes, 2)), repeats)
-    assert serial_rows == parallel_rows
-    # The fault-tolerant runtime's counters for the parallel leg: all zero on
-    # a healthy box, and the first place to look when a CI run goes sideways.
-    reliability = last_run_stats()
-    return {
-        "task": "study_grid",
-        "n": n,
-        "k": K,
-        "starts": starts,
-        "cpus": os.cpu_count(),
-        "processes": max(processes, 2),
-        "serial_seconds": serial_time,
-        "parallel_seconds": parallel_time,
-        "scaling": serial_time / parallel_time,
-        "crashed": reliability["crashed"],
-        "retried": reliability["retried"],
-        "pool_restarts": reliability["pool_restarts"],
-        "serial_fallback_cells": reliability["serial_fallback_cells"],
-    }
-
-
-def bench_sharded_search(repeats, smoke, processes):
-    """Sharded exhaustive search: serial sweep vs contiguous subrange shards.
-
-    The same restricted (7, 2)-uniform grid as the sweep scenario, run once
-    serially and once sharded over ``processes`` workers attached to the
-    parent's shared-memory payload.  The summaries must match bit for bit —
-    that is the sharding contract, not a tolerance — and the row records the
-    wall-clock scaling plus the fault-runtime counters so a CI run that
-    limped home on pool restarts is visible in the trajectory.
-    """
-    game = UniformBBCGame(7, K)
-    sets = candidate_strategy_sets(game, None, None)
-    free = 2 if smoke else 3
-    candidates = {node: sets[node][:1] for node in range(free, 7)}
-    kwargs = dict(
-        candidate_strategies=candidates, stop_at_first=False, checkpoint_every=64
-    )
-
-    serial_time, serial_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, **kwargs), repeats
-    )
-    sharded_time, sharded_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, processes=processes, **kwargs),
-        repeats,
-    )
-    assert sharded_summary == serial_summary
-    reliability = last_run_stats()
-    return {
-        "task": "sharded_search",
-        "n": 7,
-        "k": K,
-        "free_nodes": free,
-        "profiles": serial_summary.profiles_examined,
-        "cpus": os.cpu_count(),
-        "processes": processes,
-        "serial_seconds": serial_time,
-        "parallel_seconds": sharded_time,
-        "scaling": serial_time / sharded_time,
-        "crashed": reliability["crashed"],
-        "retried": reliability["retried"],
-        "pool_restarts": reliability["pool_restarts"],
-        "serial_fallback_cells": reliability["serial_fallback_cells"],
-    }
-
-
-def bench_fractional_dynamics(n, repeats):
-    """Iterated fractional best responses from the empty profile.
-
-    A fresh :class:`FractionalEngine` per timed call keeps the comparison
-    cold-for-cold against the per-call FlowNetwork / dense-LP reference.
-    Returns the row plus both final profiles so the report scenario can
-    certify them without re-running the dynamics.
-    """
-    game = FractionalBBCGame(UniformBBCGame(n, K))
-    initial = game.empty_profile()
-
-    def run(engine):
-        return iterated_best_response(
-            game,
-            initial,
-            max_rounds=FRACTIONAL_MAX_ROUNDS,
-            tolerance=FRACTIONAL_TOLERANCE,
-            engine=engine,
-        )
-
-    engine_time, engine_result = time_call(lambda: run(FractionalEngine(game)), repeats)
-    reference_time, reference_result = time_call(lambda: run(False), repeats)
-    assert engine_result.rounds == reference_result.rounds
-    assert engine_result.converged == reference_result.converged
-    assert abs(engine_result.max_final_regret - reference_result.max_final_regret) < 1e-9
-    row = {
-        "task": "fractional_dynamics",
-        "n": n,
-        "k": K,
-        "rounds": engine_result.rounds,
-        "converged": engine_result.converged,
-        "engine_seconds": engine_time,
-        "reference_seconds": reference_time,
-        "speedup": reference_time / engine_time,
-    }
-    return row, game, engine_result.profile
-
-
-def bench_fractional_report(n, repeats, game, profile):
-    """Epsilon-equilibrium certification of the dynamics' final profile."""
-    engine_time, engine_report = time_call(
-        lambda: epsilon_equilibrium_report(
-            game, profile, FRACTIONAL_TOLERANCE, engine=FractionalEngine(game)
-        ),
-        repeats,
-    )
-    reference_time, reference_report = time_call(
-        lambda: epsilon_equilibrium_report(
-            game, profile, FRACTIONAL_TOLERANCE, engine=False
-        ),
-        repeats,
-    )
-    assert abs(engine_report.max_regret - reference_report.max_regret) < 1e-9
-    return {
-        "task": "fractional_report",
-        "n": n,
-        "k": K,
-        "max_regret": engine_report.max_regret,
-        "engine_seconds": engine_time,
-        "reference_seconds": reference_time,
-        "speedup": reference_time / engine_time,
-    }
-
-
-def _pr3_engine(game):
-    """Reconstruct the PR 3 engine: drop-on-sync rows, per-element scoring."""
-    return CostEngine(game, incremental=False, vectorized=False)
-
-
-def bench_incremental_walk(n, rounds, repeats):
-    """Long deviating walk: default engine vs the reconstructed PR 3 engine."""
-    game = UniformBBCGame(n, K)
-    initial = random_initial_profile(game, seed=PROFILE_SEED)
-
-    def run(engine):
-        return run_best_response_walk(game, initial, max_rounds=rounds, engine=engine)
-
-    new_time, new_result = time_call(lambda: run(CostEngine(game)), repeats)
-    pr3_time, pr3_result = time_call(lambda: run(_pr3_engine(game)), repeats)
-    assert pr3_result.final_profile == new_result.final_profile
-    assert pr3_result.probes == new_result.probes
-    assert pr3_result.deviations == new_result.deviations
-    return {
-        "task": "incremental_walk",
-        "n": n,
-        "k": K,
-        "max_rounds": rounds,
-        "probes": new_result.probes,
-        "deviations": new_result.deviations,
-        "engine_seconds": new_time,
-        "reference_seconds": pr3_time,
-        "speedup": pr3_time / new_time,
-    }
-
-
-def bench_incremental_recheck(n, steps, repeats):
-    """Equilibrium rechecks after single deviations: the repair hot path.
-
-    A warmed engine re-certifies the profile after each of ``steps``
-    single-node perturbations.  The default engine repairs its cached rows
-    and patches the batched cost vectors in place; ``incremental=False``
-    (drop) recomputes every invalidated row, and the PR 3 reconstruction
-    additionally loses the vectorised scoring.
-    """
-    import random as random_module
-
-    game = UniformBBCGame(n, K)
-    rng = random_module.Random(PROFILE_SEED)
-    nodes = list(game.nodes)
-    sequence = [random_initial_profile(game, seed=PROFILE_SEED)]
-    for _ in range(steps):
-        node = rng.choice(nodes)
-        others = [v for v in nodes if v != node]
-        sequence.append(
-            sequence[-1].with_strategy(node, frozenset(rng.sample(others, K)))
-        )
-
-    def timed(make_engine):
-        best = None
-        regrets = None
-        for _ in range(repeats):
-            engine = make_engine()
-            equilibrium_report(game, sequence[0], engine=engine)  # warm
-            start = time.perf_counter()
-            regrets = [
-                equilibrium_report(game, p, engine=engine).max_regret
-                for p in sequence[1:]
-            ]
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        return best, regrets
-
-    repair_time, repair_regrets = timed(lambda: CostEngine(game))
-    drop_time, drop_regrets = timed(lambda: CostEngine(game, incremental=False))
-    pr3_time, pr3_regrets = timed(lambda: _pr3_engine(game))
-    assert repair_regrets == drop_regrets == pr3_regrets
-    return {
-        "task": "incremental_recheck",
-        "n": n,
-        "k": K,
-        "perturbations": steps,
-        "engine_seconds": repair_time,
-        "drop_seconds": drop_time,
-        "reference_seconds": pr3_time,
-        "speedup": pr3_time / repair_time,
-        "repair_vs_drop": drop_time / repair_time,
-    }
-
-
-def bench_incremental_sweep(repeats, smoke):
-    """Restricted exhaustive sweep: default engine vs the PR 3 reconstruction."""
-    game = UniformBBCGame(7, K)
-    sets = candidate_strategy_sets(game, None, None)
-    free = 2 if smoke else 3
-    candidates = {node: sets[node][:1] for node in range(free, 7)}
-    kwargs = dict(candidate_strategies=candidates, stop_at_first=False)
-
-    new_time, new_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, engine=CostEngine(game), **kwargs),
-        repeats,
-    )
-    pr3_time, pr3_summary = time_call(
-        lambda: exhaustive_equilibrium_search(game, engine=_pr3_engine(game), **kwargs),
-        repeats,
-    )
-    assert pr3_summary == new_summary
-    return {
-        "task": "incremental_sweep",
-        "n": 7,
-        "k": K,
-        "free_nodes": free,
-        "profiles": new_summary.profiles_examined,
-        "engine_seconds": new_time,
-        "reference_seconds": pr3_time,
-        "speedup": pr3_time / new_time,
-    }
-
-
-def _backend_available():
-    """Whether the numpy traversal backend can be constructed at all."""
-    from repro.engine import resolve_backend
-
-    try:
-        resolve_backend("numpy", 1)
-    except ValueError:
-        return False
-    return True
-
-
-def _backend_candidates(game, per_node, seed):
-    """Deterministic per-node candidate-target restriction for big-n reports."""
-    import random as random_module
-
-    rng = random_module.Random(seed)
-    nodes = list(game.nodes)
-    return {
-        u: rng.sample([v for v in nodes if v != u], min(per_node, len(nodes) - 1))
-        for u in nodes
-    }
-
-
-def _backend_weighted_game(n, seed=5):
+def _weighted(n, seed=5):
     """An integer-weighted game (lengths 2..9 on 6 arcs per node, 1 elsewhere).
 
     Non-uniform lengths route every row through the Dijkstra kernels, and the
-    integer values keep the numpy backend in exact int64 space — the
-    configuration the backend floor certifies.
+    integer values keep the numpy backend in exact int64 space.
     """
-    import random as random_module
-
-    from repro.core import BBCGame
-
-    rng = random_module.Random(seed)
+    rng = random.Random(seed)
     lengths = {}
     for u in range(n):
         for v in rng.sample([x for x in range(n) if x != u], min(6, n - 1)):
@@ -579,349 +98,305 @@ def _backend_weighted_game(n, seed=5):
     return BBCGame(nodes=range(n), link_lengths=lengths, default_budget=2.0)
 
 
-def _timed_backend_report(game, profile, candidates, backend, repeats):
-    """Best time of an equilibrium report on a cold engine of ``backend``.
+def report(make_game, per_node=None):
+    """Equilibrium report of a random profile, optionally restricted to
+    ``per_node`` deterministic candidate targets per node."""
 
-    The engine (snapshot build, numpy CSR views) is constructed outside the
-    timed region so the row records kernel time, not IndexedGame
-    construction, which both backends share.
-    """
-    best = None
-    report = None
-    for _ in range(repeats):
-        engine = CostEngine(game, backend=backend)
-        start = time.perf_counter()
-        report = equilibrium_report(game, profile, candidates=candidates, engine=engine)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, report
-
-
-def bench_backend_report(game, kernel, n, repeats):
-    """Python-vs-numpy kernels on one restricted-candidate equilibrium report."""
-    profile = random_initial_profile(game, seed=PROFILE_SEED)
-    candidates = _backend_candidates(game, BACKEND_CANDIDATES_PER_NODE, seed=11)
-    numpy_time, numpy_report = _timed_backend_report(
-        game, profile, candidates, "numpy", repeats
-    )
-    python_time, python_report = _timed_backend_report(
-        game, profile, candidates, "python", repeats
-    )
-    assert numpy_report.responses == python_report.responses
-    return {
-        "task": f"backend_{kernel}_report",
-        "kernel": kernel,
-        "n": n,
-        "k": K,
-        "candidates_per_node": BACKEND_CANDIDATES_PER_NODE,
-        "max_regret": numpy_report.max_regret,
-        "engine_seconds": numpy_time,
-        "reference_seconds": python_time,
-        "speedup": python_time / numpy_time,
-    }
-
-
-def bench_backend_all_costs(game, kernel, n, repeats):
-    """Python-vs-numpy kernels on a whole-profile ``all_costs`` sweep."""
-    profile = random_initial_profile(game, seed=PROFILE_SEED)
-
-    def timed(backend):
-        best = None
-        costs = None
-        for _ in range(repeats):
-            engine = CostEngine(game, backend=backend)
-            start = time.perf_counter()
-            costs = engine.all_costs(profile)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        return best, costs
-
-    numpy_time, numpy_costs = timed("numpy")
-    python_time, python_costs = timed("python")
-    assert numpy_costs == python_costs
-    return {
-        "task": f"backend_{kernel}_all_costs",
-        "kernel": kernel,
-        "n": n,
-        "k": K,
-        "engine_seconds": numpy_time,
-        "reference_seconds": python_time,
-        "speedup": python_time / numpy_time,
-    }
-
-
-def _timed_giant_report(game, profile, candidates, backend, giant_batch, repeats):
-    """Best time of a report on a cold engine; returns the best run's engine too."""
-    best = None
-    report = None
-    engine = None
-    for _ in range(repeats):
-        candidate_engine = CostEngine(game, backend=backend, giant_batch=giant_batch)
-        start = time.perf_counter()
-        result = equilibrium_report(
-            game, profile, candidates=candidates, engine=candidate_engine
+    def build(n):
+        game = make_game(n)
+        profile = random_initial_profile(game, seed=PROFILE_SEED)
+        candidates = None
+        if per_node is not None:
+            rng = random.Random(CANDIDATE_SEED)
+            nodes = list(game.nodes)
+            candidates = {u: rng.sample([v for v in nodes if v != u], per_node) for u in nodes}
+        return game, lambda **arm: equilibrium_report(
+            game, profile, candidates=candidates, **arm
         )
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best, report, engine = elapsed, result, candidate_engine
-    return best, report, engine
+
+    return build
 
 
-def bench_backend_giant_report(
-    game,
-    kernel,
-    n,
-    repeats,
-    include_reference,
-    backend="numpy",
-    candidates_per_node=BACKEND_CANDIDATES_PER_NODE,
-):
-    """Giant chunked multi-mask traversals vs the per-node-batch path.
+def all_costs(make_game):
+    def build(n):
+        game = make_game(n)
+        profile = random_initial_profile(game, seed=PROFILE_SEED)
+        return game, lambda engine: engine.all_costs(profile)
 
-    Both arms run the same kernels on the same restricted-candidate report;
-    the only difference is whether ``equilibrium_report``'s staged row plan
-    fills the cache in giant per-row-masked chunks (``giant_batch=True``,
-    the default) or one small batch per probed node (``giant_batch=False``,
-    the PR 5 behaviour).  The row doubles as a bottleneck profile:
-    ``traversal_seconds`` is the engine's in-kernel time and
-    ``scoring_seconds`` the rest of the report (candidate enumeration,
-    vectorised scoring, bookkeeping), so the trajectory records where the
-    next optimisation target sits.  ``include_reference=False`` records a
-    giant-only row for sizes where the per-node arm would take minutes.
+    return build
+
+
+def walk(n):
+    """A 30-round round-robin best-response walk from a random profile: one
+    local sync per deviation, so cached rows ride in-place repair."""
+    game = UniformBBCGame(n, K)
+    start = random_initial_profile(game, seed=PROFILE_SEED)
+    return game, lambda **arm: run_best_response_walk(game, start, max_rounds=30, **arm)
+
+
+def search(free, **options):
+    """Exhaustive search of a restricted (n, 2)-uniform grid, to the end.
+
+    The first ``free`` nodes sweep their full strategy sets and the rest are
+    pinned to their first budget-maximal strategy: the full product is out
+    of reach, but the restricted call is one every path supports.
     """
-    profile = random_initial_profile(game, seed=PROFILE_SEED)
-    candidates = _backend_candidates(game, candidates_per_node, seed=11)
-    giant_time, report, engine = _timed_giant_report(
-        game, profile, candidates, backend, True, repeats
-    )
-    stats = engine.snapshot_stats()
-    row = {
-        "task": f"backend_giant_{kernel}_report",
-        "kernel": kernel,
-        "backend": backend,
-        "n": n,
-        "k": K,
-        "candidates_per_node": candidates_per_node,
-        "max_regret": report.max_regret,
-        "engine_seconds": giant_time,
-        "traversal_seconds": stats["traversal_seconds"],
-        "scoring_seconds": max(0.0, giant_time - stats["traversal_seconds"]),
-        "giant_batch_traversals": stats["giant_batch_traversals"],
-        "giant_batch_rows": stats["giant_batch_rows"],
-        "rows_per_traversal": (
-            stats["giant_batch_rows"] / stats["giant_batch_traversals"]
-            if stats["giant_batch_traversals"]
-            else 0.0
-        ),
-        "rows_evicted": stats["rows_evicted"],
-        "chunks_evicted": stats["chunks_evicted"],
-        "evicted_recomputes": stats["evicted_recomputes"],
-        "cache_bytes": stats["cache_bytes"],
-        "memory_budget_bytes": stats["memory_budget_bytes"],
-    }
-    if include_reference:
-        per_node_time, per_node_report, _ = _timed_giant_report(
-            game, profile, candidates, backend, False, repeats
+
+    def build(n):
+        game = UniformBBCGame(n, K)
+        sets = candidate_strategy_sets(game, None, None)
+        pinned = {u: sets[u][:1] for u in range(free, n)}
+        return game, lambda **arm: exhaustive_equilibrium_search(
+            game, candidate_strategies=pinned, stop_at_first=False, **options, **arm
         )
-        assert per_node_report.responses == report.responses
-        row["reference_seconds"] = per_node_time
-        row["speedup"] = per_node_time / giant_time
-    print(
-        f"  giant stats: {stats['giant_batch_rows']} rows in "
-        f"{stats['giant_batch_traversals']} traversals "
-        f"({row['rows_per_traversal']:.0f} rows/traversal), "
-        f"{stats['chunks_evicted']} chunks / {stats['rows_evicted']} rows evicted, "
-        f"{stats['evicted_recomputes']} recomputes after eviction, "
-        f"cache {stats['cache_bytes'] / 2**20:.1f} MiB of "
-        f"{stats['memory_budget_bytes'] / 2**20:.0f} MiB budget"
+
+    return build
+
+
+def study_grid(n):
+    return None, lambda processes: max_cost_first_convergence_study(
+        n, K, num_starts=6, max_rounds=50, seed=0, processes=processes
     )
-    print(
-        f"  profile: traversal {row['traversal_seconds']:.3f}s, "
-        f"scoring+enumeration {row['scoring_seconds']:.3f}s"
+
+
+def _dynamics(game, **arm):
+    return iterated_best_response(
+        game,
+        game.empty_profile(),
+        max_rounds=FRACTIONAL_MAX_ROUNDS,
+        tolerance=FRACTIONAL_TOLERANCE,
+        **arm,
     )
-    return row
 
 
-def _python_giant_fallback_check():
-    """The minimal-deps leg: giant-batch planning on the pure-list kernels.
+def fractional_dynamics(n):
+    game = FractionalBBCGame(UniformBBCGame(n, K))
+    return game, lambda **arm: _dynamics(game, **arm)
 
-    Without numpy there is no vectorised arm to compare, but the staged row
-    plan still drains through the list multi-kernels one chunk at a time —
-    this checks that fallback end to end against the dict oracle and reports
-    how it ran, recording nothing (there is no speedup to gate).
-    """
-    game = UniformBBCGame(24, K)
-    profile = random_initial_profile(game, seed=PROFILE_SEED)
-    candidates = _backend_candidates(game, BACKEND_CANDIDATES_PER_NODE, seed=11)
-    engine = CostEngine(game, backend="python")
-    start = time.perf_counter()
-    report = equilibrium_report(game, profile, candidates=candidates, engine=engine)
-    elapsed = time.perf_counter() - start
-    reference = equilibrium_report(game, profile, candidates=candidates, engine=False)
-    assert report.responses == reference.responses
-    assert engine.stats["giant_batch_traversals"] > 0
-    print(
-        "numpy is not installed; ran the python-kernel giant-batch fallback "
-        f"check instead: n=24 report in {elapsed:.3f}s, "
-        f"{engine.stats['giant_batch_rows']} rows in "
-        f"{engine.stats['giant_batch_traversals']} giant traversals, "
-        "matches the reference oracle"
+
+def fractional_report(n):
+    """The epsilon-equilibrium check of the profile the dynamics end at."""
+    game = FractionalBBCGame(UniformBBCGame(n, K))
+    final = _dynamics(game).profile
+    return game, lambda **arm: epsilon_equilibrium_report(
+        game, final, FRACTIONAL_TOLERANCE, **arm
     )
-    return 0
 
 
-def run_backend_scenarios(args, repeats):
-    sizes = [32, 64] if args.smoke else [64, 256, 1024]
+def _fractional_outcome(result):
+    # The LP paths agree within 1e-9, not bit for bit.
+    return (result.rounds, result.converged, round(result.max_final_regret, 9))
+
+
+# Arm factories: ``(game, processes) -> keyword arguments of run``.
+def _engine(**options):
+    return lambda game, processes: {"engine": CostEngine(game, **options)}
+
+
+def _fractional_engine(game, processes):
+    return {"engine": FractionalEngine(game)}
+
+
+def _workers(game, processes):
+    return {"processes": processes}
+
+
+#: The reference arms a scenario may time against: implementations kept in
+#: the tree as oracles, never engine configurations kept alive to be beaten.
+REFERENCES = {
+    "engine=False": lambda game, processes: {"engine": False},
+    'backend="python"': _engine(backend="python"),
+    "processes=1": lambda game, processes: {"processes": 1},
+}
+
+#: Scalar result attributes a row records whenever the result carries them.
+RESULT_FIELDS = ("max_regret", "probes", "deviations", "rounds", "converged",
+                 "profiles_examined", "equilibria_found")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One benchmarked workload: how to build it, time it, and gate it."""
+
+    name: str
+    label: str
+    build: Callable  # n -> (game, run); run(**arm) is the timed call
+    engine: Callable  # the engine arm factory
+    reference: Optional[str]  # a REFERENCES key; None records the engine arm alone
+    sizes: Tuple[int, ...]
+    smoke_sizes: Tuple[int, ...]
+    floor: Optional[float] = None
+    floor_n: int = 0  # the floor gates compared rows with n >= floor_n
+    repeats: int = 3
+    needs: Tuple[str, ...] = ()  # optional modules the arms import
+    same: Optional[Callable] = None  # what both arms agree on (default: the result)
+
+
+_NUMPY = ("numpy",)
+_LP = ("numpy", "scipy")
+_REPORT_BFS = report(_uniform, CANDIDATES_PER_NODE)
+_REPORT_DIJKSTRA = report(_weighted, CANDIDATES_PER_NODE)
+
+SCENARIOS = (
+    Scenario("report", "Equilibrium report (flat-array engine vs dict oracle)",
+             report(_uniform), _engine(), "engine=False",
+             (8, 16, 32), (8, 16), floor=3.0, floor_n=32),
+    Scenario("walk", "30-round best-response walk (row repair vs dict oracle)",
+             walk, _engine(), "engine=False",
+             (8, 16, 32), (8, 16), floor=3.0, floor_n=32, repeats=1),
+    Scenario("sweep", "Exhaustive sweep (Gray-code + memoised engine vs dict oracle)",
+             search(3), _engine(), "engine=False", (7,), (5,), floor=5.0),
+    Scenario("study-grid", "Process-parallel study grid (workers vs serial)",
+             study_grid, _workers, "processes=1", (8,), (6,)),
+    Scenario("sharded-search", "Sharded exhaustive search (workers vs serial)",
+             search(4, checkpoint_every=64), _workers, "processes=1",
+             (7,), (5,), floor=1.0),
+    Scenario("fractional-dynamics", "Fractional dynamics (warm LP engine vs reference)",
+             fractional_dynamics, _fractional_engine, "engine=False",
+             (8, 10, 12, 14), (5, 6), floor=3.0, floor_n=14, needs=_LP,
+             same=_fractional_outcome),
+    Scenario("fractional-report", "Fractional epsilon-equilibrium report",
+             fractional_report, _fractional_engine, "engine=False",
+             (8, 10, 12, 14), (5, 6), needs=_LP,
+             same=lambda result: round(result.max_regret, 9)),
+    Scenario("report-bfs", "Giant-batch BFS report (numpy kernels vs list kernels)",
+             _REPORT_BFS, _engine(backend="numpy"), 'backend="python"',
+             (64, 256, 1024, 4096), (32, 64), floor=3.0, floor_n=4096, repeats=1,
+             needs=_NUMPY),
+    Scenario("report-dijkstra", "Dijkstra report (numpy kernels vs list kernels)",
+             _REPORT_DIJKSTRA, _engine(backend="numpy"), 'backend="python"',
+             (64, 256, 1024), (32, 64), floor=3.0, floor_n=1024, repeats=1,
+             needs=_NUMPY),
+    Scenario("all-costs-bfs", "Whole-profile all_costs, uniform lengths",
+             all_costs(_uniform), _engine(backend="numpy"), 'backend="python"',
+             (1024,), (64,), repeats=1, needs=_NUMPY),
+    Scenario("all-costs-dijkstra", "Whole-profile all_costs, integer lengths",
+             all_costs(_weighted), _engine(backend="numpy"), 'backend="python"',
+             (1024,), (64,), repeats=1, needs=_NUMPY),
+    Scenario("report-dijkstra-large", "Weighted giant-batch report, numpy kernels",
+             _REPORT_DIJKSTRA, _engine(backend="numpy"), None,
+             (4096,), (48,), repeats=1, needs=_NUMPY),
+    Scenario("report-bfs-large", "Giant-batch BFS report, 4 candidates, numpy kernels",
+             report(_uniform, 4), _engine(backend="numpy"), None,
+             (16384,), (48,), repeats=1, needs=_NUMPY),
+    Scenario("plan-python", "Giant-batch plan on the list kernels vs dict oracle",
+             _REPORT_BFS, _engine(backend="python"), "engine=False", (64,), (24,)),
+)
+
+SCENARIO_BY_NAME = {scenario.name: scenario for scenario in SCENARIOS}
+
+#: The scenarios README.md's trajectory table shows (largest compared size).
+README_TABLE = ("report", "sweep", "walk", "fractional-dynamics", "report-dijkstra",
+                "report-bfs", "sharded-search")
+
+
+def _arm_stats(arm):
+    """The arm's counters: engine snapshot, LP engine stats, or fan-out run."""
+    engine = arm.get("engine")
+    if hasattr(engine, "snapshot_stats"):
+        return engine.snapshot_stats()
+    if hasattr(engine, "stats"):
+        return dict(engine.stats)
+    return last_run_stats()
+
+
+def time_arm(run, make_arm, game, processes, repeats):
+    """Return ``(best seconds, result, counters)`` over fresh arms."""
+    best = None
+    for _ in range(repeats):
+        arm = make_arm(game, processes)
+        start = time.perf_counter()
+        result = run(**arm)
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best[0]:
+            best = (elapsed, result, _arm_stats(arm))
+    return best
+
+
+def run_scenario(scenario, sizes, repeats, processes, smoke):
     rows = []
     for n in sizes:
-        print(f"benchmarking backend report n={n} (BFS kernels) ...")
-        rows.append(bench_backend_report(UniformBBCGame(n, K), "bfs", n, repeats))
-        print(f"benchmarking backend report n={n} (Dijkstra kernels) ...")
-        rows.append(
-            bench_backend_report(_backend_weighted_game(n), "dijkstra", n, repeats)
+        print(f"benchmarking {scenario.name} n={n} ...", flush=True)
+        game, run = scenario.build(n)
+        engine_seconds, result, stats = time_arm(
+            run, scenario.engine, game, processes, repeats
         )
-    largest = sizes[-1]
-    print(f"benchmarking backend all_costs n={largest} ...")
-    rows.append(
-        bench_backend_all_costs(UniformBBCGame(largest, K), "bfs", largest, repeats)
-    )
-    rows.append(
-        bench_backend_all_costs(
-            _backend_weighted_game(largest), "dijkstra", largest, repeats
-        )
-    )
-    if args.smoke:
-        # Tiny giant-batch runs on both backends: the point is exercising the
-        # staged-plan path end to end, not the ratios.
-        for backend in ("numpy", "python"):
-            print(f"benchmarking giant-batch report n=48 ({backend} kernels) ...")
-            rows.append(
-                bench_backend_giant_report(
-                    UniformBBCGame(48, K),
-                    "bfs",
-                    48,
-                    repeats,
-                    include_reference=True,
-                    backend=backend,
+        row = {"scenario": scenario.name, "n": n, "k": K}
+        row.update({f: getattr(result, f) for f in RESULT_FIELDS if hasattr(result, f)})
+        if scenario.reference is not None:
+            reference_seconds, expected, _ = time_arm(
+                run, REFERENCES[scenario.reference], game, processes, repeats
+            )
+            same = scenario.same or (lambda outcome: outcome)
+            if same(expected) != same(result):
+                raise AssertionError(
+                    f"{scenario.name} n={n}: the engine arm disagrees with "
+                    f"{scenario.reference}"
                 )
+            row.update(
+                reference=scenario.reference,
+                reference_seconds=reference_seconds,
+                speedup=reference_seconds / engine_seconds,
             )
-        sizes = sizes + [48]
-    else:
-        n = 4096
-        print(f"benchmarking giant-batch report n={n} (BFS kernels) ...")
-        rows.append(
-            bench_backend_giant_report(
-                UniformBBCGame(n, K), "bfs", n, repeats, include_reference=True
-            )
+            if scenario.reference == "processes=1":
+                row["processes"] = processes
+        row.update(
+            engine_seconds=engine_seconds,
+            smoke=smoke,
+            repeats=repeats,
+            cpus=os.cpu_count(),
+            python=platform.python_version(),
+            stats=stats,
         )
-        print(f"benchmarking giant-batch report n={n} (Dijkstra kernels) ...")
-        rows.append(
-            bench_backend_giant_report(
-                _backend_weighted_game(n), "dijkstra", n, repeats, include_reference=True
-            )
-        )
-        n = 16384
-        print(f"benchmarking giant-batch report n={n} (BFS kernels, giant only) ...")
-        rows.append(
-            bench_backend_giant_report(
-                UniformBBCGame(n, K),
-                "bfs",
-                n,
-                repeats,
-                include_reference=False,
-                candidates_per_node=4,
-            )
-        )
-        sizes = sizes + [4096, 16384]
-    return sizes, rows
+        print("  " + render_table([row]).splitlines()[1])
+        print("  counters: " + " ".join(f"{key}={value:.6g}" for key, value in stats.items()))
+        rows.append(row)
+    return rows
 
 
-# --------------------------------------------------------------------- #
-# Floor checks (shared by post-run gating and --check-floors)
-# --------------------------------------------------------------------- #
-def _core_floor_violations(rows):
+def load_recording(json_path, writer="the benchmarks"):
+    """Return ``(payload, code)``: code 1 for a missing file, 2 for a corrupt one."""
+    if not json_path.exists():
+        return {}, 1
+    try:
+        return json.loads(json_path.read_text()), 0
+    except ValueError as exc:
+        print(
+            f"CORRUPT RECORDING: {json_path} exists but is not parseable JSON "
+            f"({exc}); the benchmark writes are atomic, so this points at disk "
+            f"corruption or a manual edit — delete the file and re-run {writer}",
+            file=sys.stderr,
+        )
+        return None, 2
+
+
+def gated_rows(rows):
+    """Yield ``(scenario, row)`` for every row a floor applies to.
+
+    Smoke rows (noise ratios), engine-only rows and rows below ``floor_n``
+    are exempt; a scaling floor against ``processes=1`` arms only with at
+    least two workers on at least two CPUs.
+    """
+    for row in rows:
+        scenario = SCENARIO_BY_NAME.get(row.get("scenario"))
+        if scenario is None or scenario.floor is None:
+            continue
+        if row.get("smoke") or "speedup" not in row or row["n"] < scenario.floor_n:
+            continue
+        if scenario.reference == "processes=1" and (
+            row.get("processes", 1) < 2 or (row.get("cpus") or 1) < 2
+        ):
+            continue
+        yield scenario, row
+
+
+def floor_violations(rows):
     return [
-        f"core: equilibrium_report speedup {row['speedup']:.2f}x at n={row['n']} "
-        f"is below {CORE_REPORT_FLOOR:g}x"
-        for row in rows
-        if row["task"] == "equilibrium_report"
-        and "speedup" in row
-        and row["n"] >= 32
-        and row["speedup"] < CORE_REPORT_FLOOR
+        f"{scenario.name}: speedup {row['speedup']:.2f}x vs {scenario.reference} "
+        f"at n={row['n']} is below {scenario.floor:g}x"
+        for scenario, row in gated_rows(rows)
+        if row["speedup"] < scenario.floor
     ]
-
-
-def _sweep_floor_violations(rows):
-    violations = [
-        f"sweep: exhaustive_search speedup {row['speedup']:.2f}x is below "
-        f"{SWEEP_SPEEDUP_FLOOR:g}x"
-        for row in rows
-        if row["task"] == "exhaustive_search" and row["speedup"] < SWEEP_SPEEDUP_FLOOR
-    ]
-    violations.extend(
-        f"sweep: sharded_search scaling {row['scaling']:.2f}x with "
-        f"{row['processes']} workers on {row['cpus']} CPUs is below "
-        f"{SHARDED_SCALING_FLOOR:g}x"
-        for row in rows
-        if row["task"] == "sharded_search"
-        and row.get("processes", 1) >= 2
-        and (row.get("cpus") or 1) >= 2
-        and row["scaling"] < SHARDED_SCALING_FLOOR
-    )
-    return violations
-
-
-def _largest_row(rows, task):
-    matching = [row for row in rows if row["task"] == task]
-    return max(matching, key=lambda row: row["n"]) if matching else None
-
-
-def _fractional_floor_violations(rows):
-    largest = _largest_row(rows, "fractional_dynamics")
-    if largest is not None and largest["speedup"] < FRACTIONAL_SPEEDUP_FLOOR:
-        return [
-            f"fractional: fractional_dynamics speedup {largest['speedup']:.2f}x at "
-            f"n={largest['n']} is below {FRACTIONAL_SPEEDUP_FLOOR:g}x"
-        ]
-    return []
-
-
-def _incremental_floor_violations(rows):
-    largest = _largest_row(rows, "incremental_walk")
-    if largest is not None and largest["speedup"] < INCREMENTAL_WALK_FLOOR:
-        return [
-            f"incremental: incremental_walk speedup {largest['speedup']:.2f}x at "
-            f"n={largest['n']} is below {INCREMENTAL_WALK_FLOOR:g}x"
-        ]
-    return []
-
-
-def _backend_floor_violations(rows):
-    violations = []
-    largest = _largest_row(rows, "backend_dijkstra_report")
-    if largest is not None and largest["speedup"] < BACKEND_DIJKSTRA_FLOOR:
-        violations.append(
-            f"backend: backend_dijkstra_report speedup {largest['speedup']:.2f}x at "
-            f"n={largest['n']} is below {BACKEND_DIJKSTRA_FLOOR:g}x"
-        )
-    # The giant-only rows (no per-node arm at the largest sizes) carry no
-    # speedup; the floor gates the largest *compared* giant BFS report.
-    compared = [
-        row
-        for row in rows
-        if row["task"] == "backend_giant_bfs_report" and "speedup" in row
-    ]
-    if compared:
-        largest = max(compared, key=lambda row: row["n"])
-        if largest["speedup"] < BACKEND_GIANT_FLOOR:
-            violations.append(
-                f"backend: backend_giant_bfs_report speedup "
-                f"{largest['speedup']:.2f}x at n={largest['n']} is below "
-                f"{BACKEND_GIANT_FLOOR:g}x"
-            )
-    return violations
 
 
 def _service_floor_violations(rows):
@@ -943,138 +418,67 @@ def _service_floor_violations(rows):
     return violations
 
 
-#: mode -> (results key, meta key, checker).  Smoke-recorded rows are skipped:
-#: smoke sizes are deliberately tiny and their ratios are noise, exactly as
-#: the per-mode post-run gates always treated them.
-FLOOR_CHECKS = {
-    "core": ("results", "core_meta", _core_floor_violations),
-    "sweep": ("sweep_results", "sweep_meta", _sweep_floor_violations),
-    "fractional": ("fractional_results", "fractional_meta", _fractional_floor_violations),
-    "incremental": (
-        "incremental_results",
-        "incremental_meta",
-        _incremental_floor_violations,
-    ),
-    "backend": ("backend_results", "backend_meta", _backend_floor_violations),
-}
-
-
-def floor_violations(payload, only_mode=None):
-    """Return every floor violation recorded in ``payload`` (non-smoke rows)."""
-    violations = []
-    for mode, (results_key, meta_key, checker) in FLOOR_CHECKS.items():
-        if only_mode is not None and mode != only_mode:
-            continue
-        rows = payload.get(results_key)
-        if not rows:
-            continue
-        if payload.get(meta_key, {}).get("smoke"):
-            continue
-        violations.extend(checker(rows))
-    return violations
-
-
 def check_floors(json_path, service_json_path=None):
-    """The ``--check-floors`` entry point: validate the recorded trajectory.
+    """The ``--check-floors`` entry point, covering ``BENCH_service.json`` too.
 
-    Also validates the service load-generator recording
-    (``BENCH_service.json``, written by ``scripts/bench_service.py``) when
-    one sits next to ``json_path`` — the serving layer shares this one
-    regression gate rather than growing a second checker.
-
-    Exit codes are distinct so CI can tell the failure classes apart:
-    ``1`` for a missing recording or a floor violation, ``2`` for a
-    recording that exists but cannot be parsed (corrupt or truncated —
-    which the atomic writes should make impossible short of disk
-    corruption, hence its own loud signal).
+    Exits 1 for a missing recording or a floor violation and 2 for one that
+    cannot be parsed: with atomic writes that means disk corruption or a
+    manual edit, hence its own loud signal.
     """
-    if not json_path.exists():
+    payload, code = load_recording(json_path)
+    if code == 1:
         print(f"no {json_path} to check; run the benchmarks first", file=sys.stderr)
-        return 1
-    try:
-        payload = json.loads(json_path.read_text())
-    except ValueError as exc:
-        print(
-            f"CORRUPT RECORDING: {json_path} exists but is not parseable JSON "
-            f"({exc}); the benchmark writes are atomic, so this points at disk "
-            "corruption or a manual edit — delete the file and re-run the "
-            "benchmarks",
-            file=sys.stderr,
-        )
+    if code:
+        return code
+    rows = payload.get("rows", [])
+    violations = floor_violations(rows)
+    checked = list(dict.fromkeys(scenario.name for scenario, _ in gated_rows(rows)))
+    service, code = load_recording(
+        service_json_path or json_path.parent / "BENCH_service.json",
+        "scripts/bench_service.py",
+    )
+    if code == 2:
         return 2
-    violations = floor_violations(payload)
-    checked = [
-        mode
-        for mode, (results_key, meta_key, _) in FLOOR_CHECKS.items()
-        if payload.get(results_key) and not payload.get(meta_key, {}).get("smoke")
-    ]
-    if service_json_path is None:
-        service_json_path = json_path.parent / "BENCH_service.json"
-    if service_json_path.exists():
-        try:
-            service_payload = json.loads(service_json_path.read_text())
-        except ValueError as exc:
-            print(
-                f"CORRUPT RECORDING: {service_json_path} exists but is not "
-                f"parseable JSON ({exc}); delete the file and re-run "
-                "scripts/bench_service.py",
-                file=sys.stderr,
-            )
-            return 2
-        if not service_payload.get("service_meta", {}).get("smoke"):
-            violations.extend(
-                _service_floor_violations(
-                    service_payload.get("service_results") or []
-                )
-            )
-            checked.append("service")
+    if code == 0 and not service.get("service_meta", {}).get("smoke"):
+        violations.extend(_service_floor_violations(service.get("service_results") or []))
+        checked.append("service")
     if violations:
         for violation in violations:
             print(f"FLOOR VIOLATION: {violation}", file=sys.stderr)
         return 1
-    print(f"floors ok for recorded modes: {', '.join(checked) if checked else '(none)'}")
+    print(f"floors ok for recorded scenarios: {', '.join(checked) or '(none)'}")
     return 0
-
-
-#: The rows README.md's trajectory table shows: one representative task per
-#: recorded mode (the task each mode's floor gates, where one exists).
-README_TABLE_TASKS = (
-    ("results", "equilibrium_report", "Equilibrium report (flat-array engine vs dict oracle)"),
-    ("sweep_results", "exhaustive_search", "Exhaustive sweep (Gray-code + memoised engine)"),
-    ("incremental_results", "incremental_walk", "Best-response walk (incremental row repair)"),
-    ("fractional_results", "fractional_dynamics", "Fractional dynamics (warm LP engine vs reference)"),
-    ("backend_results", "backend_dijkstra_report", "Dijkstra report (numpy kernels vs list kernels)"),
-    ("backend_results", "backend_giant_bfs_report", "Giant-batch BFS report (vs per-node batches)"),
-)
 
 
 def print_readme_table(json_path):
     """Print the recorded trajectory as the markdown table README.md embeds.
 
-    The table is *generated from* ``BENCH_speed.json`` — after re-recording
-    a mode, re-run ``--readme-table`` and paste the output over the table in
+    The table is *generated from* ``BENCH_speed.json``: after re-recording,
+    re-run ``--readme-table`` and paste the output over the table in
     README.md so the prose never drifts from the recording.
     """
-    if not json_path.exists():
+    payload, code = load_recording(json_path)
+    if code == 1:
         print(f"no {json_path}; run the benchmarks first", file=sys.stderr)
-        return 1
-    payload = json.loads(json_path.read_text())
+    if code:
+        return code
     lines = [
-        "| Scenario | n | Reference [s] | Engine [s] | Speedup |",
-        "| --- | ---: | ---: | ---: | ---: |",
+        "| Scenario | n | Reference | Reference [s] | Engine [s] | Speedup |",
+        "| --- | ---: | --- | ---: | ---: | ---: |",
     ]
-    for results_key, task, label in README_TABLE_TASKS:
+    for name in README_TABLE:
         rows = [
             row
-            for row in payload.get(results_key, [])
-            if row.get("task") == task and row.get("speedup") is not None
+            for row in payload.get("rows", [])
+            if row.get("scenario") == name and "speedup" in row and not row.get("smoke")
         ]
         if not rows:
             continue
         row = max(rows, key=lambda r: r["n"])
         lines.append(
-            f"| {label} | {row['n']} | {row['reference_seconds']:.2f} "
-            f"| {row['engine_seconds']:.2f} | {row['speedup']:.1f}x |"
+            f"| {SCENARIO_BY_NAME[name].label} | {row['n']} | `{row['reference']}` "
+            f"| {row['reference_seconds']:.2f} | {row['engine_seconds']:.2f} "
+            f"| {row['speedup']:.1f}x |"
         )
     print("\n".join(lines))
     return 0
@@ -1082,128 +486,47 @@ def print_readme_table(json_path):
 
 def render_table(rows):
     lines = [
-        f"{'task':<30} {'n':>5} {'reference[s]':>13} {'engine[s]':>10} {'speedup':>8}"
+        f"{'scenario':<22} {'n':>6} {'reference':<18} {'reference[s]':>13} "
+        f"{'engine[s]':>10} {'speedup':>8}"
     ]
     for row in rows:
-        # The study-grid scenario times serial vs parallel instead of
-        # reference vs engine; the columns line up the same way.
-        reference = row.get("reference_seconds", row.get("serial_seconds"))
-        engine = row.get("engine_seconds", row.get("parallel_seconds"))
-        speedup = row.get("speedup", row.get("scaling"))
+        reference = row.get("reference_seconds")
+        speedup = row.get("speedup")
         lines.append(
-            f"{row['task']:<30} {row['n']:>5} "
+            f"{row['scenario']:<22} {row['n']:>6} {row.get('reference', '-'):<18} "
             f"{(f'{reference:.4f}' if reference is not None else '-'):>13} "
-            f"{engine:>10.4f} "
+            f"{row['engine_seconds']:>10.4f} "
             f"{(f'{speedup:.2f}x' if speedup is not None else '-'):>8}"
+            + ("  (smoke)" if row.get("smoke") else "")
         )
     return "\n".join(lines)
 
 
-def run_core_scenarios(args, repeats):
-    sizes = [8, 16] if args.smoke else [8, 16, 32, 64]
-    rows = []
-    for n in sizes:
-        include_reference = n <= args.max_reference_n
-        print(f"benchmarking n={n} (reference={'yes' if include_reference else 'no'}) ...")
-        rows.append(bench_equilibrium(n, repeats, include_reference))
-        rows.append(bench_walk(n, repeats, include_reference))
-    return sizes, rows
+def merge_rows(old_rows, new_rows):
+    """Replace every scenario ``new_rows`` covers and drop retired ones; keep
+    the rest, in table order."""
+    fresh = {row["scenario"] for row in new_rows}
+    order = {name: i for i, name in enumerate(SCENARIO_BY_NAME)}
+    kept = [row for row in old_rows if row.get("scenario") in order.keys() - fresh]
+    return sorted(kept + new_rows, key=lambda row: (order[row["scenario"]], row["n"]))
 
 
-def run_sweep_scenarios(args, repeats):
-    print("benchmarking exhaustive equilibrium search (sweep vs from-scratch) ...")
-    rows = [bench_exhaustive_search(repeats, args.smoke)]
-    print("benchmarking figure-4 completion scan ...")
-    rows.append(bench_figure4(repeats, include_reference=not args.smoke))
-    print("benchmarking process-parallel study grid ...")
-    grid_row = bench_study_grid(repeats, args.smoke)
-    print(
-        "study grid reliability: "
-        f"crashed={grid_row['crashed']} retried={grid_row['retried']} "
-        f"pool_restarts={grid_row['pool_restarts']} "
-        f"serial_fallback_cells={grid_row['serial_fallback_cells']}"
-    )
-    rows.append(grid_row)
-    processes = args.processes or max(default_processes(), 2)
-    print(f"benchmarking sharded exhaustive search ({processes} workers) ...")
-    sharded_row = bench_sharded_search(repeats, args.smoke, processes)
-    print(
-        "sharded search reliability: "
-        f"crashed={sharded_row['crashed']} retried={sharded_row['retried']} "
-        f"pool_restarts={sharded_row['pool_restarts']} "
-        f"serial_fallback_cells={sharded_row['serial_fallback_cells']}"
-    )
-    rows.append(sharded_row)
-    return rows
-
-
-def run_incremental_scenarios(args, repeats):
-    sizes = [16] if args.smoke else [32, 64]
-    rounds = 6 if args.smoke else 30
-    rows = []
-    for n in sizes:
-        print(f"benchmarking incremental walk n={n} (engine vs PR 3 reconstruction) ...")
-        rows.append(bench_incremental_walk(n, rounds, repeats))
-    n = 16 if args.smoke else 64
-    steps = 4 if args.smoke else 12
-    print(f"benchmarking single-deviation equilibrium rechecks n={n} ...")
-    rows.append(bench_incremental_recheck(n, steps, repeats))
-    print("benchmarking incremental sweep (exhaustive search) ...")
-    rows.append(bench_incremental_sweep(repeats, args.smoke))
-    return sizes, rows
-
-
-def run_fractional_scenarios(args, repeats):
-    sizes = [5, 6] if args.smoke else [8, 10, 12, 14]
-    rows = []
-    for n in sizes:
-        print(f"benchmarking fractional dynamics n={n} (engine vs reference) ...")
-        row, game, profile = bench_fractional_dynamics(n, repeats)
-        rows.append(row)
-        print(f"benchmarking fractional equilibrium report n={n} ...")
-        rows.append(bench_fractional_report(n, repeats, game, profile))
-    return sizes, rows
-
-
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny sizes and one repeat so the whole run takes seconds",
+        "scenarios",
+        nargs="*",
+        metavar="SCENARIO",
+        help="scenarios to run (default: all): " + ", ".join(SCENARIO_BY_NAME),
     )
     parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run the sweep-engine scenarios (exhaustive search, figure-4 "
-        "scan, parallel study grid) instead of the core per-call scenarios",
-    )
-    parser.add_argument(
-        "--fractional",
-        action="store_true",
-        help="run the fractional-game scenarios (iterated best-response "
-        "dynamics and epsilon-equilibrium reports, FractionalEngine vs the "
-        "FlowNetwork / dense-LP reference) instead of the core scenarios",
-    )
-    parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="run the incremental-engine scenarios (long walks, "
-        "single-deviation equilibrium rechecks, restricted exhaustive sweep) "
-        "against a reconstruction of the PR 3 engine",
-    )
-    parser.add_argument(
-        "--backend",
-        action="store_true",
-        help="run the traversal-backend scenarios (restricted-candidate "
-        "equilibrium reports and all_costs sweeps, numpy frontier kernels vs "
-        "the list kernels) instead of the core scenarios",
+        "--smoke", action="store_true", help="tiny sizes and one repeat per arm"
     )
     parser.add_argument(
         "--check-floors",
         action="store_true",
-        help="run no benchmarks; exit non-zero if any recorded (non-smoke) "
-        "mode in BENCH_speed.json is below its enforced speedup floor",
+        help="run no benchmarks; exit non-zero if a recorded (non-smoke) row "
+        "in BENCH_speed.json or BENCH_service.json is below its floor",
     )
     parser.add_argument(
         "--readme-table",
@@ -1211,127 +534,60 @@ def main():
         help="run no benchmarks; print the recorded trajectory as the "
         "markdown table README.md embeds (regenerate it after re-recording)",
     )
-    parser.add_argument("--repeats", type=int, default=None, help="timing repeats per cell")
     parser.add_argument(
         "--processes",
         type=int,
         default=None,
-        help="worker count for the --sweep sharded-search scenario (default: "
-        "the affinity-aware default, at least 2 so the sharded path is real)",
+        help="worker count of the process-parallel scenarios (default: the "
+        "affinity-aware default, at least 2 so the parallel path is real)",
     )
-    parser.add_argument(
-        "--max-reference-n",
-        type=int,
-        default=32,
-        help="largest n at which the dict-based reference path is also timed",
-    )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     json_path = OUTPUT_DIR / "BENCH_speed.json"
     if args.readme_table:
         return print_readme_table(json_path)
     if args.check_floors:
-        if args.sweep or args.fractional or args.incremental or args.backend or args.smoke:
+        if args.scenarios or args.smoke:
             parser.error("--check-floors runs no benchmarks; pass it alone")
         return check_floors(json_path)
-
-    if args.repeats is not None:
-        repeats = args.repeats
-    elif args.smoke or args.incremental or args.backend:
-        # The incremental walks and the backend reports time deliberately
-        # slow baselines; one repeat keeps each mode under a couple of
-        # minutes.
-        repeats = 1
-    else:
-        repeats = 3
-    if repeats < 1:
-        parser.error(f"--repeats must be at least 1 (got {repeats})")
-
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    # Each mode owns its own key in the payload and appends around the other
-    # mode's last results, so `--sweep` runs extend the trajectory instead of
-    # erasing the core scenarios (and vice versa).
-    payload = {}
-    if json_path.exists():
-        try:
-            payload = json.loads(json_path.read_text())
-        except ValueError:
-            payload = {}
-    payload.update({"benchmark": "bench_speed", "k": K})
-    # Provenance lives next to each mode's rows: the other mode's results are
-    # preserved as-is, so top-level repeats/smoke would misstate how they ran.
-    meta = {
-        "repeats": repeats,
-        "smoke": args.smoke,
-        "python": platform.python_version(),
-    }
-
-    if sum(map(bool, (args.sweep, args.fractional, args.incremental, args.backend))) > 1:
+    unknown = [name for name in args.scenarios if name not in SCENARIO_BY_NAME]
+    if unknown:
         parser.error(
-            "--sweep, --fractional, --incremental, and --backend are mutually exclusive"
+            f"unknown scenario(s) {', '.join(unknown)}; choose from "
+            + ", ".join(SCENARIO_BY_NAME)
         )
 
-    if args.backend and not _backend_available():
-        # The minimal-deps CI leg lands here: the selector refuses "numpy"
-        # and every auto resolution degrades to the list kernels, so there is
-        # no vectorised arm to record — but the giant-batch plan still has a
-        # pure-python drain path, which this checks end to end.
-        return _python_giant_fallback_check()
+    # Refuse before running anything: rewriting a corrupt recording would
+    # silently erase every scenario it still holds.
+    payload, code = load_recording(json_path)
+    if code == 2:
+        return 2
 
-    if args.sweep:
-        rows = run_sweep_scenarios(args, repeats)
-        payload["sweep_results"] = rows
-        payload["sweep_meta"] = meta
-    elif args.backend:
-        sizes, rows = run_backend_scenarios(args, repeats)
-        payload["backend_sizes"] = sizes
-        payload["backend_results"] = rows
-        payload["backend_meta"] = meta
-    elif args.incremental:
-        sizes, rows = run_incremental_scenarios(args, repeats)
-        payload["incremental_sizes"] = sizes
-        payload["incremental_results"] = rows
-        payload["incremental_meta"] = meta
-    elif args.fractional:
-        sizes, rows = run_fractional_scenarios(args, repeats)
-        payload["fractional_sizes"] = sizes
-        payload["fractional_results"] = rows
-        payload["fractional_meta"] = meta
-    else:
-        sizes, rows = run_core_scenarios(args, repeats)
-        payload["sizes"] = sizes
-        payload["results"] = rows
-        payload["core_meta"] = meta
-    payload.pop("repeats", None)  # top-level provenance from older payloads
-    payload.pop("smoke", None)
-    payload.pop("python", None)
+    processes = args.processes or max(default_processes(), 2)
+    selected = [SCENARIO_BY_NAME[name] for name in dict.fromkeys(args.scenarios)]
+    rows = []
+    for scenario in selected or SCENARIOS:
+        missing = [m for m in scenario.needs if importlib.util.find_spec(m) is None]
+        if missing:
+            print(f"skipping {scenario.name}: needs {', '.join(missing)}, not installed")
+            continue
+        repeats = 1 if args.smoke else scenario.repeats
+        sizes = scenario.smoke_sizes if args.smoke else scenario.sizes
+        rows.extend(run_scenario(scenario, sizes, repeats, processes, args.smoke))
 
-    # Atomic writes (tmp + os.replace): a benchmark killed mid-write must
-    # leave the previous recording intact, never a truncated JSON that a
-    # later --check-floors run would choke on.
-    atomic_write_text(json_path, json.dumps(payload, indent=2) + "\n")
-    table = render_table(rows)
-    if args.sweep:
-        mode, table_name = "sweep", "BENCH_speed_sweep.txt"
-    elif args.incremental:
-        mode, table_name = "incremental", "BENCH_speed_incremental.txt"
-    elif args.fractional:
-        mode, table_name = "fractional", "BENCH_speed_fractional.txt"
-    elif args.backend:
-        mode, table_name = "backend", "BENCH_speed_backend.txt"
-    else:
-        mode, table_name = "core", "BENCH_speed.txt"
-    table_path = OUTPUT_DIR / table_name
-    atomic_write_text(table_path, table + "\n")
+    merged = merge_rows(payload.get("rows", []), rows)
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    # Atomic writes (tmp + os.replace): a run killed mid-write leaves the
+    # previous recording intact, never a truncated JSON.
+    atomic_write_text(
+        json_path, json.dumps({"benchmark": "bench_speed", "rows": merged}, indent=2) + "\n"
+    )
+    table = render_table(merged)
+    atomic_write_text(OUTPUT_DIR / "BENCH_speed.txt", table + "\n")
     print("\n" + table)
     print(f"\nwrote {json_path}")
 
-    if args.smoke:
-        # Smoke sizes are deliberately tiny and their ratios are noise; the
-        # floors only gate real recordings (and --check-floors skips
-        # smoke-recorded modes for the same reason).
-        return 0
-    violations = floor_violations(payload, only_mode=mode)
+    violations = floor_violations(rows)
     for violation in violations:
         print(f"WARNING: {violation}", file=sys.stderr)
     return 1 if violations else 0

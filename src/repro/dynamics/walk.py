@@ -122,8 +122,8 @@ def run_best_response_walk(
         Same tri-state convention as every routed entry point: ``None`` (the
         default) uses the shared flat-array cost engine, so successive probes
         reuse every distance row a deviation did not invalidate; ``False``
-        forces the reference dict-based oracle (the baseline of
-        ``scripts/bench_speed.py``); an explicit
+        forces the reference dict-based oracle (the reference arm of the
+        ``walk`` scenarios in ``scripts/bench_speed.py``); an explicit
         :class:`~repro.engine.CostEngine` controls cache sharing.
     """
     game.validate_profile(initial)

@@ -46,12 +46,11 @@ rows are **bit-identical** to recomputation; derived rows (through rows,
 penalty-substituted slices, batched combination cost vectors) are patched at
 the touched indices only.  When repair would not pay — more pending net
 movers than ``_repair_edit_limit`` (the affected region would approach the
-whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, tiny games
-where a fresh BFS is cheaper, or ``incremental=False`` (the PR 3 baseline
-behaviour) — the engine falls back to drop-and-recompute, which remains the
-reference semantics.  ``tests/test_engine_parity.py`` pins repaired rows,
-costs, and walk traces against full recomputation across randomized
-single-node edit sequences.
+whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny
+games where a fresh BFS is cheaper — the engine falls back to
+drop-and-recompute, which remains the reference semantics.
+``tests/test_engine_parity.py`` pins repaired rows, costs, and walk traces
+against full recomputation across randomized single-node edit sequences.
 
 Consumers never invalidate caches themselves; they call ``sync`` (directly
 or through the routed entry points :func:`repro.core.best_response`,
@@ -84,9 +83,10 @@ traversal.  The numpy backend stores cached rows as float64/int64 arrays
 regrets — stay plain Python floats, so every scorer fast path, cache
 contract, and result type above the kernels is shared;
 ``tests/test_backend_parity.py`` pins kernel-level and end-to-end parity
-and ``scripts/bench_speed.py --backend`` records the python-vs-numpy
-trajectory at n in {64, 256, 1024} (>=3x on Dijkstra-backed equilibrium
-checks at n=1024, floor enforced).
+and the ``report-bfs`` / ``report-dijkstra`` scenarios of
+``scripts/bench_speed.py`` record the numpy-vs-list-kernel trajectory
+(floors enforced: >=3x on the Dijkstra-backed report at n=1024 and on the
+BFS report at n=4096).
 
 **The giant-batch contract** (new in PR 6).  Both kernel families'
 multi-source forms additionally take a *per-row* forbidden mask — row ``i``
@@ -284,9 +284,9 @@ mirror the integral registry and tri-state ``engine`` kwarg.
 
 The dict-based :class:`~repro.core.best_response.DeviationOracle` remains in
 the tree as the reference implementation; ``tests/test_engine_parity.py``
-asserts bit-identical costs and regrets between the two, and
-``scripts/bench_speed.py`` (``--sweep`` for the sweep scenarios,
-``--fractional`` for the fractional ones) tracks the speedup.
+asserts bit-identical costs and regrets between the two, and every scenario
+of ``scripts/bench_speed.py`` times an engine path against one of the kept
+references (this oracle, the list kernels, or a serial run).
 """
 
 from weakref import WeakKeyDictionary

@@ -21,9 +21,7 @@ the dynamic-SSSP kernels (:func:`~repro.graphs.int_kernels.repair_hops_csr`
 / :func:`~repro.graphs.int_kernels.repair_dijkstra_csr`) — bounded
 re-relaxation of only the region the arc changes could have reached, instead
 of a fresh traversal.  A multi-node change, or a row that has fallen behind
-the edit log, resets to a full recompute.  Pass ``incremental=False`` to get
-the PR 3 drop-everything-but-the-mover behaviour (the baseline of
-``scripts/bench_speed.py --incremental``).
+the edit log, resets to a full recompute.
 
 Memory is bounded in *bytes*, not rows: every cached row is charged to a
 :class:`~repro.engine.row_store.ChunkLedger` and whole LRU chunks are
@@ -85,7 +83,8 @@ REPAIR_LOG_LIMIT = 128
 #: kernels' lower fixed overhead beats the vectorised traversals (each numpy
 #: frontier round costs a handful of array dispatches regardless of size);
 #: above them the per-edge Python bytecode dominates and the array sweeps
-#: win, growing past 3x/5x at n=1024 (``scripts/bench_speed.py --backend``).
+#: win, growing past 3x/5x at n=1024 (the ``report-bfs`` / ``report-dijkstra``
+#: scenarios of ``scripts/bench_speed.py``).
 #: Uniform-length games cross over later because the deque BFS is leaner
 #: than the binary-heap Dijkstra the weighted games are up against.
 NUMPY_BACKEND_MIN_N = 128
@@ -204,20 +203,12 @@ class CostEngine:
     :meth:`all_costs`, and :meth:`scorer` evaluate costs against the cached
     snapshot.  All results are bit-identical to the reference
     :class:`~repro.core.best_response.DeviationOracle` / dict-BFS path; the
-    parity tests in ``tests/test_engine_parity.py`` enforce this.
+    parity tests in ``tests/test_engine_parity.py`` enforce this.  Cached
+    rows are repaired in place across single-node profile steps (see the
+    module docstring); every option below is keyword-only.
 
-    ``incremental`` (default ``True``) enables lazy in-place repair of
-    cached distance rows across single-node profile steps; ``False``
-    restores the PR 3 behaviour of dropping every non-mover row on each
-    local sync.  ``vectorized`` (default ``True``) enables the numpy-backed
-    scoring fast paths; ``False`` keeps the original per-element loops.
-    ``CostEngine(game, incremental=False, vectorized=False)`` therefore
-    reconstructs the PR 3 engine, which is the baseline of
-    ``scripts/bench_speed.py --incremental``.
-
-    ``backend`` selects the traversal kernels (independently of the scoring
-    ``vectorized`` flag): ``"python"`` pins the list kernels of
-    :mod:`repro.graphs.int_kernels`, ``"numpy"`` the array kernels of
+    ``backend`` selects the traversal kernels: ``"python"`` pins the list
+    kernels of :mod:`repro.graphs.int_kernels`, ``"numpy"`` the array kernels of
     :mod:`repro.graphs.int_kernels_np`, and ``None`` / ``"auto"`` (the
     default) picks numpy when it is importable and the game is at or above
     the size crossover (:data:`NUMPY_BACKEND_MIN_N`, or
@@ -229,12 +220,8 @@ class CostEngine:
     ``memory_budget_bytes`` bounds the total bytes of cached rows
     (:func:`default_memory_budget` when ``None``); crossing it evicts whole
     least-recently-used chunks of nodes (:meth:`cache_bytes` /
-    ``stats["chunks_evicted"]`` observe it).  ``giant_batch`` (default
-    ``True``) enables :meth:`plan_report_prefetch`'s chunked giant
-    traversals; ``False`` keeps the PR 5 one-batch-per-node behaviour (the
-    baseline of ``scripts/bench_speed.py --backend``'s giant floors).
-    Neither knob changes any computed value — both paths are bit-identical
-    to the references.
+    ``stats["chunks_evicted"]`` observe it); the budget never changes a
+    computed value.
 
     ``verify_every`` (default ``None`` = off) arms self-verification: every
     ``verify_every``-th cache *hit* recomputes the served environment row
@@ -251,11 +238,9 @@ class CostEngine:
     def __init__(
         self,
         game,
-        incremental: bool = True,
-        vectorized: bool = True,
+        *,
         backend: Optional[str] = None,
         memory_budget_bytes: Optional[int] = None,
-        giant_batch: bool = True,
         verify_every: Optional[int] = None,
         tables=None,
     ) -> None:
@@ -266,8 +251,6 @@ class CostEngine:
         # repro.engine.snapshot.SnapshotTables) so pool workers skip the
         # O(n^2) probing pass; None constructs normally.
         self.indexed = IndexedGame(game, tables=tables)
-        self.incremental = bool(incremental)
-        self.vectorized = bool(vectorized)
         self.backend = resolve_backend(
             backend, self.indexed.n, self.indexed.uniform_lengths
         )
@@ -284,8 +267,9 @@ class CostEngine:
         # so _ensure_current drops the rows instead.  Below n=16 a fresh BFS
         # over the tiny row is already cheaper than the kernel's bookkeeping,
         # so only edits that net out to nothing are worth replaying (limit 0).
-        # Tests raise the limit to pin repair-vs-recompute parity on long
-        # edit sequences.
+        # It doubles as a private test hook: tests raise it to force repair
+        # across long edit sequences, or set it to -1 to decline every repair
+        # so stale rows always drop and recompute.
         n = self.indexed.n
         self._repair_edit_limit = n // 8 if n >= 16 else 0
         #: Bumped on every observed profile change; all caches key on it.
@@ -358,7 +342,6 @@ class CostEngine:
             if memory_budget_bytes is not None
             else default_memory_budget(self.indexed.n)
         )
-        self.giant_batch = bool(giant_batch)
         # Self-verification sampling: every `verify_every`-th cache *hit*
         # recomputes the served row from scratch and compares elementwise.
         # A mismatch means the cached copy was corrupted after it was filled
@@ -450,9 +433,9 @@ class CostEngine:
         Diffs the profile against the current snapshot: no change keeps the
         version (full cache reuse); a single-node change bumps the version,
         preserves the mover's own environment rows (``G - u`` does not
-        contain ``u``'s links) and, in incremental mode, records the step in
-        the edit log so every other node's still-cached rows can be repaired
-        in place on their next touch; anything larger resets all caches.
+        contain ``u``'s links) and records the step in the edit log so every
+        other node's still-cached rows can be repaired in place on their next
+        touch; anything larger resets all caches.
 
         Returns the dense int ids of the nodes whose strategies changed —
         ``()`` for a no-op sync — or ``None`` on the first sync, when there
@@ -535,40 +518,21 @@ class CostEngine:
         if changed is not None and len(changed) == 1:
             self.stats["local_syncs"] += 1
             changed_node = changed[0]
-            if self.incremental:
-                self._edits[self.version] = (changed_node, old_arcs[0])
-                if len(self._edits) > REPAIR_LOG_LIMIT:
-                    del self._edits[min(self._edits)]
-                # The mover's masked rows never contained its own arcs: when
-                # they were current a moment ago, re-stamp them eagerly so
-                # sweep-style probes of the mover stay entirely free.  Rows
-                # further behind are left stale for lazy repair (the edit log
-                # replay skips the mover's own steps anyway).
-                for cache in self._row_caches():
-                    entry = cache.get(changed_node)
-                    if entry is not None and entry[0] == self.version - 1:
-                        cache[changed_node] = (self.version, entry[1])
-                combo = self._combo_cache.get(changed_node)
-                if combo is not None and combo[0] == self.version - 1:
-                    self._combo_cache[changed_node] = (
-                        self.version, combo[1], combo[2]
-                    )
-            else:
-                kept = [
-                    (cache, cache.get(changed_node)) for cache in self._row_caches()
-                ]
-                kept_combo = self._combo_cache.get(changed_node)
-                self._clear_row_caches()
-                for cache, entry in kept:
-                    if entry is not None:
-                        cache[changed_node] = (self.version, entry[1])
-                        for row in entry[1].values():
-                            self._ledger.add(changed_node, _payload_nbytes(row))
-                if kept_combo is not None:
-                    self._combo_cache[changed_node] = (
-                        self.version, kept_combo[1], kept_combo[2]
-                    )
-                    self._ledger.add(changed_node, _payload_nbytes(kept_combo[2]))
+            self._edits[self.version] = (changed_node, old_arcs[0])
+            if len(self._edits) > REPAIR_LOG_LIMIT:
+                del self._edits[min(self._edits)]
+            # The mover's masked rows never contained its own arcs: when they
+            # were current a moment ago, re-stamp them eagerly so sweep-style
+            # probes of the mover stay entirely free.  Rows further behind
+            # are left stale for lazy repair (the edit log replay skips the
+            # mover's own steps anyway).
+            for cache in self._row_caches():
+                entry = cache.get(changed_node)
+                if entry is not None and entry[0] == self.version - 1:
+                    cache[changed_node] = (self.version, entry[1])
+            combo = self._combo_cache.get(changed_node)
+            if combo is not None and combo[0] == self.version - 1:
+                self._combo_cache[changed_node] = (self.version, combo[1], combo[2])
         else:
             self.stats["full_syncs"] += 1
             self._clear_row_caches()
@@ -758,8 +722,6 @@ class CostEngine:
             self.stats["chunks_evicted"] += 1
 
     def _repairable(self, entry_version: int) -> bool:
-        if not self.incremental:
-            return False
         edits = self._edits
         if self.version - entry_version > len(edits):
             return False
@@ -1045,17 +1007,14 @@ class CostEngine:
         :meth:`prefetch_env_rows`, on either backend) computes its entire
         chunk in one multi-source per-row-masked traversal.
 
-        Returns the number of planned rows; 0 when planning is off
-        (``giant_batch=False``), the plan would exceed
-        :data:`PLAN_ROW_LIMIT`, or there is nothing to plan.  Rows, costs,
+        Returns the number of planned rows; 0 when the plan would exceed
+        :data:`PLAN_ROW_LIMIT` or there is nothing to plan.  Rows, costs,
         and traces are bit-identical with or without a plan — only *when*
         rows are computed changes.  The plan dies with the snapshot: any
         profile change clears it.
         """
         self.sync(profile)
         self._clear_plan()
-        if not self.giant_batch:
-            return 0
         indexed = self.indexed
         index = indexed.index
         n = indexed.n
@@ -1754,8 +1713,7 @@ class StrategyScorer:
         # machinery (and of numpy) loses to the plain loops, so small games
         # stay on the original code path end to end.
         self.fast_sum = (
-            engine.vectorized
-            and self.is_sum
+            self.is_sum
             and self.unit_weights
             and indexed.penalty_dominates
             and len(self.targets) >= 16

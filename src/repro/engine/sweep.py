@@ -33,7 +33,8 @@ that locality explicit:
   cannot decide the chained outcome.
 
 ``tests/test_sweep.py`` pins the Gray single-edit/coverage invariants and
-search-summary parity; ``scripts/bench_speed.py --sweep`` tracks the speedup.
+search-summary parity; the ``sweep`` scenario of ``scripts/bench_speed.py``
+tracks the speedup.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from repro.engine import (
     SweepEvaluator,
     resolve_backend,
 )
+from repro.engine import cost_engine
 from repro.engine.cost_engine import NUMPY_BACKEND_MIN_N_UNIFORM
 from repro.graphs.int_kernels import (
     bfs_hops_csr,
@@ -551,7 +552,7 @@ def _restricted_candidates(game, per_node=5, seed=13):
     ],
     ids=["uniform-bfs", "weighted-int", "weighted-float"],
 )
-def test_giant_batch_report_matches_per_node_and_reference(make_game, backend):
+def test_giant_batch_report_matches_per_node_and_reference(make_game, backend, monkeypatch):
     """Giant-batch reports are bit-identical to per-node batches and to the
     dict-oracle reference, restricted and unrestricted, on both backends."""
     if backend == "numpy" and np is None:
@@ -560,13 +561,16 @@ def test_giant_batch_report_matches_per_node_and_reference(make_game, backend):
     profile = random_initial_profile(game, seed=9)
     for candidates in (None, _restricted_candidates(game)):
         giant = CostEngine(game, backend=backend)
-        per_node = CostEngine(game, backend=backend, giant_batch=False)
         report_giant = equilibrium_report(
             game, profile, candidates=candidates, engine=giant
         )
-        report_per_node = equilibrium_report(
-            game, profile, candidates=candidates, engine=per_node
-        )
+        # A zero row limit declines every plan: the per-node prefetch path.
+        per_node = CostEngine(game, backend=backend)
+        with monkeypatch.context() as patch:
+            patch.setattr(cost_engine, "PLAN_ROW_LIMIT", 0)
+            report_per_node = equilibrium_report(
+                game, profile, candidates=candidates, engine=per_node
+            )
         report_ref = equilibrium_report(
             game, profile, candidates=candidates, engine=False
         )
@@ -614,7 +618,7 @@ def test_swap_stability_report_uses_the_plan_and_matches_reference():
     assert engine.stats["giant_batch_traversals"] > 0
 
 
-def test_plan_is_cleared_by_profile_changes_and_skips_oversized_reports():
+def test_plan_is_cleared_by_profile_changes_and_skips_oversized_reports(monkeypatch):
     game = UniformBBCGame(12, 2)
     profile = random_initial_profile(game, seed=3)
     engine = CostEngine(game)
@@ -624,15 +628,7 @@ def test_plan_is_cleared_by_profile_changes_and_skips_oversized_reports():
     engine.sync(moved)
     assert engine._plan_version != engine.version and not engine._plan_chunk_of
     # A plan above the row limit is declined outright (per-node prefetch
-    # serves those reports); giant_batch=False never plans.
-    import repro.engine.cost_engine as ce
-
-    old_limit = ce.PLAN_ROW_LIMIT
-    ce.PLAN_ROW_LIMIT = 10
-    try:
-        assert engine.plan_report_prefetch(moved) == 0
-        assert not engine._plan_chunk_of
-    finally:
-        ce.PLAN_ROW_LIMIT = old_limit
-    off = CostEngine(game, giant_batch=False)
-    assert off.plan_report_prefetch(moved) == 0
+    # serves those reports).
+    monkeypatch.setattr(cost_engine, "PLAN_ROW_LIMIT", 10)
+    assert engine.plan_report_prefetch(moved) == 0
+    assert not engine._plan_chunk_of

@@ -265,9 +265,13 @@ def test_repaired_walk_trace_is_bit_identical():
     repair_engine = CostEngine(game)
     repair_engine._repair_edit_limit = 10**9
     repaired = run(repair_engine)
-    dropped = run(CostEngine(game, incremental=False))
+    # A negative edit limit declines every repair: stale rows drop and recompute.
+    drop_engine = CostEngine(game)
+    drop_engine._repair_edit_limit = -1
+    dropped = run(drop_engine)
     reference = run(False)
     assert repair_engine.stats["rows_repaired"] > 0
+    assert drop_engine.stats["rows_repaired"] == 0
     for other in (dropped, reference):
         assert repaired.final_profile == other.final_profile
         assert repaired.probes == other.probes

@@ -581,7 +581,7 @@ class TestCostEngineDegradation:
             engine.plan_report_prefetch(profile)
             got = [float(x) for x in engine.env_row(0, 1)]
         assert got == clean
-        if engine.giant_batch and engine.stats["chunk_build_failures"] == 0:
+        if engine.stats["chunk_build_failures"] == 0:
             pytest.skip("game too small for a giant-batch plan")
 
     def test_numpy_import_fault_degrades_auto_and_fails_explicit(self):
