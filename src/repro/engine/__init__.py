@@ -42,9 +42,12 @@ matter) and *repairs* the row in place with the dynamic-SSSP kernels
 re-relaxation of only the region the arc changes can reach, seeded from the
 region's intact in-boundary (the engine maintains the reverse adjacency for
 this).  Hop rows repair in exact int space before rescaling, so repaired
-rows are **bit-identical** to recomputation; derived rows (through rows,
-penalty-substituted slices, batched combination cost vectors) are patched at
-the touched indices only.  When repair would not pay — more pending net
+rows are **bit-identical** to recomputation.  Only environment rows (and,
+on uniform games, the hop rows they were scaled from) are cached and
+repaired; rows derived from them while scoring (through rows,
+penalty-substituted slices, batched combination cost vectors) belong to the
+:class:`~repro.engine.cost_engine.StrategyScorer` that built them and die
+with it.  When repair would not pay — more pending net
 movers than ``_repair_edit_limit`` (the affected region would approach the
 whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny
 games where a fresh BFS is cheaper — the engine falls back to
@@ -107,16 +110,17 @@ the per-node path and to the dict reference, pinned by
 
 **The memory-budget contract** (new in PR 6, replacing the PR 5 row-count
 cap).  ``CostEngine(game, memory_budget_bytes=...)`` bounds the byte
-footprint of every row cache (environment, hop, derived, and combination
-rows), defaulting to :func:`~repro.engine.cost_engine.default_memory_budget`
-— 16 MiB floored, 256 MiB capped.  A
+footprint of the row caches (environment rows and the hop rows kept for
+repair; scorer-local derived rows are never charged), defaulting to
+:func:`~repro.engine.cost_engine.default_memory_budget` — 16 MiB floored,
+256 MiB capped.  A
 :class:`~repro.engine.row_store.ChunkLedger` accounts bytes per node and
 groups the nodes filled by one giant traversal into one LRU *chunk* (rows
 from one sweep are views into one allocation, so only dropping the whole
 group actually releases memory).  Eviction is node-granular within the
-evicted chunk — a node's environment row and everything derived from it
-leave together, so the repair contract above never patches a derived row
-whose base was dropped — and never silent: ``stats["rows_evicted"]`` /
+evicted chunk — a node's environment rows and their hop rows leave
+together, so the repair contract above always finds both halves of a row —
+and never silent: ``stats["rows_evicted"]`` /
 ``stats["chunks_evicted"]`` count it, ``stats["evicted_recomputes"]`` counts
 rows that re-entered by recomputation, and :meth:`CostEngine.cache_bytes` /
 :meth:`CostEngine.snapshot_stats` expose the live footprint.  An evicted row
@@ -132,8 +136,8 @@ distance keeps per-first-hop *penalty-substituted target slices* and reduces
 them at C level; on games whose lengths and penalty are integer-valued
 (:attr:`IndexedGame.exact_sums` — every default game) whole strategy sets
 are scored in one vectorised pass
-(:meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`), with
-the per-environment cost vector cached and patched through repairs.
+(:meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`), which
+returns a freshly built cost vector owned by the caller.
 Exactness of integer float sums below ``2**53`` is what makes the reordered
 reductions bit-identical to the reference's left-to-right loops; games
 failing any gate (MAX objective, non-unit weights, small penalties,

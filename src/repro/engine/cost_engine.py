@@ -172,19 +172,6 @@ def resolve_backend(backend, n: int, uniform_lengths: bool = False) -> str:
 _TRIU_CACHE: Dict[int, tuple] = {}
 
 
-def _readonly_view(array):
-    """Return a write-protected view of a cached numpy vector.
-
-    The cache keeps the writable base (repairs patch it in place via
-    :meth:`CostEngine._update_combo`), so the view shares the scorer's
-    staleness contract: it is only meaningful until the engine's next sync.
-    Freezing it keeps caller writes from poisoning the cache.
-    """
-    view = array.view()
-    view.setflags(write=False)
-    return view
-
-
 def _triu_pairs(count: int):
     pairs = _TRIU_CACHE.get(count)
     if pairs is None:
@@ -306,37 +293,20 @@ class CostEngine:
         self._edits: Dict[int, Tuple[int, frozenset]] = {}
         # masked node u -> (version, {first hop a -> distance row})
         self._env_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
-        # masked node u -> (version, {first hop a -> l(u,a) + env row}); same
-        # lifecycle as _env_cache, so same-version probes of a node skip even
-        # the O(n)-per-hop through-row materialisation.
-        self._through_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
-        # masked node u -> (version, {first hop a -> penalty-substituted
-        # target slice of the through row}); the C-level scoring fast path
-        # (see StrategyScorer) reduces over these directly.
-        self._sub_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
         # masked node u -> (version, {first hop a -> raw BFS hop row}); kept
         # for uniform games only, because hop repair must happen in exact int
-        # space before rescaling to floats.
+        # space before rescaling to floats.  Every env row of a uniform game
+        # has its hop row here at the same version: they are filled, stamped,
+        # repaired and dropped together.
         self._hop_cache: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
-        # node u -> {target node -> position in u's target row} (lazy), for
-        # patching substituted slices after a repair.
-        self._target_pos: Dict[int, Dict[int, int]] = {}
-        # masked node u -> (version, (size, candidates), cost vector): the
-        # batched costs of *every* candidate strategy of u against its
-        # environment.  The vector depends only on the environment, so it
-        # survives u's own strategy changes, and a repair that touches
-        # nothing re-stamps it — an equilibrium recheck after one deviation
-        # then skips almost all scoring work.
-        self._combo_cache: Dict[int, Tuple[int, tuple, object]] = {}
-        # Byte budget for cached rows (environment rows plus the derived
-        # through / substituted / hop rows and combination vectors): a full
-        # equilibrium check wants all rows live (total reuse), but at large n
-        # that is O(n^2) bytes per dozen nodes, so every cached payload is
-        # charged to the chunk ledger and whole least-recently-used chunks
-        # are evicted once the budget is crossed.  Nodes filled together by
-        # one giant-batch traversal share a chunk and are evicted together
-        # (their rows are views into one backing matrix, so only a full-chunk
-        # drop actually releases memory).
+        # Byte budget for cached rows (environment rows plus the hop rows
+        # kept for repair): a full equilibrium check wants all rows live
+        # (total reuse), but at large n that is O(n^2) bytes per dozen nodes,
+        # so every cached row is charged to the chunk ledger and whole
+        # least-recently-used chunks are evicted once the budget is crossed.
+        # Nodes filled together by one giant-batch traversal share a chunk
+        # and are evicted together (their rows are views into one backing
+        # matrix, so only a full-chunk drop actually releases memory).
         self.memory_budget_bytes = (
             int(memory_budget_bytes)
             if memory_budget_bytes is not None
@@ -365,9 +335,6 @@ class CostEngine:
         self._plan_version = -1
         self._plan_chunks: List[List[Tuple[int, List[int]]]] = []
         self._plan_chunk_of: Dict[int, int] = {}
-        # Nodes whose warm through dict was already counted into rows_reused
-        # at the current version (so repeated probes do not inflate the stat).
-        self._reuse_counted: set = set()
         # (version, {label: cost}) for the whole profile
         self._all_costs_cache: Optional[Tuple[int, Dict[Node, float]]] = None
         #: Cache observability: how many environment rows were computed,
@@ -514,7 +481,6 @@ class CostEngine:
                     rev[a].add(u)
         self._rebuild_csr(changed)
         self._all_costs_cache = None
-        self._reuse_counted.clear()
         if changed is not None and len(changed) == 1:
             self.stats["local_syncs"] += 1
             changed_node = changed[0]
@@ -530,9 +496,6 @@ class CostEngine:
                 entry = cache.get(changed_node)
                 if entry is not None and entry[0] == self.version - 1:
                     cache[changed_node] = (self.version, entry[1])
-            combo = self._combo_cache.get(changed_node)
-            if combo is not None and combo[0] == self.version - 1:
-                self._combo_cache[changed_node] = (self.version, combo[1], combo[2])
         else:
             self.stats["full_syncs"] += 1
             self._clear_row_caches()
@@ -542,10 +505,7 @@ class CostEngine:
 
     def _clear_row_caches(self) -> None:
         self._env_cache.clear()
-        self._through_cache.clear()
-        self._sub_cache.clear()
         self._hop_cache.clear()
-        self._combo_cache.clear()
         self._ledger.clear()
         self._evicted_nodes.clear()
 
@@ -678,25 +638,21 @@ class CostEngine:
     # Lazy repair
     # ------------------------------------------------------------------ #
     def _row_caches(self) -> Tuple[Dict[int, Tuple[int, dict]], ...]:
-        return (self._env_cache, self._through_cache, self._sub_cache, self._hop_cache)
+        return (self._env_cache, self._hop_cache)
 
     def _drop_node(self, u: int) -> int:
         """Remove every cached row of masked node ``u``; returns rows dropped.
 
         Eviction is always node-granular: a node loses its environment rows
-        and every derived (through / substituted / hop / combination) row in
-        one stroke.  That is what keeps eviction repair-compatible — the
-        engine never holds a derived row whose environment base is gone, so
-        a later :meth:`_repair_node` can never patch values whose base row
-        was silently recomputed from a different version.
+        and their hop rows in one stroke, so the engine never holds a hop row
+        whose environment row is gone (or the other way round) and
+        :meth:`_repair_node` always finds both halves at the same version.
         """
         dropped = 0
         for cache in self._row_caches():
             entry = cache.pop(u, None)
             if entry is not None:
                 dropped += len(entry[1])
-        if self._combo_cache.pop(u, None) is not None:
-            dropped += 1
         self._ledger.remove(u)
         return dropped
 
@@ -746,24 +702,6 @@ class CostEngine:
                     self._ledger.touch(u)
                     return
             self.stats["rows_evicted"] += self._drop_node(u)
-            return
-        # No environment rows: any stale derived rows are unusable on their
-        # own (they cannot be repaired without the env rows they came from).
-        dropped = 0
-        freed = 0
-        for cache in (self._through_cache, self._sub_cache, self._hop_cache):
-            stale = cache.get(u)
-            if stale is not None and stale[0] != self.version:
-                del cache[u]
-                dropped += len(stale[1])
-                freed += sum(_payload_nbytes(row) for row in stale[1].values())
-        combo = self._combo_cache.get(u)
-        if combo is not None and combo[0] != self.version:
-            del self._combo_cache[u]
-            dropped += 1
-            freed += _payload_nbytes(combo[2])
-        self._ledger.deduct(u, freed)
-        self.stats["rows_evicted"] += dropped
 
     def _pending_edits(
         self, u: int, entry_version: int
@@ -808,53 +746,29 @@ class CostEngine:
         entry: Tuple[int, Dict[int, Row]],
         edits: List[Tuple[int, tuple, tuple]],
     ) -> None:
-        version = self.version
-        entry_version, env_rows = entry
-        indexed = self.indexed
+        """Repair ``u``'s cached rows in place across ``edits``, then re-stamp.
 
-        def live(cache):
-            stale = cache.get(u)
-            if stale is None:
-                return None
-            if stale[0] != entry_version:  # pragma: no cover - defensive
-                del cache[u]
-                self._ledger.deduct(
-                    u, sum(_payload_nbytes(row) for row in stale[1].values())
-                )
-                return None
-            return stale[1]
-
-        through_rows = live(self._through_cache)
-        sub_rows = live(self._sub_cache)
-        hop_rows = live(self._hop_cache)
-
-        rows_changed = False
-        changed_hops: List[int] = []
+        Uniform games repair the exact hop row and rescale the touched
+        entries into the env row; weighted games repair the env row itself.
+        """
+        env_rows = entry[1]
         if edits:
-            n = indexed.n
+            indexed = self.indexed
             snap = self._snapshot
             indptr, indices, edge_lengths = csr_of(snap)
             rev = self._rev_rows
             uniform = indexed.uniform_lengths
             unit = indexed.unit_length
-            penalty = indexed.penalty
-            length_row_u = indexed.length_rows[u]
             inf = math.inf
             use_np = self._np_traversal
             if use_np:
                 indptr_np, indices_np, edge_lengths_np, _ = csr_arrays_of(snap)
                 rev_indptr, rev_tails = self._rev_csr()
                 length_matrix = None if uniform else indexed.length_matrix()
-            positions: Optional[Dict[int, int]] = None
+            hop_rows = self._hop_cache[u][1] if uniform and env_rows else None
             for first_hop, row in env_rows.items():
-                hop_row = hop_rows.get(first_hop) if hop_rows is not None else None
-                if uniform and hop_row is None:  # pragma: no cover - defensive
-                    hop_row = bfs_hops_csr(indptr, indices, n, first_hop, u)
-                    touched = range(n)
-                    row[:] = scaled_float_row(hop_row, unit)
-                    if hop_rows is not None:
-                        hop_rows[first_hop] = hop_row
-                elif uniform:
+                if uniform:
+                    hop_row = hop_rows[first_hop]
                     if use_np:
                         touched = _npk.repair_hops_csr_np(
                             indptr_np, indices_np, hop_row,
@@ -868,13 +782,13 @@ class CostEngine:
                         h = hop_row[t]
                         row[t] = float(h) * unit if h >= 0 else inf
                 elif use_np:
-                    touched = _npk.repair_dijkstra_csr_np(
+                    _npk.repair_dijkstra_csr_np(
                         indptr_np, indices_np, edge_lengths_np,
                         row, first_hop, edits, rev_indptr, rev_tails,
                         length_matrix, u,
                     )
                 else:
-                    touched = repair_dijkstra_csr(
+                    repair_dijkstra_csr(
                         indptr,
                         indices,
                         edge_lengths,
@@ -886,105 +800,11 @@ class CostEngine:
                         u,
                     )
                 self.stats["rows_repaired"] += 1
-                if not touched:
-                    continue
-                rows_changed = True
-                changed_hops.append(first_hop)
-                hop_length = length_row_u[first_hop]
-                through_row = (
-                    through_rows.get(first_hop) if through_rows is not None else None
-                )
-                if through_row is not None:
-                    # float() keeps list-backed through rows plain Python
-                    # floats when `row` is a numpy-backend float64 array
-                    # (same bits, different box).
-                    for t in touched:
-                        through_row[t] = float(hop_length + row[t])
-                # Substituted slices are patched straight from the repaired
-                # env row (the numpy sub fast path never materialises a
-                # through row, so a sub row may exist without one).
-                sub_row = sub_rows.get(first_hop) if sub_rows is not None else None
-                if sub_row is not None:
-                    if positions is None:
-                        positions = self._target_positions(u)
-                    for t in touched:
-                        i = positions.get(t)
-                        if i is not None:
-                            d = float(hop_length + row[t])
-                            sub_row[i] = d if d < inf else penalty
 
         for cache in self._row_caches():
             stale = cache.get(u)
             if stale is not None:
-                cache[u] = (version, stale[1])
-        combo = self._combo_cache.get(u)
-        if combo is not None:
-            if not rows_changed:
-                # No row value moved, so the batched cost vector of every
-                # candidate strategy against u's environment is still exact.
-                self._combo_cache[u] = (version, combo[1], combo[2])
-            elif sub_rows is not None and self._update_combo(
-                combo, changed_hops, sub_rows
-            ):
-                self._combo_cache[u] = (version, combo[1], combo[2])
-            else:
-                del self._combo_cache[u]
-                self._ledger.deduct(u, _payload_nbytes(combo[2]))
-
-    def _update_combo(
-        self,
-        combo: Tuple[int, tuple, object],
-        changed_hops: List[int],
-        sub_rows: Dict[int, Row],
-    ) -> bool:
-        """Patch a cached combination cost vector after a row repair, in place.
-
-        Only the combinations containing a changed first hop can have moved,
-        so their entries are re-reduced from the (already patched)
-        substituted rows — bit-identical to a full rebuild, at a cost
-        proportional to the changed hops.  Returns ``False`` when patching
-        would not pay off (too many hops moved, or a needed row is gone), in
-        which case the caller drops the vector instead.
-        """
-        size, candidates = combo[1]
-        vector = combo[2]
-        count = len(candidates)
-        if 3 * len(changed_hops) > count:
-            return False
-        index_of = {c: i for i, c in enumerate(candidates)}
-        if size == 1:
-            for hop in changed_hops:
-                i = index_of.get(hop)
-                if i is None:
-                    continue
-                row = sub_rows.get(hop)
-                if row is None:
-                    return False
-                vector[i] = row.sum()
-            return True
-        rows = []
-        for c in candidates:
-            row = sub_rows.get(c)
-            if row is None:
-                return False
-            rows.append(row)
-        matrix = _np.stack(rows)
-        left, right = _triu_pairs(count)
-        for hop in changed_hops:
-            i = index_of.get(hop)
-            if i is None:
-                continue
-            mask = (left == i) | (right == i)
-            partners = _np.where(left[mask] == i, right[mask], left[mask])
-            vector[mask] = _np.minimum(matrix[i], matrix[partners]).sum(axis=1)
-        return True
-
-    def _target_positions(self, u: int) -> Dict[int, int]:
-        positions = self._target_pos.get(u)
-        if positions is None:
-            positions = {t: i for i, t in enumerate(self.indexed.target_rows[u])}
-            self._target_pos[u] = positions
-        return positions
+                cache[u] = (self.version, stale[1])
 
     # ------------------------------------------------------------------ #
     # Giant-batch report plan
@@ -1395,7 +1215,9 @@ class CostEngine:
         The engine never serves the bad row silently: it warns, counts the
         failure in ``stats["row_verify_failures"]``, drops every cached row
         of ``u`` (plus the whole-profile cost cache, which may have been
-        built from the bad row), re-inserts the fresh row, and returns it.
+        built from the bad row), and returns the fresh row.  The fresh row is
+        not cached: on a uniform game a cached env row needs its hop row for
+        later repair, so the node's next probe refills both the normal way.
         """
         self.stats["rows_verified"] += 1
         fresh = self._compute_row(first_hop, u)
@@ -1415,8 +1237,6 @@ class CostEngine:
         )
         self.stats["rows_evicted"] += self._drop_node(u)
         self._all_costs_cache = None
-        self._env_cache[u] = (self.version, {first_hop: fresh})
-        self._ledger.add(u, _payload_nbytes(fresh))
         return fresh
 
     def prefetch_env_rows(self, u: int, first_hops) -> None:
@@ -1484,79 +1304,6 @@ class CostEngine:
             self._evicted_nodes.discard(u)
             self.stats["evicted_recomputes"] += len(missing)
         self._ledger.add(u, added)
-        if self._ledger.bytes > self.memory_budget_bytes:
-            self._evict_over_budget(keep={u})
-
-    def through_rows(self, u: int) -> Dict[int, Row]:
-        """Return the current-version through-row dict for masked node ``u``.
-
-        A through row is ``l(u, a) + d_{G-u}(a, ·)`` for one first hop ``a``;
-        scorers fill the dict lazily and, because it lives on the engine, a
-        later probe of the same node at the same version starts warm (after
-        any pending in-place repair).
-        """
-        self._ensure_current(u)
-        entry = self._through_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._through_cache[u] = (self.version, rows)
-        else:
-            rows = entry[1]
-            if rows and u not in self._reuse_counted:
-                # Warm start: a later probe inherits rows a same-version
-                # predecessor already paid for.  Counted once per node per
-                # version so repeated probes do not inflate the stat.
-                self._reuse_counted.add(u)
-                self.stats["rows_reused"] += len(rows)
-        return rows  # repro: readonly — live cache dict, filled lazily by scorers
-
-    def sub_rows(self, u: int) -> Dict[int, Row]:
-        """Return the penalty-substituted target slices for masked node ``u``.
-
-        One slice per first hop: the through row sampled at ``u``'s positive
-        targets, with unreachable entries replaced by the disconnection
-        penalty.  Only valid (and only built) when the penalty dominates
-        every finite distance — see :attr:`IndexedGame.penalty_dominates` —
-        which is what lets the scoring fast path reduce over the slices with
-        C-level ``min``/``sum``.
-        """
-        self._ensure_current(u)
-        entry = self._sub_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._sub_cache[u] = (self.version, rows)
-        else:
-            rows = entry[1]
-        return rows  # repro: readonly — live cache dict, filled lazily by scorers
-
-    def _note_derived_row(
-        self, u: int, cache_name: str, rows: Dict[int, Row], row
-    ) -> None:
-        """Charge one newly materialised derived row against the byte budget.
-
-        ``rows`` is the scorer's dict; if eviction already detached it from
-        the engine cache the row lives outside the cache (garbage once the
-        scorer dies) and must not be charged, or the ledger would drift above
-        the caches' real contents and thrash eviction for the whole version.
-        """
-        cache = self._through_cache if cache_name == "through" else self._sub_cache
-        entry = cache.get(u)
-        if entry is None or entry[1] is not rows:
-            return
-        self._ledger.add(u, _payload_nbytes(row))
-        if self._ledger.bytes > self.memory_budget_bytes:
-            self._evict_over_budget(keep={u})
-
-    def _note_derived_batch(
-        self, u: int, cache_name: str, rows: Dict[int, Row], nbytes: int
-    ) -> None:
-        """Batch form of :meth:`_note_derived_row`: one ledger charge and one
-        budget check for a whole batch of equal-shaped rows."""
-        cache = self._through_cache if cache_name == "through" else self._sub_cache
-        entry = cache.get(u)
-        if entry is None or entry[1] is not rows:
-            return
-        self._ledger.add(u, nbytes)
         if self._ledger.bytes > self.memory_budget_bytes:
             self._evict_over_budget(keep={u})
 
@@ -1724,8 +1471,11 @@ class StrategyScorer:
         self.fast_batch = self.fast_sum and indexed.exact_sums and _np is not None
         self.identity_labels = indexed.identity_labels
         self._length_row = indexed.length_rows[u]
-        self._through = engine.through_rows(u)
-        self._sub = engine.sub_rows(u) if self.fast_sum else None
+        # Derived rows live with the scorer (one probe), not the engine: they
+        # are O(n) rebuilds from the cached env rows, which is all a later
+        # probe of the same node needs.
+        self._through: Dict[int, Row] = {}
+        self._sub: Optional[Dict[int, Row]] = {} if self.fast_sum else None
         self._target_idx = None  # int64 target indices, built on first use
         self._version = engine.version
 
@@ -1743,7 +1493,6 @@ class StrategyScorer:
             else:
                 row = [hop_length + d for d in env]
             self._through[first_hop] = row
-            self.engine._note_derived_row(self.u, "through", self._through, row)
         return row
 
     def _target_index(self) -> "_np.ndarray":
@@ -1763,7 +1512,7 @@ class StrategyScorer:
         return self._target_idx
 
     def _build_sub_rows(self, missing: List[int]):
-        """Build and cache every ``missing`` sub row in one broadcast.
+        """Build every ``missing`` sub row in one broadcast.
 
         Numpy fast-batch path only (returns ``None`` otherwise): each entry
         is the same single IEEE sum and the same penalty test as
@@ -1779,11 +1528,12 @@ class StrategyScorer:
         # One sync/plan/version check for the whole batch; the prefetch that
         # preceded this call left every row resident, so the per-row work is
         # a dict hit (env_row stays the fallback for anything evicted in
-        # between).
+        # between, and serves every hit of a self-verifying engine so that
+        # verify_every samples it).
         engine._require_sync()
         engine._maybe_run_plan(u)
         engine._ensure_current(u)
-        entry = engine._env_cache.get(u)
+        entry = engine._env_cache.get(u) if engine.verify_every is None else None
         cached = entry[1] if entry is not None else {}
         hits = 0
 
@@ -1812,55 +1562,44 @@ class StrategyScorer:
         sub = self._sub
         for j, a in enumerate(missing):
             sub[a] = batch[j]
-        engine._note_derived_batch(
-            self.u, "sub", sub, len(missing) * _payload_nbytes(batch[0])
-        )
         return batch
 
     def _sub_row(self, first_hop: int) -> Row:
-        engine = self.engine
-        if self.fast_batch and engine._np_traversal:
+        if self.fast_batch:
             # Build the penalty-substituted target slice straight from the
-            # env row, skipping the O(n) through-row list entirely: the
-            # through value of each target is the same single IEEE sum
-            # (`l(u, a) + d`), and the penalty substitution the same
-            # elementwise test, so the slice is bit-identical to the list
-            # path.  (Repairs patch sub rows from the env row directly too.)
-            env = engine.env_row(self.u, first_hop)
+            # env row (a list on the python backend, an array on numpy),
+            # skipping the O(n) through-row list entirely: the through value
+            # of each target is the same single IEEE sum (`l(u, a) + d`), and
+            # the penalty substitution the same elementwise test, so the
+            # slice is bit-identical to the list path below.
+            env = _np.asarray(self.engine.env_row(self.u, first_hop))
             row = self._length_row[first_hop] + env[self._target_index()]
             row[_np.isinf(row)] = self.penalty
-            self._sub[first_hop] = row
-            engine._note_derived_row(self.u, "sub", self._sub, row)
-            return row
-        through = self._through_row(first_hop)
-        penalty = self.penalty
-        inf = math.inf
-        row = [d if d < inf else penalty for d in map(through.__getitem__, self.targets)]
-        if self.fast_batch:
-            row = _np.array(row)
+        else:
+            through = self._through_row(first_hop)
+            penalty = self.penalty
+            inf = math.inf
+            row = [
+                d if d < inf else penalty
+                for d in map(through.__getitem__, self.targets)
+            ]
         self._sub[first_hop] = row
-        self.engine._note_derived_row(self.u, "sub", self._sub, row)
         return row
 
     def score_combinations(self, candidates: List[int], size: int):
         """Score every size-``size`` combination of ``candidates`` (dense ints).
 
-        Returns a read-only numpy vector of costs in ``itertools.combinations``
-        order — the exact order :meth:`BBCGame.feasible_strategies` enumerates
-        when :meth:`BBCGame.combination_plan` applies.  Only valid on
+        Returns a numpy vector of costs in ``itertools.combinations`` order —
+        the exact order :meth:`BBCGame.feasible_strategies` enumerates when
+        :meth:`BBCGame.combination_plan` applies.  Only valid on
         ``fast_batch`` scorers (exact integer-valued sums), where the
-        vectorised reduction is bit-identical to scoring one by one.  Like the
-        scorer itself, the returned vector is only valid until the engine
-        syncs to another profile: it views the engine's cached buffer, which
-        later repairs patch in place (copy it to keep a snapshot).
+        vectorised reduction is bit-identical to scoring one by one.  The
+        vector is freshly built on every call and owned by the caller; the
+        engine keeps no reference to it.
         """
         engine = self.engine
         if self._version != engine.version:
             raise InvalidProfile("scorer is stale: the engine synced to a new profile")
-        key = (size, tuple(candidates))
-        cached = engine._combo_cache.get(self.u)
-        if cached is not None and cached[0] == self._version and cached[1] == key:
-            return _readonly_view(cached[2])
         sub = self._sub
         missing = [a for a in candidates if a not in sub]
         engine.prefetch_env_rows(self.u, iter(missing))
@@ -1880,18 +1619,9 @@ class StrategyScorer:
                 return _np.empty(0)
             matrix = _np.stack(rows)
         if size == 1:
-            costs = matrix.sum(axis=1)
-        else:
-            left, right = _triu_pairs(len(candidates))
-            costs = _np.minimum(matrix[left], matrix[right]).sum(axis=1)
-        previous = engine._combo_cache.get(self.u)
-        if previous is not None:
-            engine._ledger.deduct(self.u, _payload_nbytes(previous[2]))
-        engine._combo_cache[self.u] = (self._version, key, costs)
-        engine._ledger.add(self.u, _payload_nbytes(costs))
-        if engine._ledger.bytes > engine.memory_budget_bytes:
-            engine._evict_over_budget(keep={self.u})
-        return _readonly_view(costs)
+            return matrix.sum(axis=1)
+        left, right = _triu_pairs(len(candidates))
+        return _np.minimum(matrix[left], matrix[right]).sum(axis=1)
 
     def score(self, strategy: Iterable[Node]) -> float:
         """Return the node's cost for a strategy given as node *labels*."""

@@ -1,8 +1,8 @@
 """Chunk-granular, byte-accounted LRU ledger for the engine's row caches.
 
 The :class:`~repro.engine.cost_engine.CostEngine` keeps every cached
-``d_{G-u}`` row (and the float/through/sub/combination rows derived from it)
-keyed by the masked node ``u``.  PR 5 bounded that cache by *row count*,
+``d_{G-u}`` row (and, on uniform games, the exact hop row it was scaled
+from) keyed by the masked node ``u``.  PR 5 bounded that cache by *row count*,
 which at n = 16k is the wrong unit: one env row is ``8 * n`` bytes, so the
 same cap that is generous at n = 256 silently admits gigabytes at n = 16384.
 
@@ -17,11 +17,13 @@ full matrix alive through the surviving views.
 
 The ledger tracks *accounting* only (which node sits in which chunk and
 how many payload bytes it owns); the engine keeps the rows themselves in
-its per-kind dict caches.  Eviction is node-granular from the engine's
-point of view — a victim node loses its env row and every derived row at
+its env and hop dict caches.  Eviction is node-granular from the engine's
+point of view — a victim node loses its env rows and their hop rows at
 once — which is what keeps eviction repair-compatible: the engine never
-holds a derived row whose env row is gone, so the PR 4 repair path can
-never patch a value whose base was recomputed behind its back.
+holds a hop row whose env row is gone, so the PR 4 repair path always finds
+both halves of a row at the same version.  Rows derived from an env row
+while scoring (through rows, penalty-substituted slices, combination cost
+vectors) belong to the scorer that built them and are never charged here.
 """
 
 from __future__ import annotations
@@ -121,20 +123,6 @@ class ChunkLedger:
         freed = self._node_bytes.pop(u, 0)
         self.bytes -= freed
         return freed
-
-    def deduct(self, u: int, nbytes: int) -> None:
-        """Release ``nbytes`` of ``u``'s charge (e.g. one derived row dropped).
-
-        Deducting a node's full charge removes it from the ledger.
-        """
-        if u not in self._node_chunk or nbytes <= 0:
-            return
-        remaining = self._node_bytes[u] - nbytes
-        if remaining <= 0:
-            self.remove(u)
-        else:
-            self._node_bytes[u] = remaining
-            self.bytes -= nbytes
 
     def lru_nodes(self, exempt: Optional[Set[int]] = None) -> Optional[List[int]]:
         """Members of the least-recently-used chunk, skipping exempt chunks.

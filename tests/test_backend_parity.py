@@ -596,9 +596,9 @@ def test_giant_batch_under_tiny_budget_evicts_mid_report_and_stays_exact(backend
     reference = equilibrium_report(game, profile, engine=False)
     assert report.responses == reference.responses
     assert engine.stats["chunks_evicted"] > 0
-    # Budget plus the exempt in-flight node's working set (up to 4 rows of 24
-    # floats per first hop, plus one combination vector).
-    assert engine.cache_bytes() <= 6_000 + 4 * 23 * 8 * 24 + 4_096
+    # Budget plus the exempt in-flight node's working set (an env and a hop
+    # row of 24 entries per first hop).
+    assert engine.cache_bytes() <= 6_000 + 2 * 23 * 8 * 24
     walk = run_best_response_walk(game, profile, max_rounds=10, engine=engine)
     walk_ref = run_best_response_walk(game, profile, max_rounds=10, engine=False)
     assert walk.final_profile == walk_ref.final_profile

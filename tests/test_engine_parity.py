@@ -535,16 +535,9 @@ def _cached_byte_total(engine):
 
     return sum(
         _payload_nbytes(row)
-        for cache in (
-            engine._env_cache,
-            engine._through_cache,
-            engine._sub_cache,
-            engine._hop_cache,
-        )
+        for cache in (engine._env_cache, engine._hop_cache)
         for _, rows in cache.values()
         for row in rows.values()
-    ) + sum(
-        _payload_nbytes(vector) for _, _, vector in engine._combo_cache.values()
     )
 
 
@@ -563,8 +556,8 @@ def test_env_row_cache_is_bounded_and_eviction_preserves_correctness():
             best_response(game, profile, node, engine=engine),
         )
         # The budget, plus at most the exempt in-flight node's working set
-        # (env + hop + through + substituted rows for each of 7 first hops).
-        assert engine.cache_bytes() <= 600 + 4 * 7 * 2 * 8 * len(game.nodes)
+        # (env + hop rows for each of 7 first hops).
+        assert engine.cache_bytes() <= 600 + 2 * 7 * 8 * len(game.nodes)
     assert engine.stats["rows_evicted"] > 0
     assert engine.stats["chunks_evicted"] > 0
     # Re-probing an evicted node recomputes (never stale-patches) its rows.
@@ -634,25 +627,6 @@ def test_indexed_snapshot_fast_path_matches_per_pair_probing():
         default_budget=2.0,
     )
     _assert_snapshot_matches_game(IndexedGame(weighted), weighted)
-
-
-def test_eviction_of_live_scorer_dict_does_not_corrupt_the_ledger():
-    game = UniformBBCGame(8, 2)
-    profile = random_profile(game, seed=6)
-    engine = CostEngine(game)
-    engine.sync(profile)
-    engine.memory_budget_bytes = 600
-    # Interleave two live scorers so eviction detaches one's through dict
-    # while it keeps materialising rows.
-    scorer_a = engine.scorer(0)
-    scorer_b = engine.scorer(1)
-    others = [v for v in game.nodes]
-    for target in others:
-        if target != 0:
-            scorer_a.score_ints([target])
-        if target != 1:
-            scorer_b.score_ints([target])
-    assert engine.cache_bytes() == _cached_byte_total(engine)
 
 
 def test_explicit_engine_for_wrong_game_is_rejected():

@@ -530,6 +530,30 @@ class TestCostEngineDegradation:
         # The rebuilt row stays clean on later hits.
         assert [float(x) for x in engine.env_row(0, 1)] == clean
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_verify_failure_leaves_no_row_without_its_hop_row(self, backend):
+        # A failed verification must not leave the fresh env row cached
+        # without the hop row a uniform game repairs from: the next repair
+        # would fall back to a full recompute and count it as a repair.
+        if backend == "numpy" and not HAVE_NUMPY:
+            pytest.skip("numpy is not installed")
+        game = UniformBBCGame(24, 2)
+        profile = ring_profile(game)
+        plan = FaultPlan(rules=(FaultRule(site="engine.row-poison", times=1),))
+        engine = CostEngine(game, backend=backend, verify_every=1)
+        engine.sync(profile)
+        with active_faults(plan):
+            engine.env_row(0, 1)  # fill: the cached copy is poisoned
+        with pytest.warns(RuntimeWarning, match="self-verification"):
+            engine.env_row(0, 1)  # hit: verification catches it
+        moved = profile.with_strategy(5, frozenset({7, 9}))
+        engine.sync(moved)  # a single-node step: node 0's rows go stale
+        fresh = CostEngine(game, backend=backend)
+        fresh.sync(moved)
+        row = engine.env_row(0, 1)
+        assert [float(x) for x in row] == [float(x) for x in fresh.env_row(0, 1)]
+        assert engine.stats["rows_repaired"] == 0
+
     def test_without_verification_the_poisoned_row_is_served(self):
         # Documents why verify_every exists: an unverified engine serves the
         # corrupted copy.

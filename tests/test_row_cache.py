@@ -45,10 +45,9 @@ def test_chunk_ledger_accounting_and_lru_order():
     ledger.group([1, 2])
     assert sorted(ledger.lru_nodes()) == [1, 2]
     assert ledger.bytes == 175
-    ledger.deduct(2, 20)
-    assert ledger.bytes == 155 and ledger.node_bytes(2) == 30
-    ledger.deduct(2, 30)  # full deduction removes the node
+    assert ledger.remove(2) == 50  # leaves node 1 alone in the shared chunk
     assert 2 not in ledger and ledger.bytes == 125
+    assert ledger.lru_nodes() == [1]
     assert ledger.remove(1) == 125
     assert ledger.bytes == 0 and ledger.lru_nodes() is None
 
