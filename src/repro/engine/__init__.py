@@ -81,10 +81,17 @@ float64, whose frontier relaxation converges to the heap Dijkstra's labels
 bit for bit.  Batched entry points (the probe prefetch in
 :func:`repro.core.best_response._resolve_scorer` and `score_combinations`,
 plus ``all_costs``) pull every row a probe can touch out of one multi-source
-traversal.  The numpy backend stores cached rows as float64/int64 arrays
-(the python backend keeps lists), but derived results — through rows, costs,
-regrets — stay plain Python floats, so every scorer fast path, cache
-contract, and result type above the kernels is shared;
+traversal.  Inside the engine there is one dispatch and one fill path:
+``CostEngine._traverse`` is the only code that calls a traversal kernel
+(one source runs the single-source kernel, a batch the multi-source one),
+and ``CostEngine._fill`` stores, charges and counts the rows of every cache
+fill — single-row misses, per-node prefetch and giant plan chunks alike.
+``timings["traversal_seconds"]`` is accumulated there, so it covers every
+traversal, single rows and self-verify recomputes included.  The numpy
+backend stores cached rows as float64/int64 arrays (the python backend
+keeps lists), but derived results — through rows, costs, regrets — stay
+plain Python floats, so every scorer fast path, cache contract, and result
+type above the kernels is shared;
 ``tests/test_backend_parity.py`` pins kernel-level and end-to-end parity
 and the ``report-bfs`` / ``report-dijkstra`` scenarios of
 ``scripts/bench_speed.py`` record the numpy-vs-list-kernel trajectory

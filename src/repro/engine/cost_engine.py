@@ -275,8 +275,7 @@ class CostEngine:
         # traversal consumes (CSR, lengths, synced strategies, static
         # tables).  _rebuild_csr publishes a *fresh* snapshot per sync and
         # never mutates an old one, so readers holding a snapshot are safe
-        # across engine syncs; _indptr/_indices/_edge_lengths and the _np
-        # mirrors below are read-through properties over it.
+        # across engine syncs.
         self._snapshot = EngineSnapshot(
             version=0,
             indexed=self.indexed,
@@ -356,9 +355,9 @@ class CostEngine:
             "row_verify_failures": 0,
             "chunk_build_failures": 0,
         }
-        #: Wall-clock seconds spent inside batched traversal kernels (giant
-        #: chunks, per-node prefetch, all_costs sweeps) — the bench profile's
-        #: traversal-vs-scoring split reads this.
+        #: Wall-clock seconds spent inside traversal kernels — every
+        #: :meth:`_traverse` call, single rows and verify recomputes included;
+        #: the bench profile's traversal-vs-scoring split reads this.
         self.timings: Dict[str, float] = {"traversal_seconds": 0.0}
 
     def cache_bytes(self) -> int:
@@ -408,9 +407,9 @@ class CostEngine:
         ``()`` for a no-op sync — or ``None`` on the first sync, when there
         is no previous snapshot to diff against, so callers and
         instrumentation can see how a profile step was classified.  (The
-        sweep layer diffs against :meth:`snapshot_strategies` instead: its
-        memo validity depends on *its* last profile, and a shared engine may
-        have been synced elsewhere in between.)
+        sweep layer diffs against ``snapshot().label_strategies`` instead:
+        its memo validity depends on *its* last profile, and a shared engine
+        may have been synced elsewhere in between.)
         """
         indexed = self.indexed
         # Identity fast path: profiles are immutable throughout the repo, so
@@ -548,7 +547,6 @@ class CostEngine:
         # Publish the new read-view atomically: one fresh frozen object per
         # version, never a mutation of the previous one — snapshots handed
         # out earlier stay internally consistent forever.
-        strategies = self._strategies
         label_strategies = self._label_strategies
         self._snapshot = EngineSnapshot(
             version=self.version,
@@ -560,14 +558,13 @@ class CostEngine:
             indices_np=indices_np,
             edge_lengths_np=edge_lengths_np,
             edge_lengths_exact_np=edge_lengths_exact_np,
-            strategies=None if strategies is None else tuple(strategies),
             label_strategies=(
                 None if label_strategies is None else tuple(label_strategies)
             ),
         )
 
     # ------------------------------------------------------------------ #
-    # Snapshot read-throughs
+    # Snapshot access
     # ------------------------------------------------------------------ #
     def snapshot(self) -> EngineSnapshot:
         """Return the frozen read-view of the current profile version.
@@ -578,34 +575,6 @@ class CostEngine:
         engine state the kernels and the sweep layer consume.
         """
         return self._snapshot
-
-    @property
-    def _indptr(self) -> List[int]:
-        return self._snapshot.indptr
-
-    @property
-    def _indices(self) -> List[int]:
-        return self._snapshot.indices
-
-    @property
-    def _edge_lengths(self) -> Optional[List[float]]:
-        return self._snapshot.edge_lengths
-
-    @property
-    def _indptr_np(self):
-        return self._snapshot.indptr_np
-
-    @property
-    def _indices_np(self):
-        return self._snapshot.indices_np
-
-    @property
-    def _edge_lengths_np(self):
-        return self._snapshot.edge_lengths_np
-
-    @property
-    def _edge_lengths_exact_np(self):
-        return self._snapshot.edge_lengths_exact_np
 
     def _rev_csr(self):
         """Return the current snapshot's reverse CSR (numpy backend, lazy).
@@ -621,18 +590,6 @@ class CostEngine:
     def _require_sync(self) -> None:
         if self._strategies is None:
             raise InvalidProfile("CostEngine.sync(profile) must be called first")
-
-    def snapshot_strategies(self) -> Optional[List[frozenset]]:
-        """Return the synced profile's per-node strategies in label space.
-
-        ``None`` before the first sync; indexed by dense node id, in the
-        same order as :attr:`IndexedGame.labels`.  This is the snapshot the
-        sweep layer compares against to decide whether a node's masked
-        ``d_{G-u}`` rows are still valid without forcing a sync.  Readers
-        that also want the CSR should take :meth:`snapshot` instead — the
-        frozen view carries the same strategies plus everything else.
-        """
-        return self._label_strategies
 
     # ------------------------------------------------------------------ #
     # Lazy repair
@@ -899,7 +856,7 @@ class CostEngine:
             # overhead.  Measured on 2-out-degree games at n in {1k, 4k},
             # 32-48 rows per traversal is the sweet spot (at or below the
             # per-node batch cost); scale down as the edge count grows.
-            edges = max(1, len(self._indices))
+            edges = max(1, len(self._snapshot.indices))
             row_cap = max(12, min(48, (1 << 19) // edges))
         chunks: List[List[Tuple[int, List[int]]]] = []
         current: List[Tuple[int, List[int]]] = []
@@ -948,101 +905,23 @@ class CostEngine:
     def _run_plan_chunk(self, u: int, chunk: List[Tuple[int, List[int]]]) -> None:
         """Fill every missing planned row of ``chunk`` in one giant traversal.
 
-        All members' missing ``(mask, source)`` pairs go through a single
-        multi-source per-row-masked kernel call; the members are then
+        All members' missing ``(mask, source)`` pairs go through one
+        per-row-masked :meth:`_fill` traversal; the members are then
         grouped into one ledger chunk so they age and evict together.  Rows
         already cached (or repaired current by :meth:`_ensure_current`) are
         left untouched, which keeps the fill bit-identical to the per-row
         path.
         """
         fault_point("engine.chunk-build", key=u)
-        indexed = self.indexed
-        n = indexed.n
-        uniform = indexed.uniform_lengths
-        version = self.version
-        row_dicts: Dict[int, Dict[int, Row]] = {}
-        hop_dicts: Dict[int, Dict[int, List[int]]] = {}
         work: List[Tuple[int, int]] = []
         for member, hops in chunk:
             self._ensure_current(member)
             entry = self._env_cache.get(member)
-            if entry is None:
-                rows: Dict[int, Row] = {}
-                self._env_cache[member] = (version, rows)
-            else:
-                rows = entry[1]
-            row_dicts[member] = rows
-            if uniform:
-                hop_entry = self._hop_cache.get(member)
-                if hop_entry is None:
-                    hop_rows: Dict[int, List[int]] = {}
-                    self._hop_cache[member] = (version, hop_rows)
-                else:
-                    hop_rows = hop_entry[1]
-                hop_dicts[member] = hop_rows
-            for a in hops:
-                if a not in rows:
-                    work.append((member, a))
+            cached = entry[1] if entry is not None else ()
+            work.extend((member, a) for a in hops if a not in cached)
         members = [member for member, _ in chunk]
         if work:
-            sources = [a for _, a in work]
-            masks = [member for member, _ in work]
-            start = time.perf_counter()
-            scaled = None
-            snap = self._snapshot
-            if self._np_traversal:
-                indptr_np, indices_np, lengths_np, exact = csr_arrays_of(snap)
-                if uniform:
-                    # Fused form: the kernel assembles the scaled float rows
-                    # from its narrow internal counter, saving a full pass
-                    # over the int64 hop matrix per giant chunk.
-                    matrix, scaled = _npk.bfs_hops_csr_multi(
-                        indptr_np, indices_np, n, sources, masks,
-                        scale_unit=indexed.unit_length,
-                    )
-                else:
-                    lengths = exact if exact is not None else lengths_np
-                    matrix = _npk.dijkstra_csr_multi(
-                        indptr_np, indices_np, lengths, n, sources, masks
-                    )
-                    if exact is not None:
-                        matrix = _npk.int_to_float_rows(matrix)
-            elif uniform:
-                indptr, indices, _ = csr_of(snap)
-                matrix = bfs_hops_csr_multi(indptr, indices, n, sources, masks)
-                scaled = [
-                    scaled_float_row(hop_row, indexed.unit_length)
-                    for hop_row in matrix
-                ]
-            else:
-                indptr, indices, edge_lengths = csr_of(snap)
-                matrix = dijkstra_csr_multi(
-                    indptr, indices, edge_lengths, n, sources, masks
-                )
-            self.timings["traversal_seconds"] += time.perf_counter() - start
-            per_node_bytes: Dict[int, int] = {}
-            refilled = set()
-            # Every stored row has length n, so the per-row byte cost is one
-            # computation, not one per row.
-            if uniform:
-                nbytes = _payload_nbytes(matrix[0]) + _payload_nbytes(scaled[0])
-            else:
-                nbytes = _payload_nbytes(matrix[0])
-            for i, (member, a) in enumerate(work):
-                if uniform:
-                    hop_dicts[member][a] = matrix[i]
-                    row = scaled[i]
-                else:
-                    row = matrix[i]
-                row_dicts[member][a] = row
-                per_node_bytes[member] = per_node_bytes.get(member, 0) + nbytes
-                if member in self._evicted_nodes:
-                    refilled.add(member)
-                    self.stats["evicted_recomputes"] += 1
-            self._evicted_nodes.difference_update(refilled)
-            for member, nbytes in per_node_bytes.items():
-                self._ledger.add(member, nbytes)
-            self.stats["rows_computed"] += len(work)
+            self._fill(work)
             self.stats["giant_batch_traversals"] += 1
             self.stats["giant_batch_rows"] += len(work)
         # One ledger chunk for the whole batch, exempt from the eviction its
@@ -1052,52 +931,116 @@ class CostEngine:
             self._evict_over_budget(keep=set(members))
 
     # ------------------------------------------------------------------ #
-    # Distance rows
+    # Distance rows: one kernel dispatch, one fill path
     # ------------------------------------------------------------------ #
-    def _compute_row(self, source: int, forbidden: int) -> Row:
-        indexed = self.indexed
-        snap = self._snapshot
-        if indexed.uniform_lengths:
-            if self._np_traversal:
-                indptr_np, indices_np, _, _ = csr_arrays_of(snap)
-                hops_np = _npk.bfs_hops_csr_np(
-                    indptr_np, indices_np, indexed.n, source, forbidden
-                )
-                return _npk.scaled_float_rows(hops_np, indexed.unit_length)
-            indptr, indices, _ = csr_of(snap)
-            hops = bfs_hops_csr(indptr, indices, indexed.n, source, forbidden)
-            return scaled_float_row(hops, indexed.unit_length)
-        if self._np_traversal:
-            return self._dijkstra_row_np(source, forbidden)
-        indptr, indices, edge_lengths = csr_of(snap)
-        return dijkstra_csr(
-            indptr,
-            indices,
-            edge_lengths,
-            indexed.n,
-            source,
-            forbidden,
-        )
+    def _traverse(self, sources: List[int], masks):
+        """Run one traversal: ``(hop rows or None, rows)``, aligned with ``sources``.
 
-    def _dijkstra_row_np(self, source: int, forbidden: int):
-        """One weighted row via the frontier kernel, as a float64 array.
-
-        Integer-valued lengths traverse in exact int64 space and convert once
-        at the end (``float(int)`` is exact under the
-        :attr:`IndexedGame.integral_lengths` gate); other lengths traverse in
-        float64, which reproduces the heap kernel's labels bit for bit.
+        The engine's only call into a traversal kernel.  ``masks`` is the
+        node every row avoids (``-1``: none) or, for a batch, a list aligned
+        with ``sources``.  One source runs the backend's single-source
+        kernel, more run its multi-source kernel.  Uniform games also return
+        the exact hop rows the distance rows were scaled from (the rows
+        repair starts from); weighted games return ``None`` there, and
+        integer lengths traverse in exact int64 before one conversion
+        (``float(int)`` is exact under :attr:`IndexedGame.integral_lengths`).
+        Every call is charged to ``timings["traversal_seconds"]``.
         """
-        indptr_np, indices_np, lengths_np, exact = csr_arrays_of(self._snapshot)
-        if exact is not None:
-            dist = _npk.dijkstra_csr_np(
-                indptr_np, indices_np, exact,
-                self.indexed.n, source, forbidden,
+        indexed = self.indexed
+        n = indexed.n
+        unit = indexed.unit_length if indexed.uniform_lengths else None
+        single = len(sources) == 1
+        hops = None
+        start = time.perf_counter()
+        if self._np_traversal:
+            indptr, indices, lengths, exact = csr_arrays_of(self._snapshot)
+            if unit is not None and single:
+                hops = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks)[None]
+                rows = _npk.scaled_float_rows(hops, unit)
+            elif unit is not None:
+                # Fused form: the kernel assembles the scaled float rows from
+                # its narrow internal counter, saving a full pass over the
+                # hop matrix.
+                hops, rows = _npk.bfs_hops_csr_multi(
+                    indptr, indices, n, sources, masks, scale_unit=unit
+                )
+            else:
+                if exact is not None:
+                    lengths = exact
+                if single:
+                    rows = _npk.dijkstra_csr_np(
+                        indptr, indices, lengths, n, sources[0], masks
+                    )[None]
+                else:
+                    rows = _npk.dijkstra_csr_multi(
+                        indptr, indices, lengths, n, sources, masks
+                    )
+                if exact is not None:
+                    rows = _npk.int_to_float_rows(rows)
+        else:
+            indptr, indices, lengths = csr_of(self._snapshot)
+            if unit is not None:
+                if single:
+                    hops = [bfs_hops_csr(indptr, indices, n, sources[0], masks)]
+                else:
+                    hops = bfs_hops_csr_multi(indptr, indices, n, sources, masks)
+                rows = [scaled_float_row(hop_row, unit) for hop_row in hops]
+            elif single:
+                rows = [dijkstra_csr(indptr, indices, lengths, n, sources[0], masks)]
+            else:
+                rows = dijkstra_csr_multi(indptr, indices, lengths, n, sources, masks)
+        self.timings["traversal_seconds"] += time.perf_counter() - start
+        return hops, rows
+
+    def _rows_of(self, u: int) -> Tuple[Dict[int, Row], Optional[Dict[int, List[int]]]]:
+        """``u``'s current-version env and hop row dicts, created when absent.
+
+        The hop dict is ``None`` on weighted games.  Callers bring ``u``
+        current with :meth:`_ensure_current` first, so an existing entry
+        already carries this version.
+        """
+        rows = self._env_cache.setdefault(u, (self.version, {}))[1]
+        if not self.indexed.uniform_lengths:
+            return rows, None
+        return rows, self._hop_cache.setdefault(u, (self.version, {}))[1]
+
+    def _fill(self, work: List[Tuple[int, int]]) -> list:
+        """Compute and cache every ``(u, first_hop)`` row of ``work`` in one traversal.
+
+        Stores each env row (and, on uniform games, its hop row), charges
+        each node's bytes to the ledger, and counts ``rows_computed`` plus
+        the ``evicted_recomputes`` of nodes budget eviction had emptied.
+        Returns the env rows in ``work`` order.  Eviction, and the ``keep``
+        set it spares, stays with the caller.
+        """
+        if len(work) == 1:
+            u, a = work[0]
+            hops, rows = self._traverse([a], u)
+        else:
+            hops, rows = self._traverse(
+                [a for _, a in work], [u for u, _ in work]
             )
-            return _npk.int_to_float_rows(dist)
-        return _npk.dijkstra_csr_np(
-            indptr_np, indices_np, lengths_np,
-            self.indexed.n, source, forbidden,
-        )
+        # Every row of one traversal has length n, so the per-row byte cost
+        # is one computation, not one per row.
+        nbytes = _payload_nbytes(rows[0])
+        if hops is not None:
+            nbytes += _payload_nbytes(hops[0])
+        positions: Dict[int, List[int]] = {}
+        for i, (u, _) in enumerate(work):
+            positions.setdefault(u, []).append(i)
+        for u, filled in positions.items():
+            env_rows, hop_rows = self._rows_of(u)
+            for i in filled:
+                a = work[i][1]
+                env_rows[a] = rows[i]
+                if hop_rows is not None:
+                    hop_rows[a] = hops[i]
+            self._ledger.add(u, nbytes * len(filled))
+            if u in self._evicted_nodes:
+                self._evicted_nodes.discard(u)
+                self.stats["evicted_recomputes"] += len(filled)
+        self.stats["rows_computed"] += len(work)
+        return rows
 
     def env_row(self, u: int, first_hop: int) -> Row:
         """Return ``d_{G-u}(first_hop, ·)`` as a dense float row (``inf`` = unreachable).
@@ -1120,63 +1063,18 @@ class CostEngine:
             # exempt).  Costs stay bit-identical — evicted rows recompute.
             self._force_evict_chunk(keep={u})
         self._ensure_current(u)
+        # _ensure_current repaired or dropped anything stale, so an entry
+        # here always carries the current version.
         entry = self._env_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._env_cache[u] = (self.version, rows)
-        else:
-            # _ensure_current repaired or dropped anything stale, so an entry
-            # here always carries the current version.
-            rows = entry[1]
-        row = rows.get(first_hop)
+        row = entry[1].get(first_hop) if entry is not None else None
         if row is None:
-            indexed = self.indexed
-            if indexed.uniform_lengths:
-                hop_entry = self._hop_cache.get(u)
-                if hop_entry is None:
-                    hop_rows: Dict[int, List[int]] = {}
-                    self._hop_cache[u] = (self.version, hop_rows)
-                else:
-                    hop_rows = hop_entry[1]
-                if self._np_traversal:
-                    indptr_np, indices_np, _, _ = csr_arrays_of(self._snapshot)
-                    hop_row = _npk.bfs_hops_csr_np(
-                        indptr_np, indices_np, indexed.n, first_hop, u
-                    )
-                    row = _npk.scaled_float_rows(hop_row, indexed.unit_length)
-                else:
-                    indptr, indices, _ = csr_of(self._snapshot)
-                    hop_row = bfs_hops_csr(indptr, indices, indexed.n, first_hop, u)
-                    row = scaled_float_row(hop_row, indexed.unit_length)
-                hop_rows[first_hop] = hop_row
-                added = _payload_nbytes(row) + _payload_nbytes(hop_row)
-            else:
-                if self._np_traversal:
-                    row = self._dijkstra_row_np(first_hop, u)
-                else:
-                    indptr, indices, edge_lengths = csr_of(self._snapshot)
-                    row = dijkstra_csr(
-                        indptr,
-                        indices,
-                        edge_lengths,
-                        indexed.n,
-                        first_hop,
-                        u,
-                    )
-                added = _payload_nbytes(row)
+            row = self._fill([(u, first_hop)])[0]
             if fault_fires("engine.row-poison", key=(u, first_hop)) is not None:
                 # Corruption fault site: cache a subtly-wrong copy while this
                 # call still returns the correct row — modelling a row that
                 # goes bad *after* it was filled.  Only verify_every sampling
                 # can catch it on a later cache hit.
-                rows[first_hop] = self._poisoned_copy(row)
-            else:
-                rows[first_hop] = row
-            self.stats["rows_computed"] += 1
-            if u in self._evicted_nodes:
-                self._evicted_nodes.discard(u)
-                self.stats["evicted_recomputes"] += 1
-            self._ledger.add(u, added)
+                self._env_cache[u][1][first_hop] = self._poisoned_copy(row)
             if self._ledger.bytes > self.memory_budget_bytes:
                 self._evict_over_budget(keep={u})
         else:
@@ -1220,7 +1118,7 @@ class CostEngine:
         later repair, so the node's next probe refills both the normal way.
         """
         self.stats["rows_verified"] += 1
-        fresh = self._compute_row(first_hop, u)
+        fresh = self._traverse([first_hop], u)[1][0]
         n = len(row)
         clean = n == len(fresh) and all(
             float(row[i]) == float(fresh[i]) for i in range(n)
@@ -1261,56 +1159,13 @@ class CostEngine:
             return
         self._ensure_current(u)
         entry = self._env_cache.get(u)
-        if entry is None:
-            rows: Dict[int, Row] = {}
-            self._env_cache[u] = (self.version, rows)
-        else:
-            rows = entry[1]
-        missing = [a for a in dict.fromkeys(first_hops) if a not in rows]
+        cached = entry[1] if entry is not None else ()
+        missing = [a for a in dict.fromkeys(first_hops) if a not in cached]
         if len(missing) < 2:
             return
-        indexed = self.indexed
-        added = 0
-        start = time.perf_counter()
-        indptr_np, indices_np, lengths_np, exact = csr_arrays_of(self._snapshot)
-        if indexed.uniform_lengths:
-            hop_entry = self._hop_cache.get(u)
-            if hop_entry is None:
-                hop_rows: Dict[int, List[int]] = {}
-                self._hop_cache[u] = (self.version, hop_rows)
-            else:
-                hop_rows = hop_entry[1]
-            matrix = _npk.bfs_hops_csr_multi(
-                indptr_np, indices_np, indexed.n, missing, u
-            )
-            scaled = _npk.scaled_float_rows(matrix, indexed.unit_length)
-            for i, a in enumerate(missing):
-                hop_rows[a] = matrix[i]
-                rows[a] = scaled[i]
-                added += _payload_nbytes(matrix[i]) + _payload_nbytes(scaled[i])
-        else:
-            lengths = exact if exact is not None else lengths_np
-            matrix = _npk.dijkstra_csr_multi(
-                indptr_np, indices_np, lengths, indexed.n, missing, u
-            )
-            if exact is not None:
-                matrix = _npk.int_to_float_rows(matrix)
-            for i, a in enumerate(missing):
-                rows[a] = matrix[i]
-                added += _payload_nbytes(matrix[i])
-        self.timings["traversal_seconds"] += time.perf_counter() - start
-        self.stats["rows_computed"] += len(missing)
-        if u in self._evicted_nodes:
-            self._evicted_nodes.discard(u)
-            self.stats["evicted_recomputes"] += len(missing)
-        self._ledger.add(u, added)
+        self._fill([(u, a) for a in missing])
         if self._ledger.bytes > self.memory_budget_bytes:
             self._evict_over_budget(keep={u})
-
-    def full_row(self, u: int) -> Row:
-        """Return full-graph distances from int node ``u`` (no masking)."""
-        self._require_sync()
-        return self._compute_row(u, forbidden=-1)
 
     # ------------------------------------------------------------------ #
     # Cost evaluation
@@ -1336,7 +1191,10 @@ class CostEngine:
         if cached is not None and cached[0] == self.version:
             return dict(cached[1])
         indexed = self.indexed
-        if self._np_traversal:
+        n = indexed.n
+        use_np = self._np_traversal
+        chunk_rows = 1
+        if use_np:
             # Batched traversals for all n unmasked rows, sliced so one
             # slice's row matrix stays around GIANT_CHUNK_TARGET_BYTES (a
             # single n-source batch at n = 16384 would be a 2 GiB matrix);
@@ -1344,42 +1202,22 @@ class CostEngine:
             # expects, so the costs (and their plain-float types) match the
             # per-row path — multi-kernel rows do not depend on how the
             # sources are batched.
-            n = indexed.n
-            uniform = indexed.uniform_lengths
-            snap = self._snapshot
-            indptr_np, indices_np, lengths_np, exact = csr_arrays_of(snap)
-            per_row = 16 * n if uniform else 8 * n
+            per_row = 16 * n if indexed.uniform_lengths else 8 * n
             chunk_rows = max(1, min(n, GIANT_CHUNK_TARGET_BYTES // per_row))
-            if not uniform:
-                edges = max(1, len(snap.indices))
+            if not indexed.uniform_lengths:
+                edges = max(1, len(self._snapshot.indices))
                 chunk_rows = min(
                     chunk_rows, max(16, GIANT_CHUNK_TARGET_BYTES // (8 * edges))
                 )
-            labels = indexed.labels
-            costs = {}
-            for lo in range(0, n, chunk_rows):
-                sources = list(range(lo, min(n, lo + chunk_rows)))
-                start = time.perf_counter()
-                if uniform:
-                    matrix = _npk.scaled_float_rows(
-                        _npk.bfs_hops_csr_multi(indptr_np, indices_np, n, sources),
-                        indexed.unit_length,
-                    )
-                else:
-                    lengths = exact if exact is not None else lengths_np
-                    matrix = _npk.dijkstra_csr_multi(
-                        indptr_np, indices_np, lengths, n, sources
-                    )
-                    if exact is not None:
-                        matrix = _npk.int_to_float_rows(matrix)
-                self.timings["traversal_seconds"] += time.perf_counter() - start
-                for j, u in enumerate(sources):
-                    costs[labels[u]] = self._aggregate_row(u, matrix[j].tolist())
-        else:
-            costs = {
-                label: self._aggregate_row(u, self.full_row(u))
-                for u, label in enumerate(indexed.labels)
-            }
+        labels = indexed.labels
+        costs = {}
+        for lo in range(0, n, chunk_rows):
+            sources = list(range(lo, min(n, lo + chunk_rows)))
+            _, rows = self._traverse(sources, -1)
+            for u, row in zip(sources, rows):
+                costs[labels[u]] = self._aggregate_row(
+                    u, row.tolist() if use_np else row
+                )
         self._all_costs_cache = (self.version, costs)
         return dict(costs)
 

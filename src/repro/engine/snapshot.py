@@ -19,7 +19,8 @@ value object built once per :meth:`~repro.engine.cost_engine.CostEngine.sync`
   owns the caches.
 * The static side (link lengths, target rows, weights, licence flags) lives
   in the embedded :class:`~repro.engine.indexed.IndexedGame`, whose rows are
-  read-only repo-wide — aliasing them here is free.
+  read-only repo-wide — aliasing them here is free.  The snapshot has no
+  read-through properties for it: readers go through ``snapshot.indexed``.
 
 The second job of this module is moving snapshots *between processes*:
 :func:`pack_payload` / :func:`unpack_payload` serialise an arbitrary
@@ -75,12 +76,11 @@ class EngineSnapshot:
     * ``*_np`` — int64/float64 array mirrors when the numpy backend is
       active (``None`` otherwise), including the exact-int64 length view
       when the integral-lengths licence holds;
-    * ``strategies`` / ``label_strategies`` — the synced profile per dense
-      node id, in int and label space (``None`` before the first sync).
+    * ``label_strategies`` — the synced profile per dense node id, in label
+      space (``None`` before the first sync).
 
     Static game tables (lengths, targets, weights, penalty, licence flags)
-    live in ``indexed`` and are exposed through read-through properties so
-    call sites need one object, not two.
+    live in ``indexed``; readers take them from there (``snap.indexed.labels``).
     """
 
     version: int
@@ -92,50 +92,10 @@ class EngineSnapshot:
     indices_np: Any = None
     edge_lengths_np: Any = None
     edge_lengths_exact_np: Any = None
-    strategies: Optional[Tuple[frozenset, ...]] = None
     label_strategies: Optional[Tuple[frozenset, ...]] = None
 
-    # ------------------------------------------------------------------ #
-    # Static read-throughs (one object for readers, not two)
-    # ------------------------------------------------------------------ #
-    @property
-    def n(self) -> int:
-        return self.indexed.n
-
-    @property
-    def labels(self):
-        return self.indexed.labels
-
-    @property
-    def penalty(self) -> float:
-        return self.indexed.penalty
-
-    @property
-    def unit_length(self) -> float:
-        return self.indexed.unit_length
-
-    @property
-    def uniform_lengths(self) -> bool:
-        return self.indexed.uniform_lengths
-
-    @property
-    def integral_lengths(self) -> bool:
-        return self.indexed.integral_lengths
-
-    @property
-    def length_rows(self):
-        return self.indexed.length_rows
-
-    @property
-    def target_rows(self):
-        return self.indexed.target_rows
-
-    @property
-    def target_weight_rows(self):
-        return self.indexed.target_weight_rows
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        synced = self.strategies is not None
+        synced = self.label_strategies is not None
         return (
             f"EngineSnapshot(version={self.version}, n={self.indexed.n}, "
             f"synced={synced})"

@@ -292,7 +292,7 @@ class SweepEvaluator:
         # Static game facts come off the engine's frozen snapshot, not its
         # internals — the same read path pool workers use over an attached
         # shared snapshot.
-        self.labels: Tuple[Node, ...] = resolved.snapshot().labels
+        self.labels: Tuple[Node, ...] = resolved.snapshot().indexed.labels
         self._n = len(self.labels)
         self._strategies: Optional[List[FrozenSet[Node]]] = None
         self._last_verdict: Optional[bool] = None

@@ -242,9 +242,11 @@ def bfs_hops_csr_multi(
     bit-identical to ``scaled_float_rows(hops, scale_unit)`` but assembled
     straight from the kernel's internal visit counter — one fewer full pass
     over the hop matrix, which matters for giant report-prefetch chunks.
-    In this form ``hops`` uses the narrowest exact integer dtype (int16
-    whenever the round count fits): every entry is the same exact integer
-    the plain form returns, at a quarter of the matrix and cache bytes.
+    In this form ``hops`` is int16 whenever ``n`` fits in it (int64
+    otherwise): every entry is the same exact integer the plain form
+    returns, at a quarter of the matrix and cache bytes.  The test is on
+    ``n``, not on this traversal's depth, because a later
+    :func:`repair_hops_csr_np` may raise any label to ``n - 2``.
 
     Row ``i`` is exactly ``bfs_hops_csr(..., sources[i], forbidden)``.  All
     sources advance level-synchronously over **bitset frontiers**: each node
@@ -361,11 +363,15 @@ def bfs_hops_csr_multi(
         if carry.any():
             planes.append(carry)
     scaled = None
+    # Labels never exceed n, so int16 is exact for every label this row can
+    # ever hold, repairs included.
+    out_dtype = (
+        np.int16
+        if scale_unit is not None and n <= np.iinfo(np.int16).max
+        else np.int64
+    )
     if not planes:
-        hops = np.full(
-            (num, n), UNREACHED,
-            dtype=np.int64 if scale_unit is None else np.int16,
-        )
+        hops = np.full((num, n), UNREACHED, dtype=out_dtype)
         if scale_unit is not None:
             scaled = np.full((num, n), np.inf)
     else:
@@ -406,17 +412,10 @@ def bfs_hops_csr_multi(
             else:
                 count += bits.astype(acc_dtype) << k
         # Widen once, subtract in place, then fill the (typically few)
-        # never-visited entries.  The fused giant-chunk form keeps hops in
-        # int16 where exact (labels are bounded by rounds + 1, which fits
-        # whenever the counter did): a quarter of the write traffic here and
-        # of the hop-row cache bytes downstream.
+        # never-visited entries.  The fused form's int16 hops (rounds + 1
+        # <= n fits) are a quarter of the write traffic here and of the
+        # hop-row cache bytes downstream.
         never = count == 0
-        if scale_unit is None:
-            out_dtype = np.int64
-        else:
-            # <= 14 planes: rounds < 2**14, so rounds + 1 and every label
-            # stay well inside int16.
-            out_dtype = np.int16 if len(planes) <= 14 else np.int64
         hops = count.astype(out_dtype)
         np.subtract(rounds + 1, hops, out=hops)
         hops[never] = UNREACHED

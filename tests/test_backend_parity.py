@@ -235,6 +235,22 @@ def test_fused_scaled_rows_match_two_pass(seed, n):
 
 
 @needs_numpy
+def test_fused_hop_dtype_holds_any_repaired_label():
+    """The fused form's hop dtype must hold every label a later repair can
+    write (up to ``n - 2``), not just this shallow traversal's: on a random
+    2-out graph at n = 40000 the BFS is ~16 rounds deep, which once picked
+    int16 and made ``repair_hops_csr_np`` overflow."""
+    n = 40_000
+    rng = random.Random(7)
+    rows = [sorted({rng.randrange(n) for _ in range(2)} - {u}) for u in range(n)]
+    indptr_np, indices_np = npk.csr_arrays(*build_csr(rows))
+    hops, _ = npk.bfs_hops_csr_multi(
+        indptr_np, indices_np, n, [0, 1], scale_unit=1.0
+    )
+    assert np.iinfo(hops.dtype).max >= n
+
+
+@needs_numpy
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_wide_batch_dense_rounds_match_narrow_batches(seed):

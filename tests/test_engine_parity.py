@@ -9,6 +9,8 @@ MAX-objective games — plus direct kernel-vs-dict-traversal agreement and the
 version-stamp invalidation contract.
 """
 
+import ast
+import inspect
 import math
 import random
 
@@ -661,3 +663,80 @@ def test_engine_registry_does_not_leak_dead_games():
     del game
     gc.collect()
     assert len(_ENGINES) == baseline - 1
+
+
+# --------------------------------------------------------------------- #
+# One kernel dispatch
+# --------------------------------------------------------------------- #
+def test_single_row_traversals_are_timed():
+    game = UniformBBCGame(6, 2)
+    engine = CostEngine(game, backend="python")
+    engine.sync(random_profile(game, seed=3))
+    engine.env_row(0, 1)
+    assert engine.timings["traversal_seconds"] > 0
+
+
+def _kernel_references(source):
+    """``(enclosing function, kernel name)`` for every kernel reference.
+
+    Kernels are the list kernels imported by name and the ``_npk.bfs_*`` /
+    ``_npk.dijkstra_*`` / ``_npk.repair_*`` array kernels; a method is named
+    ``Class.method`` and nested functions count as their enclosing one.
+    """
+    list_kernels = {
+        "bfs_hops_csr",
+        "dijkstra_csr",
+        "bfs_hops_csr_multi",
+        "dijkstra_csr_multi",
+        "repair_hops_csr",
+        "repair_dijkstra_csr",
+    }
+    scopes = []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.ClassDef):
+            scopes += [
+                (f"{statement.name}.{member.name}", member)
+                for member in statement.body
+                if isinstance(member, ast.FunctionDef)
+            ]
+        elif isinstance(statement, ast.FunctionDef):
+            scopes.append((statement.name, statement))
+        else:
+            scopes.append((None, statement))
+    found = []
+    for owner, scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name) and node.id in list_kernels:
+                found.append((owner, node.id))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "_npk"
+                and node.attr.startswith(("bfs_", "dijkstra_", "repair_"))
+            ):
+                found.append((owner, node.attr))
+    return found
+
+
+def test_traversal_kernels_are_called_only_from_the_dispatch():
+    """``CostEngine._traverse`` is the engine's one traversal dispatch: no
+    other code in ``cost_engine.py`` touches a traversal kernel, and the
+    repair kernels are touched only by ``_repair_node``."""
+    from repro.engine import cost_engine
+
+    def home(name):
+        if name.startswith("repair_"):
+            return "CostEngine._repair_node"
+        return "CostEngine._traverse"
+
+    references = _kernel_references(inspect.getsource(cost_engine))
+    traversal = {name for _, name in references if home(name).endswith("_traverse")}
+    assert traversal == {
+        "bfs_hops_csr",
+        "dijkstra_csr",
+        "bfs_hops_csr_multi",
+        "dijkstra_csr_multi",
+        "bfs_hops_csr_np",
+        "dijkstra_csr_np",
+    }
+    assert [(owner, name) for owner, name in references if owner != home(name)] == []

@@ -92,7 +92,7 @@ class TestSnapshotLifetime:
         old = engine.snapshot()
         old_version = old.version
         old_csr = (list(old.indptr), list(old.indices))
-        old_strategies = old.strategies
+        old_strategies = old.label_strategies
 
         engine.sync(ring_profile(game, shift=2))
         new = engine.snapshot()
@@ -102,7 +102,7 @@ class TestSnapshotLifetime:
         # byte-for-byte what it was when it was published.
         assert old.version == old_version
         assert (list(old.indptr), list(old.indices)) == old_csr
-        assert old.strategies is old_strategies
+        assert old.label_strategies is old_strategies
         with pytest.raises(Exception):
             old.version = 99  # frozen dataclass
 
@@ -111,13 +111,10 @@ class TestSnapshotLifetime:
         engine = CostEngine(game)
         engine.sync(ring_profile(game))
         snap = engine.snapshot()
-        assert snap.n == engine.indexed.n
-        assert snap.labels == engine.indexed.labels
-        assert snap.penalty == engine.indexed.penalty
-        assert snap.length_rows is engine.indexed.length_rows
+        assert snap.indexed is engine.indexed
         indptr, indices, edge_lengths = csr_of(snap)
         assert indptr is snap.indptr and indices is snap.indices
-        assert len(indptr) == snap.n + 1
+        assert len(indptr) == snap.indexed.n + 1
         if edge_lengths is not None:
             assert len(edge_lengths) == len(indices)
 
