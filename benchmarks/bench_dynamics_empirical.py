@@ -39,7 +39,7 @@ def test_section43_empirical_observations(benchmark):
     # Every walk terminates with a definite verdict: it either converges to a
     # pure equilibrium or provably cycles.  (The paper observed convergence
     # from the empty start for its tie-breaking rule; with our deterministic
-    # lexicographic tie-breaking some sizes cycle instead — see EXPERIMENTS.md.)
+    # lexicographic tie-breaking some sizes cycle instead.)
     assert all(row["converged"] or row["cycled"] for row in empty_starts)
     assert any(row["converged"] for row in empty_starts)
     assert all(

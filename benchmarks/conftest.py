@@ -1,8 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper, prints it, and
-writes it to ``benchmarks/output/<name>.txt`` so EXPERIMENTS.md can snapshot
-the results.
+writes it to ``benchmarks/output/<name>.txt``.
 """
 
 import pathlib

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence
 
@@ -179,11 +180,12 @@ def exhaustive_equilibrium_search(
 
     ``processes`` shards the profile space: the not-yet-journalled checkpoint
     blocks are split into contiguous Gray-rank subranges, each evaluated by a
-    pool worker over a shared read-only payload (the game spec, the candidate
-    sets, and the parent engine's exported static tables — see
-    :class:`~repro.experiments.parallel.SharedPayload`), and the per-block
-    records are merged in global block order.  Records, the journal, and the
-    summary are **bit-identical** to a serial run at any worker count;
+    pool worker that rebuilds the game (and, on the engine path, its own
+    :class:`~repro.engine.CostEngine`) from a picklable
+    :class:`~repro.experiments.parallel.GameSpec` plus the candidate sets,
+    and the per-block records are merged in global block order.  Records,
+    the journal, and the summary are **bit-identical** to a serial run at
+    any worker count;
     ``None`` means one worker per available CPU
     (:func:`~repro.experiments.parallel.resolve_processes`).  An explicit
     engine *instance* is process-local state and cannot shard — pass
@@ -295,19 +297,23 @@ def exhaustive_equilibrium_search(
     )
 
 
-#: Per-process context cache of the last payload a shard cell attached: the
-#: rebuilt game, candidate sets, parameters, and the warm Nash checker (its
-#: evaluator memo carries across the worker's shards).  One entry only — a
-#: different payload evicts it, so stale games cannot pin memory across
-#: unrelated searches.
+#: Per-process context cache of the last search a shard cell served, keyed
+#: by the parent's run token: the rebuilt game, candidate sets, parameters,
+#: and the warm Nash checker (its evaluator memo carries across the worker's
+#: shards).  One entry only — a different run evicts it, so stale games
+#: cannot pin memory across unrelated searches.
 _SHARD_CACHE: Dict[tuple, tuple] = {}
+
+#: Mints the per-search run tokens keying :data:`_SHARD_CACHE`.
+_RUN_COUNTER = itertools.count()
 
 
 def _search_shard_cell(args) -> list:
     """Pool-worker cell: sweep blocks ``[block_start, block_stop)`` of a search.
 
-    ``args`` is ``(payload_ref, block_start, block_stop)``; the payload (see
-    :func:`_sharded_search`) carries everything the sweep reads.  Returns
+    ``args`` is ``(run_token, context, block_start, block_stop)``; the
+    context (see :func:`_sharded_search`) carries everything the sweep reads,
+    and the worker rebuilds the game from its spec.  Returns
     ``[[block_index, record], ...]`` with exactly the records the serial loop
     produces for those blocks — same profiles in the same Gray order, same
     ``search.profile`` fault keys (global ranks), same stop-at-first
@@ -315,23 +321,19 @@ def _search_shard_cell(args) -> list:
     serial-identical summary.  Also the serial-rung fallback when the pool
     cannot run: everything here is process-local or read-only.
     """
-    ref, block_start, block_stop = args
+    token, context, block_start, block_stop = args
     from ..engine.sweep import gray_code_profiles
-    from ..experiments.parallel import attach_payload
     from ..reliability.faults import fault_point
 
-    ctx = _SHARD_CACHE.get(ref)
+    ctx = _SHARD_CACHE.get(token)
     if ctx is None:
-        from ..engine.snapshot import restore_tables
-
-        obj, arrays = attach_payload(ref)
-        game = obj["spec"].build()
-        sets = {node: list(strategies) for node, strategies in obj["sets"]}
-        params = obj["params"]
+        game = context["spec"].build()
+        sets = {node: list(strategies) for node, strategies in context["sets"]}
+        params = context["params"]
         if params["use_engine"]:
             from ..engine.cost_engine import CostEngine
 
-            engine = CostEngine(game, tables=restore_tables(obj["tables"], arrays))
+            engine = CostEngine(game)
         else:
             engine = False
         check = _nash_checker(
@@ -339,7 +341,7 @@ def _search_shard_cell(args) -> list:
         )
         ctx = (game, sets, params, check)
         _SHARD_CACHE.clear()
-        _SHARD_CACHE[ref] = ctx
+        _SHARD_CACHE[token] = ctx
     game, sets, params, check = ctx
     checkpoint_every = params["checkpoint_every"]
     stop = min(block_stop * checkpoint_every, params["size"])
@@ -387,16 +389,16 @@ def _sharded_search(
     """Parent side of a sharded exhaustive search (``journal`` pre-bound).
 
     Splits the not-yet-journalled checkpoint blocks into at most ``count``-ish
-    contiguous shards, fans them out over a :func:`parallel_map` pool reading
-    one :class:`~repro.experiments.parallel.SharedPayload`, and merges the
-    per-block records in global block order — truncating at the first
-    ``stopped`` block, exactly like the serial loop, before journalling the
-    surviving records.  Fresh blocks land in the journal only here, in the
-    parent, so a worker crash never half-writes a checkpoint.
+    contiguous shards and fans them out over a :func:`parallel_map` pool.
+    Each cell carries the picklable game spec, candidate sets and parameters;
+    workers rebuild everything else.  The per-block records merge in global
+    block order, truncating at the first ``stopped`` block exactly like the
+    serial loop, before the surviving records are journalled.  Fresh blocks
+    land in the journal only here, in the parent, so a worker crash never
+    half-writes a checkpoint.
     """
-    from ..engine.snapshot import export_tables
     from ..engine.sweep import _resolve_gray_space
-    from ..experiments.parallel import GameSpec, SharedPayload, parallel_map
+    from ..experiments.parallel import GameSpec, parallel_map
 
     _, _, _, _, size = _resolve_gray_space(game, sets, None, None, profile_limit)
     total_blocks = -(-size // checkpoint_every)
@@ -427,37 +429,26 @@ def _sharded_search(
             shards.append((run_start, prev + 1))
             if block is not None:
                 run_start = prev = block
-        tables, arrays = None, {}
-        if use_engine:
-            from ..engine import get_engine
-
-            tables, arrays = export_tables(get_engine(game).indexed)
-        payload = SharedPayload.create(
-            {
-                "spec": GameSpec.from_game(game),
-                "sets": [(node, list(sets[node])) for node in game.nodes],
-                "tables": tables,
-                "params": {
-                    "checkpoint_every": checkpoint_every,
-                    "stop_at_first": bool(stop_at_first),
-                    "profile_limit": profile_limit,
-                    "deviation_limit": deviation_limit,
-                    "tolerance": tolerance,
-                    "use_engine": use_engine,
-                    "size": size,
-                },
+        token = (os.getpid(), next(_RUN_COUNTER))
+        context = {
+            "spec": GameSpec.from_game(game),
+            "sets": [(node, list(sets[node])) for node in game.nodes],
+            "params": {
+                "checkpoint_every": checkpoint_every,
+                "stop_at_first": bool(stop_at_first),
+                "profile_limit": profile_limit,
+                "deviation_limit": deviation_limit,
+                "tolerance": tolerance,
+                "use_engine": use_engine,
+                "size": size,
             },
-            arrays or None,
-        )
-        try:
-            cells = [(payload.ref, lo, hi) for lo, hi in shards]
-            for shard in parallel_map(
-                _search_shard_cell, cells, processes=count, on_error="raise"
-            ):
-                for block_index, record in shard:
-                    records[block_index] = record
-        finally:
-            payload.close()
+        }
+        cells = [(token, context, lo, hi) for lo, hi in shards]
+        for shard in parallel_map(
+            _search_shard_cell, cells, processes=count, on_error="raise"
+        ):
+            for block_index, record in shard:
+                records[block_index] = record
 
     examined = 0
     found = 0

@@ -179,22 +179,14 @@ mutable cache/repair machinery.  The ownership rules:
   built at.  A reader caching state derived from a snapshot compares
   ``snapshot().version`` instead of re-diffing strategies; equal versions
   guarantee bit-identical reads.
-* **Cross-process lifetime.**  Sharded sweeps export the *static* half (the
-  game spec, candidate sets, and :func:`~repro.engine.snapshot
-  .export_tables` output) into one ``multiprocessing.shared_memory`` segment
-  via :class:`~repro.experiments.parallel.SharedPayload`.  The **parent
-  creates** the segment and is the only process that **unlinks** it — in a
-  ``finally`` around the pool run, backstopped by a module atexit hook.
-  **Workers attach** read-only (:func:`~repro.experiments.parallel
-  .attach_payload`, zero-copy numpy views on the full leg; the minimal leg
-  ships pickled lists) and never unlink; their attachments die with the
-  worker process, so crashes and pool restarts cannot leak segments.  The
-  shared payload is immutable by construction — workers rebuild their own
-  mutable engines (adopting the exported tables through
-  ``CostEngine(game, tables=...)``) and write nothing back.  Allocation
-  failure degrades to shipping the same packed bytes inline with each task;
-  the ``parallel.shm-create`` / ``parallel.shm-attach`` fault sites pin both
-  halves under injection.
+* **Cross-process lifetime.**  Snapshots never cross a process boundary.
+  Sharded sweeps ship each worker the picklable
+  :class:`~repro.experiments.parallel.GameSpec` plus the candidate sets and
+  plain parameters; the worker rebuilds the game, its :class:`IndexedGame`
+  and its own :class:`CostEngine` from that spec (well under a millisecond
+  at the sizes exhaustive search reaches) and writes nothing back.  There
+  is no shared segment to own, attach or leak, so worker crashes and pool
+  restarts only change *where* a shard's records are computed.
 
 **The parallel-map spec.**  For process-level fan-out,
 :mod:`repro.experiments.parallel` ships a compact picklable
@@ -314,7 +306,7 @@ from .fractional_engine import (
     resolve_fractional_engine,
 )
 from .indexed import IndexedGame
-from .snapshot import EngineSnapshot, SnapshotTables, export_tables, restore_tables
+from .snapshot import EngineSnapshot
 from .sweep import SweepEvaluator, gray_code_profiles, profile_at
 
 #: One shared engine per live game object; weak keys so games can be GC'd.
@@ -356,12 +348,10 @@ __all__ = [
     "CostEngine",
     "EngineSnapshot",
     "NUMPY_BACKEND_MIN_N",
-    "SnapshotTables",
     "StrategyScorer",
     "FractionalEngine",
     "IndexedGame",
     "SweepEvaluator",
-    "export_tables",
     "gray_code_profiles",
     "get_engine",
     "get_fractional_engine",
@@ -369,5 +359,4 @@ __all__ = [
     "resolve_backend",
     "resolve_engine",
     "resolve_fractional_engine",
-    "restore_tables",
 ]

@@ -229,15 +229,11 @@ class CostEngine:
         backend: Optional[str] = None,
         memory_budget_bytes: Optional[int] = None,
         verify_every: Optional[int] = None,
-        tables=None,
     ) -> None:
         # Only a weak back-reference to `game`: a strong one would pin the
         # WeakKeyDictionary entry in the per-game engine registry forever.
         self._game_ref = weakref.ref(game)
-        # ``tables`` forwards exported static tables (see
-        # repro.engine.snapshot.SnapshotTables) so pool workers skip the
-        # O(n^2) probing pass; None constructs normally.
-        self.indexed = IndexedGame(game, tables=tables)
+        self.indexed = IndexedGame(game)
         self.backend = resolve_backend(
             backend, self.indexed.n, self.indexed.uniform_lengths
         )

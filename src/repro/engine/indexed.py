@@ -51,19 +51,10 @@ class IndexedGame:
         "_length_matrix",
     )
 
-    def __init__(self, game: BBCGame, *, tables=None) -> None:
+    def __init__(self, game: BBCGame) -> None:
         # Deliberately no back-reference to `game`: the engine registry keys a
         # WeakKeyDictionary by the game object, and holding it here would keep
         # the key alive forever.
-        #
-        # ``tables`` (a rehydrated repro.engine.snapshot.SnapshotTables, or
-        # None) lets pool workers adopt a parent process's already-probed
-        # static rows instead of re-running the O(n^2) probing loop below;
-        # a ``compact`` marker means "construct normally" (uniform games
-        # rebuild in O(n) anyway).  Adopted rows are installed as-is — they
-        # are read-only repo-wide, and export/restore round-trips floats
-        # bit-exactly, so an adopting IndexedGame is indistinguishable from
-        # one probed locally.
         self.labels: Tuple[Node, ...] = game.nodes
         self.index: Dict[Node, int] = {label: i for i, label in enumerate(self.labels)}
         self.n = len(self.labels)
@@ -83,18 +74,7 @@ class IndexedGame:
         self.length_rows: List[List[float]] = []
         self.target_rows: List[List[int]] = []
         self.target_weight_rows: List[List[float]] = []
-        adopt = tables is not None and not tables.compact
-        if adopt:
-            if tuple(tables.labels) != self.labels:
-                raise ValueError(
-                    "SnapshotTables were exported for a different node set"
-                )
-            self.length_rows = tables.length_rows
-            self.target_rows = tables.target_rows
-            self.target_weight_rows = tables.target_weight_rows
-            self.unit_weight_nodes = list(tables.unit_weight_nodes)
-            lengths_integral = False  # unused: licence flags adopted below
-        elif self.n >= 2 and game.has_uniform_weights and game.has_uniform_lengths:
+        if self.n >= 2 and game.has_uniform_weights and game.has_uniform_lengths:
             # O(n) snapshot for constant-parameter games (every uniform game):
             # all rows are known without probing the n^2 node pairs, and the
             # constant length/weight rows can be *shared* across nodes — the
@@ -147,17 +127,6 @@ class IndexedGame:
         # length) stays below 2**53, int64 and float64 agree bit for bit.
         # That is the licence for the numpy backend's exact-int traversal
         # space (hop rows always qualify — hops are plain counts).
-        if adopt:
-            # Licence flags travel verbatim with the exported tables: the
-            # exporter computed them from these exact rows, so recomputing
-            # here could only agree (or waste an O(n^2) rescan).  An
-            # array-mode export also donates its dense length matrix — a
-            # read-only view over the shared segment, which the repair
-            # kernels only ever index.
-            self.integral_lengths = tables.integral_lengths
-            self.exact_sums = tables.exact_sums
-            self._length_matrix = tables.length_matrix
-            return
         self.integral_lengths = (
             lengths_integral and (self.n - 1) * self.unit_length <= 2.0**53
         )

@@ -23,15 +23,6 @@ count, retry budget, or crash schedule — a worker OOM-kill mid-grid changes
 let :mod:`repro.reliability.faults` inject those failures deterministically;
 ``tests/test_reliability.py`` pins the invariance.
 
-Sharded sweeps additionally move *read-only payloads* (exported engine
-tables, candidate sets) to workers through :class:`SharedPayload` — one
-``multiprocessing.shared_memory`` segment per run, created by the parent,
-attached read-only by workers (zero-copy numpy views on the full dependency
-leg), and unlinked by the parent in a ``finally``/atexit pair so crashes and
-pool restarts cannot leak segments.  The ``parallel.shm-create`` and
-``parallel.shm-attach`` fault sites cover both halves; creation failures
-degrade to shipping the same packed bytes inline with each task.
-
 Passing ``journal=`` (a :class:`~repro.reliability.journal.CheckpointJournal`
 or a path) additionally checkpoints each completed cell's result, so a killed
 grid resumes without recomputing finished cells.  Journaled results must
@@ -40,8 +31,6 @@ survive a JSON round trip unchanged (study rows — dicts of scalars — do).
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import os
 import time
 import warnings
@@ -232,212 +221,6 @@ def default_processes(cap: int = 4) -> int:
     if override is not None:
         return override
     return min(cap, _available_cpus())
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory payload exports (sharded sweeps read, the parent owns)
-# --------------------------------------------------------------------- #
-#: Name prefix of every shared segment this process creates.  Segments are
-#: explicitly named (``repro-shm-{pid}-{counter}``) so leak assertions can
-#: scan ``/dev/shm`` for strays after crashes and pool restarts.
-SHM_NAME_PREFIX = "repro-shm"
-
-_SHM_COUNTER = itertools.count()
-
-#: Segments created and not yet closed by *this* process, by name.  The
-#: atexit hook below is the last-resort unlink for parents that die without
-#: reaching their ``finally`` (a crashed worker never appears here: workers
-#: only attach, and their deaths are cleaned up by the owning parent).
-_ACTIVE_EXPORTS: Dict[str, "SharedPayload"] = {}
-
-#: Worker-side attach cache: segment name -> (obj, arrays, shm handle).  The
-#: handle keeps the mapping alive for the zero-copy array views; workers die
-#: with their pool, and the parent's unlink removes the segment itself.
-_ATTACHED_PAYLOADS: Dict[str, tuple] = {}
-
-
-class SharedPayload:
-    """One parent-owned export of a packed payload to pool workers.
-
-    Ownership contract (see also "Snapshot ownership and lifetime" in
-    :mod:`repro.engine`): the parent *creates* the segment, workers *attach*
-    read-only via :func:`attach_payload`, and only the parent *unlinks* —
-    in a ``finally`` around the pool run, or at interpreter exit through the
-    module atexit hook if the run never gets that far.  Worker crashes and
-    pool restarts therefore cannot leak segments: attachments die with the
-    worker processes, and the name stays registered parent-side until
-    :meth:`close`.
-
-    When segment allocation fails — ``/dev/shm`` exhausted, no shared-memory
-    mount, or the ``parallel.shm-create`` fault site firing — the payload
-    degrades to *inline* mode: the same packed bytes ride along inside each
-    task's arguments instead of a shared mapping.  Workers cannot tell the
-    difference (:func:`attach_payload` decodes both), results are identical,
-    and there is nothing to unlink.
-    """
-
-    def __init__(self, name: Optional[str], shm, inline: Optional[bytes]) -> None:
-        self.name = name
-        self._shm = shm
-        self._inline = inline
-
-    @property
-    def ref(self) -> tuple:
-        """The picklable handle workers pass to :func:`attach_payload`."""
-        if self._inline is not None:
-            return ("inline", self._inline)
-        if self._shm is None:
-            raise ValueError("SharedPayload is closed")
-        return ("shm", self.name)
-
-    @classmethod
-    def create(cls, obj, arrays=None) -> "SharedPayload":
-        """Pack ``(obj, arrays)`` and export it, preferring shared memory."""
-        from ..engine.snapshot import pack_payload
-
-        data = pack_payload(obj, arrays)
-        try:
-            _faults.fault_point("parallel.shm-create")
-            if not _fork_context_available():
-                # Without fork, pool children run their own resource
-                # trackers, and a spawn child's tracker unlinks "its"
-                # attached segment when the child exits — yanking it from
-                # everyone else.  Inline bytes are safe everywhere.
-                raise OSError("no fork context; shared segments need a shared tracker")
-            from multiprocessing import shared_memory
-
-            shm = None
-            for _ in range(3):  # a same-pid leftover name is possible after
-                name = f"{SHM_NAME_PREFIX}-{os.getpid()}-{next(_SHM_COUNTER)}"
-                try:  # a hard kill + pid reuse; just take the next counter
-                    shm = shared_memory.SharedMemory(
-                        name=name, create=True, size=max(1, len(data))
-                    )
-                    break
-                except FileExistsError:
-                    continue
-            if shm is None:
-                raise OSError(f"no free segment name under {SHM_NAME_PREFIX}")
-            shm.buf[: len(data)] = data
-        except (OSError, InjectedFault) as exc:
-            warnings.warn(
-                f"shared-memory export unavailable ({exc!r}); "
-                f"shipping {len(data)} payload bytes inline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return cls(None, None, data)
-        payload = cls(shm.name, shm, None)
-        _ACTIVE_EXPORTS[shm.name] = payload
-        return payload
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent; no-op for inline)."""
-        shm = self._shm
-        self._shm = None
-        if shm is None:
-            return
-        _ACTIVE_EXPORTS.pop(self.name, None)
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - unlinked elsewhere
-            pass
-
-
-def _fork_context_available() -> bool:
-    """Whether the ``fork`` start method exists (shared resource tracker)."""
-    import multiprocessing
-
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return False
-    return True
-
-
-def attach_payload(ref: tuple):
-    """Worker-side decode of a :attr:`SharedPayload.ref`: ``(obj, arrays)``.
-
-    Shared-memory refs attach the named segment (``parallel.shm-attach``
-    fault site, keyed by segment name; failures propagate so the pool's
-    retry/restart machinery handles them like any worker fault) and cache
-    the decoded payload per process so one worker pays the decode once per
-    segment, not once per cell.  Inline refs just decode the carried bytes.
-
-    No ``resource_tracker`` bookkeeping happens here: forked workers share
-    the parent's tracker, where the attach-side registration is an idempotent
-    re-add of the name the parent registered at creation, and the parent's
-    single ``unlink`` retires it exactly once.  (:meth:`SharedPayload.create`
-    only emits shared-memory refs when the fork context exists, so a private
-    per-child tracker never sees one of these segments.)
-    """
-    kind, value = ref
-    if kind == "inline":
-        from ..engine.snapshot import unpack_payload
-
-        return unpack_payload(value)
-    if kind != "shm":
-        raise ValueError(f"unknown payload ref kind {kind!r}")
-    cached = _ATTACHED_PAYLOADS.get(value)
-    if cached is not None:
-        return cached[0], cached[1]
-    _faults.fault_point("parallel.shm-attach", key=value)
-    from multiprocessing import shared_memory
-    from ..engine.snapshot import unpack_payload
-
-    shm = shared_memory.SharedMemory(name=value)
-    obj, arrays = unpack_payload(shm.buf)
-    _ATTACHED_PAYLOADS[value] = (obj, arrays, shm)
-    return obj, arrays
-
-
-def active_export_names() -> List[str]:
-    """Names of shared segments this process currently owns (leak probes)."""
-    return sorted(_ACTIVE_EXPORTS)
-
-
-def _close_active_exports() -> None:  # pragma: no cover - exit-path safety net
-    for payload in list(_ACTIVE_EXPORTS.values()):
-        payload.close()
-
-
-def _release_attached(shm) -> None:
-    """Close an attached segment handle, tolerating live zero-copy views."""
-    try:
-        shm.close()
-    except BufferError:
-        # numpy views exported from the mapping are still alive somewhere
-        # (e.g. a memo holding a slice at interpreter exit).  The mapping
-        # cannot be unmapped while they live, and ``__del__`` retrying
-        # ``close()`` would print an ignored exception — detach the buffer
-        # and mmap from the handle so only the fd is closed, and let process
-        # exit reclaim the mapping itself.
-        shm._buf = None
-        shm._mmap = None
-        try:
-            shm.close()
-        except OSError:
-            pass
-
-
-def _close_attached_payloads() -> None:  # pragma: no cover - exit-path safety net
-    import gc
-
-    entries = list(_ATTACHED_PAYLOADS.values())
-    _ATTACHED_PAYLOADS.clear()
-    handles = [entry[2] for entry in entries]
-    del entries  # drop the cached arrays (and their buffer exports) first
-    gc.collect()
-    for shm in handles:
-        _release_attached(shm)
-
-
-atexit.register(_close_active_exports)
-atexit.register(_close_attached_payloads)
 
 
 #: Unfilled-cell sentinel (``None`` is a legitimate cell result).
@@ -694,7 +477,6 @@ def parallel_map(
     items: Iterable[T],
     *,
     processes: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
     backoff: float = 0.01,
@@ -730,12 +512,10 @@ def parallel_map(
     ``journal`` (a :class:`~repro.reliability.journal.CheckpointJournal` or
     path) checkpoints each completed cell; on resume, journaled cells are
     served without re-executing ``fn`` — results must be JSON-round-trip
-    stable for resumed and fresh runs to stay bit-identical.  ``chunksize``
-    is accepted for backward compatibility and ignored (cells are scheduled
-    individually so a crash loses at most the in-flight cells).
+    stable for resumed and fresh runs to stay bit-identical.  Cells are
+    scheduled individually, so a crash loses at most the in-flight cells.
     :func:`last_run_stats` reports this call's failure-handling counters.
     """
-    del chunksize  # pre-PR 7 Pool.map batching knob; cells now ship one by one
     if on_error not in ("raise", "retry-serial", "skip"):
         raise ValueError(
             f"on_error must be 'raise', 'retry-serial', or 'skip' (got {on_error!r})"
@@ -832,10 +612,6 @@ def _parallel_map_impl(
 
 __all__ = [
     "GameSpec",
-    "SHM_NAME_PREFIX",
-    "SharedPayload",
-    "active_export_names",
-    "attach_payload",
     "default_processes",
     "last_run_stats",
     "parallel_map",

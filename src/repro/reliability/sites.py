@@ -52,14 +52,6 @@ REGISTERED_FAULT_SITES: Dict[str, str] = {
         "parallel_map process-pool construction; models a pool that cannot "
         "start (serial-fallback rung)"
     ),
-    "parallel.shm-create": (
-        "shared_payload segment allocation in the parent; models /dev/shm "
-        "exhaustion or a missing shared-memory mount (inline-bytes fallback)"
-    ),
-    "parallel.shm-attach": (
-        "worker-side shared_memory attach, keyed by segment name; models a "
-        "vanished or unreadable segment (cell retried by parallel_map)"
-    ),
     "parallel.task": (
         "parallel_map worker task execution, keyed (index, attempt); models "
         "worker exceptions, crashes, and hangs"

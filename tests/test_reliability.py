@@ -24,16 +24,13 @@ from repro.core.search import exhaustive_equilibrium_search
 from repro.engine import CostEngine, resolve_backend
 from repro.experiments.dynamics_study import max_cost_first_convergence_study
 from repro.experiments.parallel import (
-    SHM_NAME_PREFIX,
     GameSpec,
-    SharedPayload,
-    active_export_names,
-    attach_payload,
     default_processes,
     last_run_stats,
     parallel_map,
     resolve_processes,
 )
+from repro.experiments.workloads import latency_overlay_game
 from repro.reliability import (
     CheckpointError,
     CheckpointJournal,
@@ -461,6 +458,30 @@ class TestSearchJournal:
             resumed = self.run(game, journal=path, checkpoint_every=4)
         assert resumed == baseline
 
+    def test_serial_kill_resumes_through_the_sharded_path(self, tmp_path):
+        game = UniformBBCGame(4, 1)
+        path = tmp_path / "search.json"
+        baseline = self.run(game)
+        plan = FaultPlan(rules=(FaultRule(site="search.profile", keys=frozenset({10})),))
+        with active_faults(plan):
+            with pytest.raises(InjectedFault):
+                self.run(game, journal=path, checkpoint_every=4)
+        assert len(CheckpointJournal(path)) >= 2
+        # Resume sharded, with a persistent fault armed inside a journalled
+        # block: a worker re-checking it would fail every retry, and even one
+        # firing would show up as a retried cell.
+        plan = FaultPlan(
+            rules=(FaultRule(site="search.profile", keys=frozenset({1}), times=None),)
+        )
+        with active_faults(plan):
+            resumed = self.run(game, journal=path, checkpoint_every=4, processes=2)
+        assert resumed == baseline
+        stats = last_run_stats()
+        assert stats["cells"] >= 2 and stats["retried"] == 0
+        # Every block is journalled now; a serial re-run checks nothing.
+        with active_faults(plan):
+            assert self.run(game, journal=path, checkpoint_every=4) == baseline
+
     def test_stop_at_first_parity_fresh_and_resumed(self, tmp_path):
         game = UniformBBCGame(4, 1)
         path = tmp_path / "search.json"
@@ -713,8 +734,6 @@ class TestFaultSiteRegistry:
             "engine.row-poison",
             "fractional.lp-solve",
             "parallel.pool-start",
-            "parallel.shm-attach",
-            "parallel.shm-create",
             "parallel.task",
             "search.profile",
         ):
@@ -788,70 +807,14 @@ class TestProcessResolution:
 
 
 # --------------------------------------------------------------------------- #
-# Shared-memory payload exports: lifecycle, degradation, leak-freedom
+# Sharded exhaustive search under worker crashes
 # --------------------------------------------------------------------------- #
-def _devshm_strays():
-    import os
-
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith(SHM_NAME_PREFIX)]
-    except FileNotFoundError:  # no shared-memory mount on this platform
-        return []
-
-
-class TestSharedPayload:
-    def test_create_attach_close_roundtrip(self):
-        payload = SharedPayload.create({"base": 2, "row": [1.5, 2.5]})
-        try:
-            obj, arrays = attach_payload(payload.ref)
-            assert obj == {"base": 2, "row": [1.5, 2.5]}
-            assert arrays == {}
-        finally:
-            payload.close()
-        payload.close()  # idempotent
-        assert active_export_names() == []
-        assert _devshm_strays() == []
-        with pytest.raises(ValueError):
-            payload.ref  # a closed shm payload has no shippable handle
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="array blocks require numpy")
-    def test_array_blocks_attach_as_readonly_views(self):
-        import numpy as np
-
-        arr = np.arange(6, dtype=np.int64) * 7
-        payload = SharedPayload.create({"k": 1}, {"a": arr})
-        try:
-            obj, arrays = attach_payload(payload.ref)
-            assert obj == {"k": 1}
-            assert arrays["a"].tolist() == arr.tolist()
-            assert not arrays["a"].flags.writeable
-            # Second attach in the same process is a cache hit.
-            again, arrays2 = attach_payload(payload.ref)
-            assert again is obj
-        finally:
-            payload.close()
-        assert _devshm_strays() == []
-
-    def test_create_fault_degrades_to_inline_bytes(self):
-        plan = FaultPlan(
-            rules=(FaultRule(site="parallel.shm-create", kind="error", times=1),)
-        )
-        with active_faults(plan):
-            with pytest.warns(RuntimeWarning, match="inline"):
-                payload = SharedPayload.create({"x": 9})
-        assert payload.ref[0] == "inline"
-        obj, arrays = attach_payload(payload.ref)
-        assert obj == {"x": 9} and arrays == {}
-        payload.close()  # no-op: nothing was exported
-        assert active_export_names() == []
-
-
 class TestShardedSearchFaults:
-    """Sharded exhaustive search under injected shm faults and worker crashes.
+    """Sharded exhaustive search under injected worker crashes.
 
     The contract under test: at any worker count and any armed fault plan the
     sharded search either returns the bit-identical serial summary or raises
-    the documented typed error — and shared segments never outlive the run.
+    the documented typed error.
     """
 
     def _game(self):
@@ -867,31 +830,15 @@ class TestShardedSearchFaults:
             game, stop_at_first=False, checkpoint_every=8, processes=processes
         )
 
-    def test_shm_attach_fault_is_retried_in_pool(self):
-        game = self._game()
-        serial = self._serial(game)
-        plan = FaultPlan(
-            rules=(FaultRule(site="parallel.shm-attach", kind="error", times=1),)
-        )
-        with active_faults(plan):
-            assert self._sharded(game) == serial
-        assert active_export_names() == []
-        assert _devshm_strays() == []
-
-    def test_shm_create_fault_runs_inline_identically(self):
-        game = self._game()
-        serial = self._serial(game)
-        plan = FaultPlan(
-            rules=(FaultRule(site="parallel.shm-create", kind="error", times=1),)
-        )
-        with active_faults(plan):
-            with pytest.warns(RuntimeWarning, match="inline"):
-                assert self._sharded(game) == serial
-        assert active_export_names() == []
-        assert _devshm_strays() == []
-
-    def test_cell_crash_resubmits_on_fresh_pool(self):
-        game = self._game()
+    @pytest.mark.parametrize(
+        "make_game",
+        [lambda: UniformBBCGame(4, 2), lambda: latency_overlay_game(5, budget=1, seed=3)],
+        ids=["uniform", "weighted"],
+    )
+    def test_cell_crash_resubmits_on_fresh_pool(self, make_game):
+        # Fresh workers rebuild the game's tables from its spec, so a crash
+        # mid-run costs a rebuild, never a different answer.
+        game = make_game()
         serial = self._serial(game)
         plan = FaultPlan(
             rules=(FaultRule(site="parallel.task", kind="crash", keys=[(0, 0)]),)
@@ -899,14 +846,12 @@ class TestShardedSearchFaults:
         with active_faults(plan):
             assert self._sharded(game) == serial
         assert last_run_stats()["pool_restarts"] >= 1
-        assert active_export_names() == []
-        assert _devshm_strays() == []
 
     def test_profile_crash_exhausts_restarts_then_serial_fallback(self):
         # Every fresh worker re-arms the plan with zero hits, so the crash at
         # Gray rank 10 re-fires on every pool generation; after the restart
         # budget the parent runs the lost shards in-process, where
-        # where="worker" crash rules are inert — identical summary, no leak.
+        # where="worker" crash rules are inert — identical summary.
         game = self._game()
         serial = self._serial(game)
         plan = FaultPlan(
@@ -918,5 +863,3 @@ class TestShardedSearchFaults:
         stats = last_run_stats()
         assert stats["pool_restarts"] >= 1
         assert stats["serial_fallback_cells"] >= 1
-        assert active_export_names() == []
-        assert _devshm_strays() == []

@@ -369,7 +369,7 @@ def test_sharded_search_bit_identical_to_serial():
     ) == exhaustive_equilibrium_search(game, stop_at_first=False, engine=False)
 
 
-def test_sharded_search_general_game_adopts_exported_tables():
+def test_sharded_search_general_game_rebuilds_tables():
     game = random_weighted_game(3, n=5)
     serial = exhaustive_equilibrium_search(
         game, stop_at_first=False, checkpoint_every=64
