@@ -41,13 +41,16 @@ matter) and *repairs* the row in place with the dynamic-SSSP kernels
 :func:`repro.graphs.int_kernels.repair_dijkstra_csr` — bounded
 re-relaxation of only the region the arc changes can reach, seeded from the
 region's intact in-boundary (the engine maintains the reverse adjacency for
-this).  Hop rows repair in exact int space before rescaling, so repaired
-rows are **bit-identical** to recomputation.  Only environment rows (and,
-on uniform games, the hop rows they were scaled from) are cached and
-repaired; rows derived from them while scoring (through rows,
-penalty-substituted slices, batched combination cost vectors) belong to the
-:class:`~repro.engine.cost_engine.StrategyScorer` that built them and die
-with it.  When repair would not pay — more pending net
+this).  The engine caches exactly one row per ``(u, a)``, in the game's
+exact domain: on uniform-length games the BFS hop row (``UNREACHED`` = -1;
+int16 arrays on numpy up to n = 32767, int64 above, int lists on the list
+kernels), on weighted games the float distance row.  A hop row repairs in
+exact int space, and a float is made from it only where a cost is read
+(``float(h) * unit``, one helper, ``CostEngine._distances``), so repaired
+rows are **bit-identical** to recomputation.  Rows derived while scoring
+(through rows, penalty-substituted slices, batched combination cost
+vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
+that built them and die with it.  When repair would not pay — more pending net
 movers than ``_repair_edit_limit`` (the affected region would approach the
 whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny
 games where a fresh BFS is cheaper — the engine falls back to
@@ -88,9 +91,8 @@ and ``CostEngine._fill`` stores, charges and counts the rows of every cache
 fill — single-row misses, per-node prefetch and giant plan chunks alike.
 ``timings["traversal_seconds"]`` is accumulated there, so it covers every
 traversal, single rows and self-verify recomputes included.  The numpy
-backend stores cached rows as float64/int64 arrays (the python backend
-keeps lists), but derived results — through rows, costs, regrets — stay
-plain Python floats, so every scorer fast path, cache contract, and result
+backend stores cached rows as arrays (the python backend keeps lists), but
+derived results — through rows, costs, regrets — stay plain Python floats, so every scorer fast path, cache contract, and result
 type above the kernels is shared;
 ``tests/test_backend_parity.py`` pins kernel-level and end-to-end parity
 and the ``report-bfs`` / ``report-dijkstra`` scenarios of
@@ -117,17 +119,18 @@ the per-node path and to the dict reference, pinned by
 
 **The memory-budget contract** (new in PR 6, replacing the PR 5 row-count
 cap).  ``CostEngine(game, memory_budget_bytes=...)`` bounds the byte
-footprint of the row caches (environment rows and the hop rows kept for
-repair; scorer-local derived rows are never charged), defaulting to
+footprint of the cached rows (one per ``(u, a)``: ``2 n`` bytes for a
+uniform game's int16 hop row, ``8 n`` for a list row or a float row;
+scorer-local derived rows are never charged), defaulting to
 :func:`~repro.engine.cost_engine.default_memory_budget` — 16 MiB floored,
 256 MiB capped.  A
 :class:`~repro.engine.row_store.ChunkLedger` accounts bytes per node and
 groups the nodes filled by one giant traversal into one LRU *chunk* (rows
 from one sweep are views into one allocation, so only dropping the whole
 group actually releases memory).  Eviction is node-granular within the
-evicted chunk — a node's environment rows and their hop rows leave
-together, so the repair contract above always finds both halves of a row —
-and never silent: ``stats["rows_evicted"]`` /
+evicted chunk — a node's rows share one version stamp and leave together,
+so the repair contract above always repairs a node's whole set — and never
+silent: ``stats["rows_evicted"]`` /
 ``stats["chunks_evicted"]`` count it, ``stats["evicted_recomputes"]`` counts
 rows that re-entered by recomputation, and :meth:`CostEngine.cache_bytes` /
 :meth:`CostEngine.snapshot_stats` expose the live footprint.  An evicted row

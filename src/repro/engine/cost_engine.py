@@ -71,6 +71,8 @@ else:  # pragma: no cover - exercised on the minimal CI leg
     _npk = None
 
 Node = Hashable
+#: One cached row: BFS hop counts on uniform games, float distances on
+#: weighted ones (a list, or a numpy array on the numpy backend).
 Row = List[float]
 
 #: How many single-node sync steps the engine remembers for lazy row repair.
@@ -95,13 +97,15 @@ NUMPY_BACKEND_MIN_N_UNIFORM = 256
 DEFAULT_BUDGET_FLOOR_BYTES = 16 * 2**20
 DEFAULT_BUDGET_CAP_BYTES = 256 * 2**20
 
-#: Target size of one giant-batch chunk: big enough to amortise the numpy
-#: per-round dispatch across dozens of nodes' rows, small enough that a
-#: chunk (and the traversal's transient frontier state) stays cache- and
-#: budget-friendly.  Chunks are additionally capped at a quarter of the
-#: engine's byte budget so the in-flight chunk can never crowd out the rest
-#: of the cache.
-GIANT_CHUNK_TARGET_BYTES = 64 * 2**20
+#: Target cached bytes of one giant-batch chunk: big enough to amortise the
+#: numpy per-round dispatch across dozens of nodes' rows, small enough that
+#: a chunk (and the traversal's transient frontier state, several times the
+#: output's bytes) stays cache- and budget-friendly.  Measured on the
+#: uniform n=4096 six-candidate report (2-CPU x86 box), 2048-row chunks of
+#: int16 hop rows ran the report in 6.2-7.4 s, 8192-row chunks in 7.7-8.4 s.
+#: Chunks are additionally capped at a quarter of the engine's byte budget
+#: so the in-flight chunk can never crowd out the rest of the cache.
+GIANT_CHUNK_TARGET_BYTES = 16 * 2**20
 
 #: A report plan larger than this many masked rows (an unrestricted report
 #: at n ≈ 1500+ wants all n·(n-1) of them) is not planned at all — the
@@ -200,9 +204,10 @@ class CostEngine:
     default) picks numpy when it is importable and the game is at or above
     the size crossover (:data:`NUMPY_BACKEND_MIN_N`, or
     :data:`NUMPY_BACKEND_MIN_N_UNIFORM` for uniform-length games).  On the
-    numpy backend cached rows are float64/int64 arrays instead of lists;
-    every cost, regret, and trace stays bit-identical across backends, and
-    results keep plain Python float types.
+    numpy backend cached rows are arrays instead of lists (on uniform games
+    int16/int64 hop rows, see :meth:`env_row`); every cost, regret, and
+    trace stays bit-identical across backends, and results keep plain
+    Python float types.
 
     ``memory_budget_bytes`` bounds the total bytes of cached rows
     (:func:`default_memory_budget` when ``None``); crossing it evicts whole
@@ -286,19 +291,24 @@ class CostEngine:
         # version -> (mover, mover's arcs *before* that step), for lazy
         # repair of rows that are several single-node steps behind.
         self._edits: Dict[int, Tuple[int, frozenset]] = {}
-        # masked node u -> (version, {first hop a -> distance row})
+        # masked node u -> (version, {first hop a -> environment row}).  One
+        # row per (u, a), in the game's exact domain: on uniform games the
+        # BFS hop row (UNREACHED = -1), which repair patches in exact int
+        # space and _distances scales to floats only where a cost is read;
+        # on weighted games the float distance row.
         self._env_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
-        # masked node u -> (version, {first hop a -> raw BFS hop row}); kept
-        # for uniform games only, because hop repair must happen in exact int
-        # space before rescaling to floats.  Every env row of a uniform game
-        # has its hop row here at the same version: they are filled, stamped,
-        # repaired and dropped together.
-        self._hop_cache: Dict[int, Tuple[int, Dict[int, List[int]]]] = {}
-        # Byte budget for cached rows (environment rows plus the hop rows
-        # kept for repair): a full equilibrium check wants all rows live
-        # (total reuse), but at large n that is O(n^2) bytes per dozen nodes,
-        # so every cached row is charged to the chunk ledger and whole
-        # least-recently-used chunks are evicted once the budget is crossed.
+        # The float unit every hop count is scaled by (None: weighted game),
+        # and the bytes one cached row costs, which sizes batched traversals.
+        uniform = self.indexed.uniform_lengths
+        self._unit = self.indexed.unit_length if uniform else None
+        self._row_bytes = (
+            _npk.hop_dtype(n).itemsize * n if uniform and self._np_traversal else 8 * n
+        )
+        # Byte budget for cached rows: a full equilibrium check wants all
+        # rows live (total reuse), but at large n that is O(n^2) bytes per
+        # dozen nodes, so every cached row is charged to the chunk ledger and
+        # whole least-recently-used chunks are evicted once the budget is
+        # crossed.
         # Nodes filled together by one giant-batch traversal share a chunk
         # and are evicted together (their rows are views into one backing
         # matrix, so only a full-chunk drop actually releases memory).
@@ -487,20 +497,18 @@ class CostEngine:
             # probes of the mover stay entirely free.  Rows further behind
             # are left stale for lazy repair (the edit log replay skips the
             # mover's own steps anyway).
-            for cache in self._row_caches():
-                entry = cache.get(changed_node)
-                if entry is not None and entry[0] == self.version - 1:
-                    cache[changed_node] = (self.version, entry[1])
+            entry = self._env_cache.get(changed_node)
+            if entry is not None and entry[0] == self.version - 1:
+                self._env_cache[changed_node] = (self.version, entry[1])
         else:
             self.stats["full_syncs"] += 1
-            self._clear_row_caches()
+            self._clear_cached_rows()
             self._edits.clear()
         self._synced_profile = profile
         return tuple(changed) if changed is not None else None
 
-    def _clear_row_caches(self) -> None:
+    def _clear_cached_rows(self) -> None:
         self._env_cache.clear()
-        self._hop_cache.clear()
         self._ledger.clear()
         self._evicted_nodes.clear()
 
@@ -590,24 +598,15 @@ class CostEngine:
     # ------------------------------------------------------------------ #
     # Lazy repair
     # ------------------------------------------------------------------ #
-    def _row_caches(self) -> Tuple[Dict[int, Tuple[int, dict]], ...]:
-        return (self._env_cache, self._hop_cache)
-
     def _drop_node(self, u: int) -> int:
         """Remove every cached row of masked node ``u``; returns rows dropped.
 
-        Eviction is always node-granular: a node loses its environment rows
-        and their hop rows in one stroke, so the engine never holds a hop row
-        whose environment row is gone (or the other way round) and
-        :meth:`_repair_node` always finds both halves at the same version.
+        Eviction is always node-granular: a node's rows share one version
+        stamp, so :meth:`_repair_node` always repairs a node's whole set.
         """
-        dropped = 0
-        for cache in self._row_caches():
-            entry = cache.pop(u, None)
-            if entry is not None:
-                dropped += len(entry[1])
+        entry = self._env_cache.pop(u, None)
         self._ledger.remove(u)
-        return dropped
+        return len(entry[1]) if entry is not None else 0
 
     def _evict_over_budget(self, keep: Optional[Set[int]] = None) -> None:
         """Evict whole least-recently-used chunks until back under budget.
@@ -701,39 +700,29 @@ class CostEngine:
     ) -> None:
         """Repair ``u``'s cached rows in place across ``edits``, then re-stamp.
 
-        Uniform games repair the exact hop row and rescale the touched
-        entries into the env row; weighted games repair the env row itself.
+        Uniform games repair the exact hop row, weighted games the float
+        distance row; either way the cached row object itself is patched.
         """
-        env_rows = entry[1]
+        rows = entry[1]
         if edits:
             indexed = self.indexed
             snap = self._snapshot
             indptr, indices, edge_lengths = csr_of(snap)
             rev = self._rev_rows
-            uniform = indexed.uniform_lengths
-            unit = indexed.unit_length
-            inf = math.inf
+            uniform = self._unit is not None
             use_np = self._np_traversal
             if use_np:
                 indptr_np, indices_np, edge_lengths_np, _ = csr_arrays_of(snap)
                 rev_indptr, rev_tails = self._rev_csr()
                 length_matrix = None if uniform else indexed.length_matrix()
-            hop_rows = self._hop_cache[u][1] if uniform and env_rows else None
-            for first_hop, row in env_rows.items():
-                if uniform:
-                    hop_row = hop_rows[first_hop]
-                    if use_np:
-                        touched = _npk.repair_hops_csr_np(
-                            indptr_np, indices_np, hop_row,
-                            first_hop, edits, rev_indptr, rev_tails, u,
-                        )
-                    else:
-                        touched = repair_hops_csr(
-                            indptr, indices, hop_row, first_hop, edits, rev, u
-                        )
-                    for t in touched:
-                        h = hop_row[t]
-                        row[t] = float(h) * unit if h >= 0 else inf
+            for first_hop, row in rows.items():
+                if uniform and use_np:
+                    _npk.repair_hops_csr_np(
+                        indptr_np, indices_np, row,
+                        first_hop, edits, rev_indptr, rev_tails, u,
+                    )
+                elif uniform:
+                    repair_hops_csr(indptr, indices, row, first_hop, edits, rev, u)
                 elif use_np:
                     _npk.repair_dijkstra_csr_np(
                         indptr_np, indices_np, edge_lengths_np,
@@ -753,11 +742,7 @@ class CostEngine:
                         u,
                     )
                 self.stats["rows_repaired"] += 1
-
-        for cache in self._row_caches():
-            stale = cache.get(u)
-            if stale is not None:
-                cache[u] = (self.version, stale[1])
+        self._env_cache[u] = (self.version, rows)
 
     # ------------------------------------------------------------------ #
     # Giant-batch report plan
@@ -828,22 +813,12 @@ class CostEngine:
         rows never split across chunks, so one oversized node simply gets a
         chunk to itself.
         """
-        indexed = self.indexed
-        n = indexed.n
-        uniform = indexed.uniform_lengths
-        # Stored bytes per row: env float row, plus the hop row kept for
-        # repair on uniform games (int16 from the fused numpy kernel, list
-        # ints on the python fallback — the estimate only shapes chunks; the
-        # ledger charges actual payload bytes).
-        if uniform:
-            per_row = 10 * n if self._np_traversal else 16 * n
-        else:
-            per_row = 8 * n
+        per_row = self._row_bytes
         limit = max(
             per_row, min(GIANT_CHUNK_TARGET_BYTES, self.memory_budget_bytes // 4)
         )
         row_cap = None
-        if not uniform:
+        if self._unit is None:
             # The Dijkstra kernel's per-round cost is dominated by the
             # (rows, frontier edges) candidate matrix, and converged rows
             # keep paying it until the whole chunk settles — so unlike BFS
@@ -929,37 +904,31 @@ class CostEngine:
     # ------------------------------------------------------------------ #
     # Distance rows: one kernel dispatch, one fill path
     # ------------------------------------------------------------------ #
-    def _traverse(self, sources: List[int], masks):
-        """Run one traversal: ``(hop rows or None, rows)``, aligned with ``sources``.
+    def _traverse(self, sources: List[int], masks) -> list:
+        """Run one traversal: the rows of ``sources``, aligned with them.
 
         The engine's only call into a traversal kernel.  ``masks`` is the
         node every row avoids (``-1``: none) or, for a batch, a list aligned
         with ``sources``.  One source runs the backend's single-source
-        kernel, more run its multi-source kernel.  Uniform games also return
-        the exact hop rows the distance rows were scaled from (the rows
-        repair starts from); weighted games return ``None`` there, and
-        integer lengths traverse in exact int64 before one conversion
-        (``float(int)`` is exact under :attr:`IndexedGame.integral_lengths`).
-        Every call is charged to ``timings["traversal_seconds"]``.
+        kernel, more run its multi-source kernel.  Uniform games get exact
+        BFS hop rows (``UNREACHED`` = -1; :func:`~repro.graphs.int_kernels_np
+        .hop_dtype` arrays on numpy, int lists on the list kernels), which is
+        what the cache stores and repairs.  Weighted games get float
+        distance rows; integer lengths traverse in exact int64 before one
+        conversion (``float(int)`` is exact under
+        :attr:`IndexedGame.integral_lengths`).  Every call is charged to
+        ``timings["traversal_seconds"]``.
         """
-        indexed = self.indexed
-        n = indexed.n
-        unit = indexed.unit_length if indexed.uniform_lengths else None
+        n = self.indexed.n
+        uniform = self._unit is not None
         single = len(sources) == 1
-        hops = None
         start = time.perf_counter()
         if self._np_traversal:
             indptr, indices, lengths, exact = csr_arrays_of(self._snapshot)
-            if unit is not None and single:
-                hops = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks)[None]
-                rows = _npk.scaled_float_rows(hops, unit)
-            elif unit is not None:
-                # Fused form: the kernel assembles the scaled float rows from
-                # its narrow internal counter, saving a full pass over the
-                # hop matrix.
-                hops, rows = _npk.bfs_hops_csr_multi(
-                    indptr, indices, n, sources, masks, scale_unit=unit
-                )
+            if uniform and single:
+                rows = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks)[None]
+            elif uniform:
+                rows = _npk.bfs_hops_csr_multi(indptr, indices, n, sources, masks)
             else:
                 if exact is not None:
                     lengths = exact
@@ -975,62 +944,59 @@ class CostEngine:
                     rows = _npk.int_to_float_rows(rows)
         else:
             indptr, indices, lengths = csr_of(self._snapshot)
-            if unit is not None:
-                if single:
-                    hops = [bfs_hops_csr(indptr, indices, n, sources[0], masks)]
-                else:
-                    hops = bfs_hops_csr_multi(indptr, indices, n, sources, masks)
-                rows = [scaled_float_row(hop_row, unit) for hop_row in hops]
+            if uniform and single:
+                rows = [bfs_hops_csr(indptr, indices, n, sources[0], masks)]
+            elif uniform:
+                rows = bfs_hops_csr_multi(indptr, indices, n, sources, masks)
             elif single:
                 rows = [dijkstra_csr(indptr, indices, lengths, n, sources[0], masks)]
             else:
                 rows = dijkstra_csr_multi(indptr, indices, lengths, n, sources, masks)
         self.timings["traversal_seconds"] += time.perf_counter() - start
-        return hops, rows
+        return rows
 
-    def _rows_of(self, u: int) -> Tuple[Dict[int, Row], Optional[Dict[int, List[int]]]]:
-        """``u``'s current-version env and hop row dicts, created when absent.
+    def _distances(self, rows):
+        """Float distances (``inf`` = unreachable) of cached rows.
 
-        The hop dict is ``None`` on weighted games.  Callers bring ``u``
-        current with :meth:`_ensure_current` first, so an existing entry
-        already carries this version.
+        The engine's one conversion out of its row domain, applied only
+        where a cost is read.  A uniform game's hop row (a list, or an array
+        row or matrix) becomes ``float(h) * unit`` per entry, the same single
+        IEEE product the reference path computes; weighted rows already are
+        float distances and pass through unchanged.
         """
-        rows = self._env_cache.setdefault(u, (self.version, {}))[1]
-        if not self.indexed.uniform_lengths:
-            return rows, None
-        return rows, self._hop_cache.setdefault(u, (self.version, {}))[1]
+        unit = self._unit
+        if unit is None:
+            return rows
+        if isinstance(rows, list):
+            return scaled_float_row(rows, unit)
+        return _npk.scaled_float_rows(rows, unit)
 
     def _fill(self, work: List[Tuple[int, int]]) -> list:
         """Compute and cache every ``(u, first_hop)`` row of ``work`` in one traversal.
 
-        Stores each env row (and, on uniform games, its hop row), charges
-        each node's bytes to the ledger, and counts ``rows_computed`` plus
-        the ``evicted_recomputes`` of nodes budget eviction had emptied.
-        Returns the env rows in ``work`` order.  Eviction, and the ``keep``
-        set it spares, stays with the caller.
+        Stores one row per entry, charges each node's bytes to the ledger,
+        and counts ``rows_computed`` plus the ``evicted_recomputes`` of
+        nodes budget eviction had emptied.  Returns the rows in ``work``
+        order.  Eviction, and the ``keep`` set it spares, stays with the
+        caller.
         """
         if len(work) == 1:
             u, a = work[0]
-            hops, rows = self._traverse([a], u)
+            rows = self._traverse([a], u)
         else:
-            hops, rows = self._traverse(
-                [a for _, a in work], [u for u, _ in work]
-            )
+            rows = self._traverse([a for _, a in work], [u for u, _ in work])
         # Every row of one traversal has length n, so the per-row byte cost
         # is one computation, not one per row.
         nbytes = _payload_nbytes(rows[0])
-        if hops is not None:
-            nbytes += _payload_nbytes(hops[0])
         positions: Dict[int, List[int]] = {}
         for i, (u, _) in enumerate(work):
             positions.setdefault(u, []).append(i)
         for u, filled in positions.items():
-            env_rows, hop_rows = self._rows_of(u)
+            # Callers bring u current with _ensure_current first, so an
+            # existing entry already carries this version.
+            cached = self._env_cache.setdefault(u, (self.version, {}))[1]
             for i in filled:
-                a = work[i][1]
-                env_rows[a] = rows[i]
-                if hop_rows is not None:
-                    hop_rows[a] = hops[i]
+                cached[work[i][1]] = rows[i]
             self._ledger.add(u, nbytes * len(filled))
             if u in self._evicted_nodes:
                 self._evicted_nodes.discard(u)
@@ -1039,8 +1005,12 @@ class CostEngine:
         return rows
 
     def env_row(self, u: int, first_hop: int) -> Row:
-        """Return ``d_{G-u}(first_hop, ·)`` as a dense float row (``inf`` = unreachable).
+        """Return the cached row of ``d_{G-u}(first_hop, ·)``, dense over all nodes.
 
+        The row is in the game's exact domain: on uniform games the BFS hop
+        counts (``UNREACHED`` = -1; each distance is ``unit`` times its
+        count), on weighted games the float distances (``inf`` =
+        unreachable).
         Rows are cached per ``(version, u)``; within one version each first
         hop costs at most one SSSP no matter how many strategies probe it,
         and rows stranded at an older version by single-node syncs are
@@ -1083,12 +1053,15 @@ class CostEngine:
         return row  # repro: readonly — the cached row itself, never mutated by callers
 
     def _poisoned_copy(self, row: Row) -> Row:
-        """A copy of ``row`` with its first finite entry nudged by ``+1.0``."""
-        poisoned = row.copy() if hasattr(row, "copy") else list(row)
+        """A copy of ``row`` with its first reachable entry nudged up by one.
+
+        Reachable means ``0 <= v < inf``, which covers hop rows (unreached
+        ``-1``) and float distance rows (unreached ``inf``) alike.
+        """
+        poisoned = row.copy()
         for i in range(len(poisoned)):
-            value = float(poisoned[i])
-            if value != math.inf:
-                poisoned[i] = value + 1.0
+            if 0 <= poisoned[i] < math.inf:
+                poisoned[i] += 1
                 break
         return poisoned
 
@@ -1110,11 +1083,11 @@ class CostEngine:
         failure in ``stats["row_verify_failures"]``, drops every cached row
         of ``u`` (plus the whole-profile cost cache, which may have been
         built from the bad row), and returns the fresh row.  The fresh row is
-        not cached: on a uniform game a cached env row needs its hop row for
-        later repair, so the node's next probe refills both the normal way.
+        not cached: the node's next probe refills through :meth:`_fill`,
+        which charges the ledger and counts the recompute like any fill.
         """
         self.stats["rows_verified"] += 1
-        fresh = self._traverse([first_hop], u)[1][0]
+        fresh = self._traverse([first_hop], u)[0]
         n = len(row)
         clean = n == len(fresh) and all(
             float(row[i]) == float(fresh[i]) for i in range(n)
@@ -1194,13 +1167,12 @@ class CostEngine:
             # Batched traversals for all n unmasked rows, sliced so one
             # slice's row matrix stays around GIANT_CHUNK_TARGET_BYTES (a
             # single n-source batch at n = 16384 would be a 2 GiB matrix);
-            # each row is converted back to the list form _aggregate_row
-            # expects, so the costs (and their plain-float types) match the
-            # per-row path — multi-kernel rows do not depend on how the
-            # sources are batched.
-            per_row = 16 * n if indexed.uniform_lengths else 8 * n
-            chunk_rows = max(1, min(n, GIANT_CHUNK_TARGET_BYTES // per_row))
-            if not indexed.uniform_lengths:
+            # each row is converted to the float list form _aggregate_row
+            # expects one at a time, so the costs (and their plain-float
+            # types) match the per-row path — multi-kernel rows do not
+            # depend on how the sources are batched.
+            chunk_rows = max(1, min(n, GIANT_CHUNK_TARGET_BYTES // self._row_bytes))
+            if self._unit is None:
                 edges = max(1, len(self._snapshot.indices))
                 chunk_rows = min(
                     chunk_rows, max(16, GIANT_CHUNK_TARGET_BYTES // (8 * edges))
@@ -1209,8 +1181,8 @@ class CostEngine:
         costs = {}
         for lo in range(0, n, chunk_rows):
             sources = list(range(lo, min(n, lo + chunk_rows)))
-            _, rows = self._traverse(sources, -1)
-            for u, row in zip(sources, rows):
+            for u, row in zip(sources, self._traverse(sources, -1)):
+                row = self._distances(row)
                 costs[labels[u]] = self._aggregate_row(
                     u, row.tolist() if use_np else row
                 )
@@ -1306,7 +1278,7 @@ class StrategyScorer:
         self.identity_labels = indexed.identity_labels
         self._length_row = indexed.length_rows[u]
         # Derived rows live with the scorer (one probe), not the engine: they
-        # are O(n) rebuilds from the cached env rows, which is all a later
+        # are O(n) rebuilds from the cached rows, which is all a later
         # probe of the same node needs.
         self._through: Dict[int, Row] = {}
         self._sub: Optional[Dict[int, Row]] = {} if self.fast_sum else None
@@ -1317,12 +1289,13 @@ class StrategyScorer:
         row = self._through.get(first_hop)
         if row is None:
             hop_length = self._length_row[first_hop]
-            env = self.engine.env_row(self.u, first_hop)
-            if self.engine._np_traversal:
-                # Numpy-backend env rows are float64 arrays; the vectorised
-                # sum is the same one IEEE addition per entry, and tolist()
-                # keeps through rows (and everything scored off them) plain
-                # Python floats on every backend.
+            engine = self.engine
+            env = engine._distances(engine.env_row(self.u, first_hop))
+            if engine._np_traversal:
+                # Numpy-backend rows are float64 arrays; the vectorised sum
+                # is the same one IEEE addition per entry, and tolist() keeps
+                # through rows (and everything scored off them) plain Python
+                # floats on every backend.
                 row = (hop_length + env).tolist()
             else:
                 row = [hop_length + d for d in env]
@@ -1348,11 +1321,13 @@ class StrategyScorer:
     def _build_sub_rows(self, missing: List[int]):
         """Build every ``missing`` sub row in one broadcast.
 
-        Numpy fast-batch path only (returns ``None`` otherwise): each entry
-        is the same single IEEE sum and the same penalty test as
-        :meth:`_sub_row`'s, so the rows (stored as views of the returned
-        ``(len(missing), targets)`` batch) are bit-identical — only the
-        numpy dispatch count changes.
+        Numpy fast-batch path only (returns ``None`` otherwise): the target
+        columns are gathered from the stacked cached rows first (int16 hop
+        rows on uniform games, a quarter of the float bytes), then scaled
+        and summed; each entry is the same ``l(u, a) + float(h) * unit``
+        and the same penalty test as :meth:`_sub_row`'s, so the rows
+        (stored as views of the returned ``(len(missing), targets)`` batch)
+        are bit-identical — only the numpy dispatch count changes.
         """
         engine = self.engine
         if not missing or not self.fast_batch or not engine._np_traversal:
@@ -1384,9 +1359,10 @@ class StrategyScorer:
             # Complete target set: dropping column u is two contiguous
             # block copies, far cheaper than a fancy-index gather of
             # 99.9% of the matrix.
-            batch = _np.concatenate((envs[:, :u], envs[:, u + 1:]), axis=1)
+            gathered = _np.concatenate((envs[:, :u], envs[:, u + 1:]), axis=1)
         else:
-            batch = envs[:, self._target_index()]
+            gathered = envs[:, self._target_index()]
+        batch = engine._distances(gathered)
         engine.stats["rows_reused"] += hits
         hop_lengths = _np.array(
             [self._length_row[a] for a in missing], dtype=_np.float64
@@ -1401,13 +1377,17 @@ class StrategyScorer:
     def _sub_row(self, first_hop: int) -> Row:
         if self.fast_batch:
             # Build the penalty-substituted target slice straight from the
-            # env row (a list on the python backend, an array on numpy),
-            # skipping the O(n) through-row list entirely: the through value
-            # of each target is the same single IEEE sum (`l(u, a) + d`), and
+            # cached row (a list on the python backend, an array on numpy),
+            # skipping the O(n) through-row list entirely: the targets are
+            # gathered first and only they are scaled, the through value of
+            # each target is the same single IEEE sum (`l(u, a) + d`), and
             # the penalty substitution the same elementwise test, so the
             # slice is bit-identical to the list path below.
-            env = _np.asarray(self.engine.env_row(self.u, first_hop))
-            row = self._length_row[first_hop] + env[self._target_index()]
+            engine = self.engine
+            env = _np.asarray(engine.env_row(self.u, first_hop))
+            row = self._length_row[first_hop] + engine._distances(
+                env[self._target_index()]
+            )
             row[_np.isinf(row)] = self.penalty
         else:
             through = self._through_row(first_hop)

@@ -1,10 +1,11 @@
-"""Chunk-granular, byte-accounted LRU ledger for the engine's row caches.
+"""Chunk-granular, byte-accounted LRU ledger for the engine's row cache.
 
-The :class:`~repro.engine.cost_engine.CostEngine` keeps every cached
-``d_{G-u}`` row (and, on uniform games, the exact hop row it was scaled
-from) keyed by the masked node ``u``.  PR 5 bounded that cache by *row count*,
-which at n = 16k is the wrong unit: one env row is ``8 * n`` bytes, so the
-same cap that is generous at n = 256 silently admits gigabytes at n = 16384.
+The :class:`~repro.engine.cost_engine.CostEngine` caches one ``d_{G-u}(a,
+·)`` row per ``(u, a)``, keyed by the masked node ``u``: the exact BFS hop
+row on uniform games (``2 n`` bytes as an int16 array, ``8 n`` as a list),
+the float distance row on weighted games (``8 n`` bytes).  PR 5 bounded
+that cache by *row count*, which at n = 16k is the wrong unit: the same cap
+that is generous at n = 256 silently admits gigabytes at n = 16384.
 
 ``ChunkLedger`` replaces the count with bytes and groups nodes into
 *chunks* — the unit of both giant-batch computation and LRU eviction,
@@ -16,14 +17,14 @@ backing allocation, whereas evicting a single member row would keep the
 full matrix alive through the surviving views.
 
 The ledger tracks *accounting* only (which node sits in which chunk and
-how many payload bytes it owns); the engine keeps the rows themselves in
-its env and hop dict caches.  Eviction is node-granular from the engine's
-point of view — a victim node loses its env rows and their hop rows at
-once — which is what keeps eviction repair-compatible: the engine never
-holds a hop row whose env row is gone, so the PR 4 repair path always finds
-both halves of a row at the same version.  Rows derived from an env row
-while scoring (through rows, penalty-substituted slices, combination cost
-vectors) belong to the scorer that built them and are never charged here.
+how many payload bytes it owns); the engine keeps the rows themselves.
+Eviction is node-granular from the engine's point of view — a victim node
+loses all its rows at once, and they share one version stamp — which is
+what keeps eviction repair-compatible: an evicted node re-enters only by
+recomputation, never by patching a partial set.  Rows derived from a cached
+row while scoring (through rows, penalty-substituted slices, combination
+cost vectors) belong to the scorer that built them and are never charged
+here.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ per-edge work happens inside numpy's C loops:
   (old distances that lost support) is marked by frontier sweeps over tight
   edges, and the continuation is the same frontier relaxation seeded from
   the region's intact in-boundary (one reverse-CSR gather) plus the added
-  arcs.  They repair a cached row in place — a plain list (the python
-  backend's representation) or an int64/float64 array (the numpy
-  backend's) — writing only the touched entries.
+  arcs.  They repair the engine's cached array row in place (a
+  :func:`hop_dtype` hop row, or a float64 distance row), writing only the
+  touched entries.
 
 **Bit-identity.**  Hop counts and integer lengths are computed in exact
 ``int64`` space, so equality with the list kernels is literal, and the
@@ -117,6 +117,16 @@ def _gather_edges(
     return positions, np.repeat(frontier, counts)
 
 
+def hop_dtype(n: int) -> np.dtype:
+    """The dtype of an ``n``-node BFS hop row: int16 when ``n`` fits, else int64.
+
+    The test is on ``n``, not on one traversal's depth: a hop label never
+    exceeds ``n - 1``, so the dtype holds every label a row can ever take,
+    including those a later :func:`repair_hops_csr_np` writes.
+    """
+    return np.dtype(np.int16 if n <= np.iinfo(np.int16).max else np.int64)
+
+
 def bfs_hops_csr_np(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -126,16 +136,16 @@ def bfs_hops_csr_np(
 ) -> np.ndarray:
     """Level-synchronous BFS: the numpy counterpart of ``bfs_hops_csr``.
 
-    Returns an int64 array of hop counts with :data:`~repro.graphs
-    .int_kernels.UNREACHED` for unreachable nodes; semantics (including the
-    ``forbidden`` mask and the rejected ``forbidden == source`` case) match
-    the list kernel exactly.
+    Returns a :func:`hop_dtype` array of hop counts with :data:`~repro
+    .graphs.int_kernels.UNREACHED` for unreachable nodes; semantics
+    (including the ``forbidden`` mask and the rejected ``forbidden ==
+    source`` case) match the list kernel exactly.
     """
     if forbidden == source:
         raise ValueError("the BFS source cannot be the forbidden node")
-    hops = np.full(n, UNREACHED, dtype=np.int64)
+    hops = np.full(n, UNREACHED, dtype=hop_dtype(n))
     if 0 <= forbidden < n:
-        hops[forbidden] = n + 1  # non-negative: blocks the visit test below
+        hops[forbidden] = 0  # non-negative: blocks the visit test below
     hops[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
@@ -234,22 +244,12 @@ def bfs_hops_csr_multi(
     n: int,
     sources: Sequence[int],
     forbidden=-1,
-    scale_unit=None,
-):
+) -> np.ndarray:
     """Batched BFS: hop rows for every source at once, as an ``(S, n)`` matrix.
 
-    With ``scale_unit`` set, returns ``(hops, scaled)`` where ``scaled`` is
-    bit-identical to ``scaled_float_rows(hops, scale_unit)`` but assembled
-    straight from the kernel's internal visit counter — one fewer full pass
-    over the hop matrix, which matters for giant report-prefetch chunks.
-    In this form ``hops`` is int16 whenever ``n`` fits in it (int64
-    otherwise): every entry is the same exact integer the plain form
-    returns, at a quarter of the matrix and cache bytes.  The test is on
-    ``n``, not on this traversal's depth, because a later
-    :func:`repair_hops_csr_np` may raise any label to ``n - 2``.
-
-    Row ``i`` is exactly ``bfs_hops_csr(..., sources[i], forbidden)``.  All
-    sources advance level-synchronously over **bitset frontiers**: each node
+    The matrix has the :func:`hop_dtype` of ``n``, and row ``i`` is exactly
+    ``bfs_hops_csr(..., sources[i], forbidden)``.  All sources advance
+    level-synchronously over **bitset frontiers**: each node
     carries one bit per source packed into ``ceil(S / 64)`` uint64 words, a
     round ORs the frontier words of every union-frontier tail into its heads
     (one ``np.bitwise_or.at``) and ticks a bit-sliced visit counter from
@@ -362,18 +362,9 @@ def bfs_hops_csr_multi(
             carry = carried
         if carry.any():
             planes.append(carry)
-    scaled = None
-    # Labels never exceed n, so int16 is exact for every label this row can
-    # ever hold, repairs included.
-    out_dtype = (
-        np.int16
-        if scale_unit is not None and n <= np.iinfo(np.int16).max
-        else np.int64
-    )
+    out_dtype = hop_dtype(n)
     if not planes:
         hops = np.full((num, n), UNREACHED, dtype=out_dtype)
-        if scale_unit is not None:
-            scaled = np.full((num, n), np.inf)
     else:
         # Assemble levels from the plane counters: unpack each plane's words
         # once to (n, S) bits.  bitorder='little' matches the shift direction
@@ -382,7 +373,7 @@ def bfs_hops_csr_multi(
         # narrowest exact dtype (counts <= rounds, bounded by 2**planes - 1)
         # so the accumulation and the transpose touch as little memory as
         # possible; counts are exact small integers either way, so the final
-        # int64 subtraction is bit-identical.
+        # subtraction is bit-identical.
         if len(planes) <= 8:
             acc_dtype = np.uint8
         elif len(planes) <= 15:
@@ -411,21 +402,12 @@ def bfs_hops_csr_multi(
                 count += bits << np.uint8(k)  # still uint8: k <= 7, bit <= 128
             else:
                 count += bits.astype(acc_dtype) << k
-        # Widen once, subtract in place, then fill the (typically few)
-        # never-visited entries.  The fused form's int16 hops (rounds + 1
-        # <= n fits) are a quarter of the write traffic here and of the
-        # hop-row cache bytes downstream.
+        # Convert once, subtract in place, then fill the (typically few)
+        # never-visited entries (rounds + 1 <= n fits the hop dtype).
         never = count == 0
         hops = count.astype(out_dtype)
         np.subtract(rounds + 1, hops, out=hops)
         hops[never] = UNREACHED
-        if scale_unit is not None:
-            # One multiply off the still-cache-hot hop matrix; ``never`` is
-            # exactly the ``hops < 0`` set ``scaled_float_rows`` masks, so
-            # this is the same IEEE product and fill, one full pass over the
-            # cold matrix cheaper.
-            scaled = hops * np.float64(scale_unit)
-            scaled[never] = np.inf
     # Sources counted in every round (count = rounds → level 1 above), but
     # their true hop label is 0.
     hops[np.arange(num), sources] = 0
@@ -436,16 +418,7 @@ def bfs_hops_csr_multi(
         # UNREACHED; the explicit write keeps the mask contract load-bearing
         # rather than incidental.
         hops[rows_masked, forb_rows[rows_masked]] = UNREACHED
-    if scaled is None:
-        return hops
-    # Mirror the post-assembly writes above so ``scaled`` matches
-    # ``scaled_float_rows(hops, scale_unit)`` bit for bit.
-    scaled[np.arange(num), sources] = 0.0
-    if masked:
-        scaled[:, forbidden] = np.inf
-    elif forb_rows is not None:
-        scaled[rows_masked, forb_rows[rows_masked]] = np.inf
-    return hops, scaled
+    return hops
 
 
 def dijkstra_csr_multi(
@@ -735,7 +708,7 @@ def _continue_relax(
 def repair_hops_csr_np(
     indptr: np.ndarray,
     indices: np.ndarray,
-    hops: List[int],
+    hops: np.ndarray,
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
     rev_indptr: np.ndarray,
@@ -748,8 +721,9 @@ def repair_hops_csr_np(
     graph, ``indptr``/``indices`` (and the reverse CSR) describe the new one,
     and the returned ids are a superset of the entries that changed — but the
     affected-region marking and the seeded continuation run as array sweeps.
-    The row stays a plain Python list (entries are written back as ints), so
-    the engine's caches are backend-agnostic.
+    ``hops`` is the engine's cached array (int16 or int64, see
+    :func:`hop_dtype`); the touched entries are written back into it in one
+    scatter, keeping its dtype.
     """
     n = len(hops)
     dist = np.asarray(hops, dtype=np.int64)
@@ -792,9 +766,9 @@ def repair_hops_csr_np(
     changed = _continue_relax(work, pending, indptr, indices, unit_weight, forbidden)
 
     touched = np.flatnonzero(affected | changed)
-    for v in touched.tolist():
-        label = work[v]
-        hops[v] = int(label) if label < INT_UNREACHED else UNREACHED
+    labels = work[touched]
+    labels[labels >= INT_UNREACHED] = UNREACHED
+    hops[touched] = labels
     return touched.tolist()
 
 
@@ -873,6 +847,7 @@ __all__ = [
     "csr_arrays",
     "dijkstra_csr_multi",
     "dijkstra_csr_np",
+    "hop_dtype",
     "int_to_float_rows",
     "repair_dijkstra_csr_np",
     "repair_hops_csr_np",

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.core import BBCGame, UniformBBCGame, equilibrium_report
+from repro.core import BBCGame, UniformBBCGame, best_response, equilibrium_report
 from repro.dynamics import run_best_response_walk
 from repro.engine import (
     NUMPY_BACKEND_MIN_N,
@@ -209,45 +209,28 @@ def test_per_row_mask_kernels_match_single_source(seed, n, integral):
 
 
 @needs_numpy
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
-def test_fused_scaled_rows_match_two_pass(seed, n):
-    """``bfs_hops_csr_multi(..., scale_unit=u)`` returns ``(hops, scaled)``
-    with ``scaled`` bit-identical to ``scaled_float_rows(hops, u)`` — the
-    fused giant-chunk path may not drift from the two-pass conversion by a
-    single ULP, across shared and per-row masks and disconnected nodes."""
-    rng = random.Random(seed)
-    rows = _random_adjacency(rng, n)
-    indptr, indices = build_csr(rows)
-    indptr_np, indices_np = npk.csr_arrays(indptr, indices)
-    sources = [rng.randrange(n) for _ in range(rng.randint(2, 2 * n))]
-    unit = rng.choice([1.0, 0.5, 1.5, 3.25])
-    for forbidden in (-1, _random_per_row_masks(rng, sources, n)):
-        plain = npk.bfs_hops_csr_multi(indptr_np, indices_np, n, sources, forbidden)
-        hops, scaled = npk.bfs_hops_csr_multi(
-            indptr_np, indices_np, n, sources, forbidden, scale_unit=unit
-        )
-        assert np.array_equal(hops, plain)
-        expected = npk.scaled_float_rows(plain, unit)
-        finite = np.isfinite(expected)
-        assert np.array_equal(finite, np.isfinite(scaled))
-        assert np.array_equal(scaled[finite], expected[finite])
-
-
-@needs_numpy
-def test_fused_hop_dtype_holds_any_repaired_label():
-    """The fused form's hop dtype must hold every label a later repair can
-    write (up to ``n - 2``), not just this shallow traversal's: on a random
-    2-out graph at n = 40000 the BFS is ~16 rounds deep, which once picked
-    int16 and made ``repair_hops_csr_np`` overflow."""
+def test_hop_dtype_holds_any_repaired_label():
+    """The hop dtype of both BFS kernels must hold every label a later repair
+    can write (up to ``n - 2``), not just this shallow traversal's: on a
+    random 2-out graph at n = 40000 the BFS is ~16 rounds deep, which once
+    picked int16 and made ``repair_hops_csr_np`` overflow.  Below that the
+    narrow int16 rows are the engine's cached rows."""
     n = 40_000
     rng = random.Random(7)
     rows = [sorted({rng.randrange(n) for _ in range(2)} - {u}) for u in range(n)]
     indptr_np, indices_np = npk.csr_arrays(*build_csr(rows))
-    hops, _ = npk.bfs_hops_csr_multi(
-        indptr_np, indices_np, n, [0, 1], scale_unit=1.0
-    )
-    assert np.iinfo(hops.dtype).max >= n
+    hops = npk.bfs_hops_csr_multi(indptr_np, indices_np, n, [0, 1])
+    assert hops.dtype == np.int64 and np.iinfo(hops.dtype).max >= n
+    assert npk.bfs_hops_csr_np(indptr_np, indices_np, n, 0).dtype == np.int64
+    # The largest n that stays int16, with a mask (the mask must not
+    # overflow the narrow row either).
+    small = 32_767
+    small_rows = [[v for v in row if v < small] for row in rows[:small]]
+    indptr_np, indices_np = npk.csr_arrays(*build_csr(small_rows))
+    multi = npk.bfs_hops_csr_multi(indptr_np, indices_np, small, [0, 1], 2)
+    single = npk.bfs_hops_csr_np(indptr_np, indices_np, small, 0, 2)
+    assert multi.dtype == single.dtype == np.int16
+    assert multi[0].tolist() == single.tolist()
 
 
 @needs_numpy
@@ -440,6 +423,59 @@ def _weighted_game(n, seed=5, integral=True):
     return BBCGame(nodes=range(n), link_lengths=lengths, default_budget=2.0)
 
 
+def _unit_game(n, unit):
+    """A uniform-length game whose unit is not 1: every cost the engine reads
+    is ``float(h) * unit`` scaled from its cached hop rows.  Unit 1.5 makes
+    the lengths non-integral (no exact-sum licence: the list ``fast_sum``
+    scorer), unit 3.0 keeps them integral (the vectorised ``fast_batch``)."""
+    return BBCGame(nodes=range(n), default_budget=2.0, default_link_length=unit)
+
+
+#: Non-unit uniform lengths, each with the scorer path it must drive.
+UNIT_GAMES = [
+    pytest.param(1.5, False, id="unit-1.5-fast-sum"),
+    pytest.param(3.0, True, id="unit-3.0-fast-batch"),
+]
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("unit, fast_batch", UNIT_GAMES)
+def test_non_unit_lengths_match_reference_across_repairs(backend, unit, fast_batch):
+    """Candidate best responses and ``all_costs`` on a non-unit uniform game
+    match ``engine=False`` bit for bit, across single-node profile steps
+    whose rows the engine repairs in hop space and scales only when read."""
+    if backend == "numpy" and np is None:
+        pytest.skip("numpy is not installed")
+    n = 24
+    game = _unit_game(n, unit)
+    engine = CostEngine(game, backend=backend)
+    profile = random_initial_profile(game, seed=2)
+    engine.sync(profile)
+    scorer = engine.scorer(0)
+    assert scorer.fast_sum and scorer.fast_batch == (fast_batch and np is not None)
+    rng = random.Random(17)
+    candidates = _restricted_candidates(game, per_node=6)
+    for _ in range(8):
+        for node in (0, 5, 11):
+            got = best_response(
+                game, profile, node, candidates=candidates[node], engine=engine
+            )
+            want = best_response(
+                game, profile, node, candidates=candidates[node], engine=False
+            )
+            assert got.best_cost == want.best_cost
+            assert got.best_strategy == want.best_strategy
+            assert got.current_cost == want.current_cost
+        assert game.all_costs(profile, engine=engine) == game.all_costs(
+            profile, engine=False
+        )
+        mover = rng.choice([v for v in game.nodes if v not in (0, 5, 11)])
+        profile = profile.with_strategy(
+            mover, frozenset(rng.sample([v for v in game.nodes if v != mover], 2))
+        )
+    assert engine.stats["rows_repaired"] > 0
+
+
 @needs_numpy
 @pytest.mark.parametrize(
     "make_game",
@@ -505,11 +541,17 @@ def test_repeated_rechecks_repair_numpy_rows_bit_identically():
 
 @needs_numpy
 def test_all_costs_matches_and_returns_plain_floats():
-    for game in (UniformBBCGame(24, 2), _weighted_game(24), _weighted_game(24, integral=False)):
+    for game in (
+        UniformBBCGame(24, 2),
+        _unit_game(24, 1.5),
+        _unit_game(24, 3.0),
+        _weighted_game(24),
+        _weighted_game(24, integral=False),
+    ):
         profile = random_initial_profile(game, seed=4)
         costs_np = CostEngine(game, backend="numpy").all_costs(profile)
         costs_py = CostEngine(game, backend="python").all_costs(profile)
-        assert costs_np == costs_py
+        assert costs_np == costs_py == game.all_costs(profile, engine=False)
         assert all(type(value) is float for value in costs_np.values())
 
 
@@ -563,10 +605,12 @@ def _restricted_candidates(game, per_node=5, seed=13):
     "make_game",
     [
         lambda: UniformBBCGame(20, 2),
+        lambda: _unit_game(20, 1.5),
+        lambda: _unit_game(20, 3.0),
         lambda: _weighted_game(18, integral=True),
         lambda: _weighted_game(18, integral=False),
     ],
-    ids=["uniform-bfs", "weighted-int", "weighted-float"],
+    ids=["uniform-bfs", "unit-1.5", "unit-3.0", "weighted-int", "weighted-float"],
 )
 def test_giant_batch_report_matches_per_node_and_reference(make_game, backend, monkeypatch):
     """Giant-batch reports are bit-identical to per-node batches and to the
@@ -612,9 +656,9 @@ def test_giant_batch_under_tiny_budget_evicts_mid_report_and_stays_exact(backend
     reference = equilibrium_report(game, profile, engine=False)
     assert report.responses == reference.responses
     assert engine.stats["chunks_evicted"] > 0
-    # Budget plus the exempt in-flight node's working set (an env and a hop
-    # row of 24 entries per first hop).
-    assert engine.cache_bytes() <= 6_000 + 2 * 23 * 8 * 24
+    # Budget plus the exempt in-flight node's working set (one hop row of
+    # 24 entries per first hop).
+    assert engine.cache_bytes() <= 6_000 + 23 * 8 * 24
     walk = run_best_response_walk(game, profile, max_rounds=10, engine=engine)
     walk_ref = run_best_response_walk(game, profile, max_rounds=10, engine=False)
     assert walk.final_profile == walk_ref.final_profile

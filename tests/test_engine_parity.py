@@ -537,8 +537,7 @@ def _cached_byte_total(engine):
 
     return sum(
         _payload_nbytes(row)
-        for cache in (engine._env_cache, engine._hop_cache)
-        for _, rows in cache.values()
+        for _, rows in engine._env_cache.values()
         for row in rows.values()
     )
 
@@ -558,8 +557,8 @@ def test_env_row_cache_is_bounded_and_eviction_preserves_correctness():
             best_response(game, profile, node, engine=engine),
         )
         # The budget, plus at most the exempt in-flight node's working set
-        # (env + hop rows for each of 7 first hops).
-        assert engine.cache_bytes() <= 600 + 2 * 7 * 8 * len(game.nodes)
+        # (one 8-byte-per-entry hop row for each of 7 first hops).
+        assert engine.cache_bytes() <= 600 + 7 * 8 * len(game.nodes)
     assert engine.stats["rows_evicted"] > 0
     assert engine.stats["chunks_evicted"] > 0
     # Re-probing an evicted node recomputes (never stale-patches) its rows.

@@ -8,7 +8,7 @@ model is the simplest one there is: a fresh engine synced to the same
 profile (and, at n <= 8, the ``engine=False`` dict reference).  Every probe
 must match it exactly, and after every step the engine's bookkeeping must
 agree with its caches: ``cache_bytes()`` is the sum of the cached payloads,
-and every hop row has an env row at the same version to repair against.
+and every cached row of a uniform game is an exact integer hop row.
 
 Both traversal backends run the same machine; the numpy one is skipped when
 numpy is not installed.
@@ -228,23 +228,28 @@ class CostEngineMachine(RuleBasedStateMachine):
         engine = self.engine
         cached = sum(
             _payload_nbytes(row)
-            for cache in (engine._env_cache, engine._hop_cache)
-            for _, rows in cache.values()
+            for _, rows in engine._env_cache.values()
             for row in rows.values()
         )
         assert engine.cache_bytes() == cached
 
     @invariant()
-    def every_hop_row_has_its_env_row(self):
+    def uniform_rows_are_integer_hop_rows(self):
+        # A uniform game caches one row per (u, a): the exact BFS hop row,
+        # entries in {-1} (unreached) or [0, n), which repair patches in
+        # place and costs scale by the unit only when read.
         engine = self.engine
-        for u, (version, _) in engine._hop_cache.items():
-            assert engine._env_cache[u][0] == version
-        if engine.indexed.uniform_lengths:
-            # ... and every env row of a uniform game has its hop row, or a
-            # later repair of the row would have nothing to repair from.
-            for u, (_, env_rows) in engine._env_cache.items():
-                hop = engine._hop_cache.get(u)
-                assert set(env_rows) == (set(hop[1]) if hop else set())
+        if not engine.indexed.uniform_lengths:
+            return
+        n = engine.indexed.n
+        for _, rows in engine._env_cache.values():
+            for row in rows.values():
+                if isinstance(row, list):
+                    assert all(type(h) is int for h in row)
+                else:
+                    assert row.dtype.kind == "i"
+                assert len(row) == n
+                assert all(h == -1 or 0 <= h < n for h in row)
 
 
 MACHINE_SETTINGS = settings(

@@ -553,9 +553,9 @@ class TestCostEngineDegradation:
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_verify_failure_leaves_no_row_without_its_hop_row(self, backend):
-        # A failed verification must not leave the fresh env row cached
-        # without the hop row a uniform game repairs from: the next repair
-        # would fall back to a full recompute and count it as a repair.
+        # A failed verification drops the node's rows and returns the fresh
+        # row uncached, so after the next profile step the node's row is
+        # recomputed from scratch, never repaired from a half-dropped set.
         if backend == "numpy" and not HAVE_NUMPY:
             pytest.skip("numpy is not installed")
         game = UniformBBCGame(24, 2)

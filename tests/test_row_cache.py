@@ -59,11 +59,55 @@ def test_default_budget_is_bounded_at_both_ends():
     assert default_memory_budget(1024) == 8 * 1024 * 1024 * 8
 
 
+@pytest.mark.parametrize(
+    "backend, entry_bytes",
+    [
+        ("python", 8),
+        pytest.param(
+            "numpy",
+            2,
+            marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
+        ),
+    ],
+)
+def test_uniform_games_cache_one_exact_hop_row_per_pair(backend, entry_bytes):
+    """The row byte contract: a uniform game caches one row per (u, a), the
+    exact BFS hop row (int16 on numpy below n = 32768, int lists on the list
+    kernels), and the ledger charges exactly its payload — 2 n bytes per
+    resident numpy row, 8 n per list row — through giant-batch fills,
+    per-node fills and repairs alike."""
+    n = 300
+    game = UniformBBCGame(n, 2)
+    profile = random_initial_profile(game, seed=5)
+    engine = CostEngine(game, backend=backend)
+    rng = random.Random(11)
+    candidates = {
+        node: rng.sample([v for v in game.nodes if v != node], 4)
+        for node in game.nodes
+    }
+    engine.plan_report_prefetch(profile, {0: candidates[0], 1: candidates[1]})
+    for step in range(6):
+        node = step % 3  # nodes 0 and 1 planned, node 2 per-node filled
+        best_response(game, profile, node, candidates=candidates[node], engine=engine)
+        mover = 10 + step
+        profile = profile.with_strategy(mover, frozenset(rng.sample(range(20, n), 2)))
+    rows = [row for _, cached in engine._env_cache.values() for row in cached.values()]
+    assert engine.stats["rows_repaired"] > 0 and engine.stats["giant_batch_rows"] > 0
+    assert rows
+    for row in rows:
+        if backend == "numpy":
+            assert row.dtype == numpy.int16
+        else:
+            assert all(type(h) is int for h in row)
+    assert engine.cache_bytes() == entry_bytes * n * len(rows)
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the large-n walk needs the numpy backend")
 def test_long_walk_at_n_1024_stays_within_budget_and_counts_evictions():
     n = 1024
-    budget = 1 << 20  # 1 MiB: a handful of probes' working sets
+    # 256 KiB: a handful of probes' working sets of 2 KiB int16 hop rows.
+    budget = 1 << 18
     game = UniformBBCGame(n, 2)
     profile = random_initial_profile(game, seed=7)
     engine = CostEngine(game, memory_budget_bytes=budget)
@@ -86,7 +130,7 @@ def test_long_walk_at_n_1024_stays_within_budget_and_counts_evictions():
         assert got.best_strategy == want.best_strategy
         # The byte contract, pinned at every step of the walk: eviction runs
         # inside every charging site, so the cache never ends a probe over
-        # budget (the exempt in-flight working set is far below 1 MiB here).
+        # budget (the exempt in-flight working set is far below 256 KiB).
         assert engine.cache_bytes() <= budget
         # Single-node profile step: the next probes exercise repair and
         # repair-after-eviction paths under budget pressure.
