@@ -238,12 +238,14 @@ _REPORT_BFS = report(_uniform, CANDIDATES_PER_NODE)
 _REPORT_DIJKSTRA = report(_weighted, CANDIDATES_PER_NODE)
 
 SCENARIOS = (
+    # Smoke n = 17 leaves 16 targets per node, the smallest game whose probes
+    # take the batched pair-scoring path (StrategyScorer.score_combinations).
     Scenario("report", "Equilibrium report (flat-array engine vs dict oracle)",
              report(_uniform), _engine(), "engine=False",
-             (8, 16, 32), (8, 16), floor=3.0, floor_n=32),
+             (8, 16, 32), (8, 17), floor=3.0, floor_n=32),
     Scenario("walk", "30-round best-response walk (row repair vs dict oracle)",
              walk, _engine(), "engine=False",
-             (8, 16, 32), (8, 16), floor=3.0, floor_n=32, repeats=1),
+             (8, 16, 32), (8, 17), floor=3.0, floor_n=32, repeats=1),
     Scenario("sweep", "Exhaustive sweep (Gray-code + memoised engine vs dict oracle)",
              search(3), _engine(), "engine=False", (7,), (5,), floor=5.0),
     Scenario("study-grid", "Process-parallel study grid (workers vs serial)",

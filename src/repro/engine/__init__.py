@@ -142,12 +142,15 @@ and pins bytes <= budget throughout with bit-identical results.
 **The vectorised scoring spec.**  When numpy is importable (optional — every
 path degrades to the original loops without it), scoring of SUM-objective
 unit-weight nodes whose disconnection penalty dominates every finite
-distance keeps per-first-hop *penalty-substituted target slices* and reduces
-them at C level; on games whose lengths and penalty are integer-valued
-(:attr:`IndexedGame.exact_sums` — every default game) whole strategy sets
-are scored in one vectorised pass
-(:meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`), which
-returns a freshly built cost vector owned by the caller.
+distance keeps per-first-hop *penalty-substituted target slices* (sub rows)
+and reduces them at C level; on games whose lengths and penalty are
+integer-valued (:attr:`IndexedGame.exact_sums` — every default game) the
+sub rows are float64 arrays, every missing one batch-built from the cached
+rows in one broadcast on **both** backends (list rows and array rows
+alike), and whole strategy sets are scored in one vectorised pass
+(:meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`: one
+``min(M[i], M[i+1:])`` block per first member, no gathered pair matrix),
+which returns a freshly built cost vector owned by the caller.
 Exactness of integer float sums below ``2**53`` is what makes the reordered
 reductions bit-identical to the reference's left-to-right loops; games
 failing any gate (MAX objective, non-unit weights, small penalties,

@@ -171,20 +171,6 @@ def resolve_backend(backend, n: int, uniform_lengths: bool = False) -> str:
         f"unknown traversal backend {backend!r}: expected 'auto', 'numpy', or 'python'"
     )
 
-#: Cached ``numpy.triu_indices`` pairs keyed by candidate count — shared by
-#: every engine because they only depend on the count.
-_TRIU_CACHE: Dict[int, tuple] = {}
-
-
-def _triu_pairs(count: int):
-    pairs = _TRIU_CACHE.get(count)
-    if pairs is None:
-        pairs = _np.triu_indices(count, 1)
-        if len(_TRIU_CACHE) > 32:  # a handful of game sizes per process
-            _TRIU_CACHE.clear()
-        _TRIU_CACHE[count] = pairs
-    return pairs
-
 
 class CostEngine:
     """Flat-array distance/cost engine bound to one game.
@@ -1224,11 +1210,16 @@ class StrategyScorer:
     that scoring a strategy is nothing but elementwise mins over cached
     lists.  For SUM-objective, unit-weight nodes of games whose
     disconnection penalty dominates every finite distance (every default
-    game), it additionally keeps per-hop penalty-substituted target slices
-    and reduces them with C-level ``sum(map(min, ...))`` — value-identical
-    to the reference loop because substituting the penalty for ``inf``
-    commutes with ``min`` exactly when the penalty is at least every finite
-    distance.  Invalid to use after the engine syncs to a different profile.
+    game), it instead keeps per-hop penalty-substituted target slices
+    (*sub rows*) — value-identical to the reference loop because
+    substituting the penalty for ``inf`` commutes with ``min`` exactly when
+    the penalty is at least every finite distance.  Without numpy or exact
+    sums they are lists reduced with C-level ``sum(map(min, ...))``; on
+    ``fast_batch`` scorers (numpy importable, :attr:`IndexedGame.exact_sums`)
+    they are float64 arrays, every missing one built in one batch from the
+    cached rows on either backend (:meth:`_build_sub_rows`), and whole
+    strategy sets are scored by :meth:`score_combinations`.  Invalid to use
+    after the engine syncs to a different profile.
     """
 
     __slots__ = (
@@ -1321,16 +1312,18 @@ class StrategyScorer:
     def _build_sub_rows(self, missing: List[int]):
         """Build every ``missing`` sub row in one broadcast.
 
-        Numpy fast-batch path only (returns ``None`` otherwise): the target
-        columns are gathered from the stacked cached rows first (int16 hop
-        rows on uniform games, a quarter of the float bytes), then scaled
-        and summed; each entry is the same ``l(u, a) + float(h) * unit``
-        and the same penalty test as :meth:`_sub_row`'s, so the rows
+        The one sub-row builder of ``fast_batch`` scorers (its callers gate
+        on that), on both backends; returns ``None`` when nothing is
+        missing.  The cached rows (int16 arrays or int lists of hops on
+        uniform games, float arrays or lists on weighted ones) become one
+        matrix, its target columns are gathered first, then scaled and
+        summed; each entry is the same ``l(u, a) + float(h) * unit`` and the
+        same penalty test as :meth:`_sub_row`'s list path, so the rows
         (stored as views of the returned ``(len(missing), targets)`` batch)
-        are bit-identical — only the numpy dispatch count changes.
+        are bit-identical.
         """
         engine = self.engine
-        if not missing or not self.fast_batch or not engine._np_traversal:
+        if not missing:
             return None
         u = self.u
         targets = self.targets
@@ -1354,7 +1347,7 @@ class StrategyScorer:
             hits += 1
             return env
 
-        envs = _np.stack([env_for(a) for a in missing])
+        envs = _np.array([env_for(a) for a in missing])
         if len(targets) == engine.indexed.n - 1:
             # Complete target set: dropping column u is two contiguous
             # block copies, far cheaper than a fancy-index gather of
@@ -1374,29 +1367,16 @@ class StrategyScorer:
             sub[a] = batch[j]
         return batch
 
-    def _sub_row(self, first_hop: int) -> Row:
-        if self.fast_batch:
-            # Build the penalty-substituted target slice straight from the
-            # cached row (a list on the python backend, an array on numpy),
-            # skipping the O(n) through-row list entirely: the targets are
-            # gathered first and only they are scaled, the through value of
-            # each target is the same single IEEE sum (`l(u, a) + d`), and
-            # the penalty substitution the same elementwise test, so the
-            # slice is bit-identical to the list path below.
-            engine = self.engine
-            env = _np.asarray(engine.env_row(self.u, first_hop))
-            row = self._length_row[first_hop] + engine._distances(
-                env[self._target_index()]
-            )
-            row[_np.isinf(row)] = self.penalty
-        else:
-            through = self._through_row(first_hop)
-            penalty = self.penalty
-            inf = math.inf
-            row = [
-                d if d < inf else penalty
-                for d in map(through.__getitem__, self.targets)
-            ]
+    def _sub_row(self, first_hop: int) -> List[float]:
+        # List sub rows of fast_sum scorers without the batch path
+        # (fast_batch scorers build theirs in _build_sub_rows).
+        through = self._through_row(first_hop)
+        penalty = self.penalty
+        inf = math.inf
+        row = [
+            d if d < inf else penalty
+            for d in map(through.__getitem__, self.targets)
+        ]
         self._sub[first_hop] = row
         return row
 
@@ -1405,11 +1385,14 @@ class StrategyScorer:
 
         Returns a numpy vector of costs in ``itertools.combinations`` order —
         the exact order :meth:`BBCGame.feasible_strategies` enumerates when
-        :meth:`BBCGame.combination_plan` applies.  Only valid on
-        ``fast_batch`` scorers (exact integer-valued sums), where the
-        vectorised reduction is bit-identical to scoring one by one.  The
-        vector is freshly built on every call and owned by the caller; the
-        engine keeps no reference to it.
+        :meth:`BBCGame.combination_plan` applies.  Pairs are scored one
+        block per first member ``i``: ``min(M[i], M[i+1:])`` summed row by
+        row into the next ``count - 1 - i`` slots, so no pair matrix is ever
+        gathered and each cost is the sum of one contiguous row.  Only
+        valid on ``fast_batch`` scorers (exact integer-valued sums), where
+        the vectorised reduction is bit-identical to scoring one by one.
+        The vector is freshly built on every call and owned by the caller;
+        the engine keeps no reference to it.
         """
         engine = self.engine
         if self._version != engine.version:
@@ -1422,20 +1405,19 @@ class StrategyScorer:
             # Every candidate was missing, so the batch rows are already the
             # combination matrix in candidate order — no re-stack.
             matrix = batch
+        elif not candidates:
+            return _np.empty(0)
         else:
-            rows = []
-            for a in candidates:
-                row = sub.get(a)
-                if row is None:
-                    row = self._sub_row(a)
-                rows.append(row)
-            if not rows:
-                return _np.empty(0)
-            matrix = _np.stack(rows)
+            matrix = _np.stack([sub[a] for a in candidates])
         if size == 1:
             return matrix.sum(axis=1)
-        left, right = _triu_pairs(len(candidates))
-        return _np.minimum(matrix[left], matrix[right]).sum(axis=1)
+        count = len(candidates)
+        costs = _np.empty(count * (count - 1) // 2)
+        end = 0
+        for i in range(count - 1):
+            start, end = end, end + count - 1 - i
+            _np.minimum(matrix[i], matrix[i + 1:]).sum(axis=1, out=costs[start:end])
+        return costs
 
     def score(self, strategy: Iterable[Node]) -> float:
         """Return the node's cost for a strategy given as node *labels*."""
@@ -1451,7 +1433,7 @@ class StrategyScorer:
         if self.fast_sum:
             sub = self._sub
             strategy = list(strategy)
-            if self.engine._np_traversal:
+            if self.fast_batch:
                 missing = list(
                     dict.fromkeys(a for a in strategy if a not in sub)
                 )

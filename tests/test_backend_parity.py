@@ -16,6 +16,7 @@ The backend selector's fallback behaviour (auto resolution, the explicit
 numpy, so the minimal-deps CI leg still exercises it.
 """
 
+import itertools
 import math
 import random
 
@@ -52,6 +53,7 @@ if np is not None:
 
 from hypothesis import given, settings, strategies as st
 
+from test_best_response import scoring_game, sparse_profile
 from test_engine_parity import (
     _csr_with_lengths,
     _random_adjacency,
@@ -586,6 +588,45 @@ def test_prefetch_is_invisible_to_results():
         rng = random.Random(seed)
         strategy = rng.sample([v for v in range(24) if v != 3], 2)
         assert prefetched.score_ints(list(strategy)) == cold.score_ints(list(strategy))
+
+
+@needs_numpy
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("n", [16, 17])
+def test_sub_rows_bit_identical_across_backends(n, weighted):
+    """Both backends batch-build the same sub rows from 16 targets up.
+
+    n = 16 leaves 15 targets, below the scorer's fast-path threshold, so
+    pairs are scored one by one on list rows; n = 17 builds every sub row
+    in one batch.  Either way the costs match across backends and the
+    reference.
+    """
+    game = scoring_game(n, weighted, seed=5)
+    node = 2
+    profile, _ = sparse_profile(game, 5, node)
+    candidates = [v for v in range(n) if v != node]
+    pairs = list(itertools.combinations(candidates, 2))
+    scorers, costs = [], []
+    for backend in ("python", "numpy"):
+        engine = CostEngine(game, backend=backend)
+        engine.sync(profile)
+        scorer = engine.scorer(node)
+        assert scorer.fast_batch == (n >= 17)
+        if scorer.fast_batch:
+            costs.append(scorer.score_combinations(candidates, 2).tolist())
+        else:
+            costs.append([scorer.score_ints(pair) for pair in pairs])
+        scorers.append(scorer)
+    scorer_py, scorer_np = scorers
+    if scorer_py.fast_batch:
+        assert list(scorer_py._sub) == list(scorer_np._sub) == candidates
+        for a in candidates:
+            row_py, row_np = scorer_py._sub[a], scorer_np._sub[a]
+            assert row_py.dtype == row_np.dtype == np.float64
+            assert row_py.tobytes() == row_np.tobytes()
+    assert costs[0] == costs[1]
+    deviated = profile.with_strategy(node, pairs[-1])
+    assert costs[0][-1] == game.node_cost(deviated, node)
 
 
 # --------------------------------------------------------------------- #

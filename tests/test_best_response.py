@@ -1,5 +1,7 @@
 """Exact best responses: oracle consistency and brute-force agreement."""
 
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.core import (
     single_swap_response,
 )
 from repro.core.best_response import DeviationOracle
+from repro.engine import CostEngine
 
 
 def brute_force_best_cost(game, profile, node):
@@ -56,8 +59,6 @@ def test_best_response_matches_brute_force_uniform(seed, n, k):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 5_000))
 def test_best_response_matches_brute_force_weighted(seed):
-    import random
-
     rng = random.Random(seed)
     n = 6
     weights = {}
@@ -146,3 +147,68 @@ def test_best_response_cost_helper_and_counts():
         best_response(game, profile, 0).best_cost
     )
     assert count_feasible_strategies(game, 0) == 10  # C(5, 2)
+
+
+def scoring_game(n, weighted, seed):
+    """An (n, 2)-uniform game, or one with integer lengths 1-4 and budget 2."""
+    if not weighted:
+        return UniformBBCGame(n, 2)
+    rng = random.Random(seed)
+    lengths = {
+        (u, v): float(rng.randint(1, 4)) for u in range(n) for v in range(n) if u != v
+    }
+    return BBCGame(nodes=range(n), link_lengths=lengths, default_budget=2.0)
+
+
+def sparse_profile(game, seed, node):
+    """A random profile in which some other node is unreachable.
+
+    About 30% of the nodes buy nothing, and nobody links to the
+    returned ``hidden`` node, so every strategy of ``node`` that skips
+    ``hidden`` has the disconnection penalty substituted for it.  Returns
+    ``(profile, hidden)``.
+    """
+    rng = random.Random(seed)
+    n = len(game.nodes)
+    hidden = (node + 1 + seed % (n - 1)) % n
+    strategies = {
+        v: frozenset() if rng.random() < 0.3 else strategy - {hidden}
+        for v, strategy in random_profile(game, seed=seed).items()
+    }
+    return StrategyProfile(strategies), hidden
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(17, 40),
+    weighted=st.booleans(),
+    count=st.sampled_from([0, 1, 2, 3, None]),
+    backend=st.sampled_from(["python", "numpy"]),
+)
+def test_pair_kernel_matches_per_strategy_scoring(seed, n, weighted, count, backend):
+    """The block pair kernel equals scoring each combination on its own, bit for bit."""
+    pytest.importorskip("numpy")
+    game = scoring_game(n, weighted, seed)
+    node = seed % n
+    profile, hidden = sparse_profile(game, seed, node)
+    engine = CostEngine(game, backend=backend)
+    engine.sync(profile)
+    scorer = engine.scorer(node)
+    assert scorer.fast_batch
+    rng = random.Random(seed)
+    others = [v for v in range(n) if v != node]
+    candidates = rng.sample(others, n - 1 if count is None else count)
+    pairs = list(itertools.combinations(candidates, 2))
+    pair_costs = scorer.score_combinations(candidates, 2).tolist()
+    single_costs = scorer.score_combinations(candidates, 1).tolist()
+    for a in candidates:
+        if a != hidden:
+            assert game.disconnection_penalty in scorer._sub[a].tolist()
+    one_by_one = engine.scorer(node)
+    assert pair_costs == [one_by_one.score_ints(pair) for pair in pairs]
+    assert single_costs == [one_by_one.score_ints([a]) for a in candidates]
+    if pairs:
+        i = rng.randrange(len(pairs))
+        deviated = profile.with_strategy(node, pairs[i])
+        assert pair_costs[i] == game.node_cost(deviated, node)
