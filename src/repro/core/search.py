@@ -287,8 +287,6 @@ def exhaustive_equilibrium_search(
                 exhausted = False
                 done = True
         block_index += 1
-    if journal is not None:
-        journal.flush()
     return SearchSummary(
         profiles_examined=examined,
         equilibria_found=found,
@@ -444,9 +442,7 @@ def _sharded_search(
             },
         }
         cells = [(token, context, lo, hi) for lo, hi in shards]
-        for shard in parallel_map(
-            _search_shard_cell, cells, processes=count, on_error="raise"
-        ):
+        for shard in parallel_map(_search_shard_cell, cells, processes=count):
             for block_index, record in shard:
                 records[block_index] = record
 
@@ -467,8 +463,6 @@ def _sharded_search(
         if record["stopped"]:
             exhausted = False
             break
-    if journal is not None:
-        journal.flush()
     return SearchSummary(
         profiles_examined=examined,
         equilibria_found=found,

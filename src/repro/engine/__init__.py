@@ -75,8 +75,8 @@ CSR views of the same snapshot).  ``CostEngine(game, backend=...)`` selects
 between them with the usual tri-state idiom: ``None``/``"auto"`` picks numpy
 when it is importable and the game has at least
 :data:`~repro.engine.cost_engine.NUMPY_BACKEND_MIN_N` nodes, ``"python"`` or
-``"numpy"`` pin a side (:class:`SweepEvaluator` forwards a ``backend=``
-kwarg the same way; uniform-length games cross over at
+``"numpy"`` pin a side (a :class:`SweepEvaluator` takes its backend from
+the engine it is given; uniform-length games cross over at
 :data:`~repro.engine.cost_engine.NUMPY_BACKEND_MIN_N_UNIFORM` because the
 deque BFS is leaner than the heap Dijkstra).  Hop counts and integer-valued
 lengths traverse in exact int space; non-integer lengths traverse in IEEE
@@ -202,11 +202,10 @@ from which each worker rebuilds the game and its :class:`IndexedGame`/
 :class:`CostEngine` locally instead of pickling engine state;
 ``parallel_map(fn, items, processes=...)`` preserves item order and falls
 back to a deterministic serial loop when ``processes == 1``.  The fan-out is
-crash-safe: per-task timeouts, bounded deterministic retries, dead-pool
-detection with resubmission of only the lost cells on fresh pools, and a
-final serial rung mean results are bit-identical at any process count, retry
-count, or crash schedule (``tests/test_reliability.py`` pins it across all
-three axes).
+crash-safe: bounded deterministic retries, dead-pool detection with
+resubmission of only the lost cells on fresh pools, and a final serial rung
+mean results are bit-identical at any process count or crash schedule
+(``tests/test_reliability.py`` pins it across both axes).
 
 **Failure semantics.**  Every entry point above either returns a result
 bit-identical to its fault-free run or raises a *documented typed error* —
@@ -215,16 +214,15 @@ traceback.  The contract, enforced under the deterministic fault-injection
 harness of :mod:`repro.reliability` (seeded :class:`~repro.reliability
 .FaultPlan` rules firing at named ``fault_point`` sites):
 
-* ``parallel_map`` — a worker exception is retried in-pool up to ``retries``
-  times with deterministic backoff; a dead pool (``BrokenProcessPool`` or a
-  task that outlives its ``timeout``) is rebuilt up to ``max_pool_restarts``
-  times with only the lost cells resubmitted, then the remaining cells run
-  serially under a ``RuntimeWarning`` naming the cell count and cause.
-  ``on_error`` picks the terminal policy: ``"raise"`` (the default — the
-  first failing cell's exception propagates), ``"retry-serial"`` (one serial
-  re-run per failed cell), or ``"skip"`` (failed cells yield ``None`` under
-  a warning).  ``last_run_stats()`` reports the crashed / retried /
-  journal-hit / fallback counters of the latest run.
+* ``parallel_map`` — one fixed policy, no knobs: a worker exception is
+  retried in-pool ``TASK_RETRIES`` times with deterministic backoff; a dead
+  pool (``BrokenProcessPool``) is rebuilt up to ``MAX_POOL_RESTARTS`` times
+  with only the lost cells resubmitted, then the remaining cells run
+  serially under a ``RuntimeWarning`` naming the cell count and cause.  A
+  cell that still fails raises its exception (the lowest failing index
+  first).  There is no task timeout; a hung worker blocks the call.
+  ``last_run_stats()`` reports the crashed / retried / journal-hit /
+  fallback counters of the latest run.
 * ``CostEngine(verify_every=N)`` — every ``N``-th environment-row cache hit
   is recomputed and compared; a poisoned row warns, is counted in
   ``stats["row_verify_failures"]``, and is rebuilt — never served silently.

@@ -263,20 +263,10 @@ class SweepEvaluator:
         tolerance: float = 1e-9,
         deviation_limit: float = DEFAULT_ENUMERATION_LIMIT,
         engine=None,
-        backend: Optional[str] = None,
         memo_entry_limit: int = DEFAULT_MEMO_ENTRY_LIMIT,
     ) -> None:
         from . import resolve_engine
 
-        if backend is not None:
-            # The traversal-backend selector mirrors CostEngine's tri-state
-            # idiom; it only makes sense when this evaluator owns the engine
-            # (an explicit engine already fixed its backend at construction).
-            if engine is not None:
-                raise ValueError(
-                    "pass either an explicit engine or backend=..., not both"
-                )
-            engine = CostEngine(game, backend=backend)
         resolved = resolve_engine(game, engine)
         if resolved is None:
             raise ValueError(

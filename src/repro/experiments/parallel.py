@@ -9,15 +9,15 @@ worker rebuilds the game — and implicitly its
 :class:`~repro.engine.IndexedGame` / :class:`~repro.engine.CostEngine`
 through the ordinary shared-engine routed entry points — locally.
 
-:func:`parallel_map` is the only execution primitive and is crash-safe: it
-preserves item order, retries failed cells a bounded number of times with a
-deterministic backoff, detects dead worker pools (``BrokenProcessPool``,
-hung tasks past ``timeout``) and resubmits only the lost cells on a fresh
-pool up to ``max_pool_restarts`` times, and finally degrades to an in-process
-serial rung with a :class:`RuntimeWarning` naming the cell count and cause.
-Because every cell is keyed by its item index and ``fn`` is required to be
-deterministic in its arguments, results are bit-identical at any process
-count, retry budget, or crash schedule — a worker OOM-kill mid-grid changes
+:func:`parallel_map` is the only execution primitive and is crash-safe under
+one fixed policy: it preserves item order, retries a failed cell
+:data:`TASK_RETRIES` times with a deterministic backoff, detects a dead
+worker pool (``BrokenProcessPool``) and resubmits only the lost cells on a
+fresh pool up to :data:`MAX_POOL_RESTARTS` times, and finally degrades to an
+in-process serial rung with a :class:`RuntimeWarning` naming the cell count
+and cause.  Because every cell is keyed by its item index and ``fn`` is
+required to be deterministic in its arguments, results are bit-identical at
+any process count or crash schedule — a worker OOM-kill mid-grid changes
 *when* cells run, never what they return.  The fault sites
 ``parallel.pool-start`` and ``parallel.task`` (keyed ``(index, attempt)``)
 let :mod:`repro.reliability.faults` inject those failures deterministically;
@@ -37,11 +37,11 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..core import BBCGame, Objective, UniformBBCGame
 from ..reliability import faults as _faults
-from ..reliability.faults import InjectedFault, ParallelExecutionError
+from ..reliability.faults import InjectedFault
 from ..reliability.journal import resolve_journal
 
 T = TypeVar("T")
@@ -226,23 +226,25 @@ def default_processes(cap: int = 4) -> int:
 #: Unfilled-cell sentinel (``None`` is a legitimate cell result).
 _PENDING = object()
 
+#: The fixed failure policy.  A cell whose execution raises is re-run in-pool
+#: up to ``TASK_RETRIES`` times, retry ``k`` first waiting
+#: ``k * RETRY_BACKOFF_SECONDS`` (deterministic, no jitter); a dead pool is
+#: replaced at most ``MAX_POOL_RESTARTS`` times before its remaining cells
+#: fall through to the serial rung.
+TASK_RETRIES = 1
+RETRY_BACKOFF_SECONDS = 0.01
+MAX_POOL_RESTARTS = 2
+
 _RUN_STAT_KEYS = (
-    "cells",
-    "journal_hits",
-    "retried",
-    "timeouts",
-    "crashed",
-    "pool_restarts",
+    "cells", "journal_hits", "retried", "crashed", "pool_restarts",
     "serial_fallback_cells",
-    "skipped",
 )
 
 #: Failure-handling counters of the most recent :func:`parallel_map` call in
 #: this process (published even when the call raises): cells submitted,
-#: journal-served cells, task retries, task timeouts, cells lost to a dead
-#: pool, pool restarts, cells degraded to the serial rung, and cells skipped
-#: by ``on_error="skip"``.  The bench smoke prints these so regressions in
-#: failure handling are visible in CI logs.
+#: journal-served cells, task retries, cells lost to a dead pool, pool
+#: restarts, and cells degraded to the serial rung.  The bench smoke prints
+#: these so regressions in failure handling are visible in CI logs.
 _LAST_RUN_STATS: Dict[str, int] = {key: 0 for key in _RUN_STAT_KEYS}
 
 
@@ -264,141 +266,62 @@ def _pool_cell(fn, index: int, attempt: int, item):
     return fn(item)
 
 
-class _HungTask(ParallelExecutionError):
-    """A running task outlived its deadline; its pool generation is condemned."""
-
-    def __init__(self, index: int, timeout: float) -> None:
-        super().__init__(
-            f"cell {index} still running after its {timeout:g}s timeout; "
-            "abandoning the worker pool generation"
-        )
-        self.index = index
-
-
 def _journal_record(journal, index: int, value) -> None:
     if journal is not None:
         journal.record(f"cell:{index}", value)
 
 
-def _poll_interval(deadlines) -> Optional[float]:
-    live = [deadline for deadline in deadlines.values() if deadline is not None]
-    if not live:
-        return None
-    return max(0.01, min(live) - time.monotonic())
-
-
 def _run_generation(
-    executor,
-    fn,
-    work,
-    todo: List[int],
-    attempts: Dict[int, int],
-    errors: Dict[int, int],
-    results: list,
-    failed: Dict[int, BaseException],
-    stats: Dict[str, int],
-    *,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    journal,
+    executor, fn, work, todo: List[int], attempts: Dict[int, int],
+    errors: Dict[int, int], results: list, failed: Dict[int, BaseException],
+    stats: Dict[str, int], journal,
 ) -> Tuple[List[int], Optional[BaseException]]:
     """Drive ``todo`` cells through one pool generation.
 
-    Successes land in ``results`` (and the journal); failures past the retry
-    budget land in ``failed``.  Returns ``([], None)`` when every cell
-    resolved, or ``(lost, cause)`` when the generation died first — a broken
-    pool or a hung task — with exactly the cells whose outcome is unknown.
+    Successes land in ``results`` (and the journal); failures past
+    :data:`TASK_RETRIES` land in ``failed``.  Returns ``([], None)`` when
+    every cell resolved, or ``(lost, cause)`` when the pool broke first, with
+    exactly the cells whose outcome is unknown.
     """
     futures: Dict[object, int] = {}
-    deadlines: Dict[object, Optional[float]] = {}
 
     def submit(index: int) -> None:
         attempt = attempts[index]
         attempts[index] = attempt + 1
         future = executor.submit(_pool_cell, fn, index, attempt, work[index])
         futures[future] = index
-        deadlines[future] = (time.monotonic() + timeout) if timeout else None
 
     try:
         for index in todo:
             submit(index)
         while futures:
-            done, _ = wait(
-                list(futures), timeout=_poll_interval(deadlines),
-                return_when=FIRST_COMPLETED,
-            )
+            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
             for future in done:
                 index = futures.pop(future)
-                deadlines.pop(future)
                 try:
                     value = future.result()
                 except BrokenProcessPool:
                     raise
                 except Exception as exc:
                     errors[index] += 1
-                    if errors[index] <= retries:
+                    if errors[index] <= TASK_RETRIES:
                         stats["retried"] += 1
-                        if backoff:
-                            # Deterministic linear backoff: attempt k of a
-                            # cell waits k * backoff seconds, no jitter.
-                            time.sleep(backoff * errors[index])
+                        time.sleep(RETRY_BACKOFF_SECONDS * errors[index])
                         submit(index)
                     else:
                         failed[index] = exc
                 else:
                     results[index] = value
                     _journal_record(journal, index, value)
-            if timeout:
-                now = time.monotonic()
-                for future, deadline in list(deadlines.items()):
-                    if deadline is None or deadline > now:
-                        continue
-                    index = futures[future]
-                    stats["timeouts"] += 1
-                    if future.cancel():
-                        # Never started — the queue was just slow.  Count it
-                        # against the retry budget and resubmit with a fresh
-                        # deadline.
-                        futures.pop(future)
-                        deadlines.pop(future)
-                        errors[index] += 1
-                        if errors[index] <= retries:
-                            stats["retried"] += 1
-                            submit(index)
-                        else:
-                            failed[index] = TimeoutError(
-                                f"cell {index} timed out after {timeout:g}s"
-                            )
-                    else:
-                        # Running and overdue: the worker is hung, and a
-                        # ProcessPoolExecutor cannot reclaim it without
-                        # abandoning the generation.
-                        raise _HungTask(index, timeout)
-    except (BrokenProcessPool, _HungTask) as exc:
-        lost = [
-            index
-            for index in todo
-            if results[index] is _PENDING and index not in failed
-        ]
+    except BrokenProcessPool as exc:
+        lost = [i for i in todo if results[i] is _PENDING and i not in failed]
         return lost, exc
     return [], None
 
 
 def _run_pool_rungs(
-    fn,
-    work,
-    pending: List[int],
-    results: list,
-    failed: Dict[int, BaseException],
-    stats: Dict[str, int],
-    *,
-    count: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    max_pool_restarts: int,
-    journal,
+    fn, work, pending: List[int], results: list,
+    failed: Dict[int, BaseException], stats: Dict[str, int], count: int, journal,
 ) -> List[int]:
     """Run ``pending`` cells across bounded pool generations.
 
@@ -417,10 +340,8 @@ def _run_pool_rungs(
     def make_pool():
         _faults.fault_point("parallel.pool-start")
         return ProcessPoolExecutor(
-            max_workers=count,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(plan,),
+            max_workers=count, mp_context=context,
+            initializer=_worker_init, initargs=(plan,),
         )
 
     try:
@@ -437,18 +358,18 @@ def _run_pool_rungs(
     attempts = {index: 0 for index in pending}
     errors = {index: 0 for index in pending}
     todo = list(pending)
-    restarts_left = max_pool_restarts
+    restarts_left = MAX_POOL_RESTARTS
     cause: Optional[BaseException] = None
     while True:
         lost, broken = _run_generation(
             executor, fn, work, todo, attempts, errors, results, failed, stats,
-            timeout=timeout, retries=retries, backoff=backoff, journal=journal,
+            journal,
         )
         if not lost:
             executor.shutdown(wait=True)
             return []
-        # The generation died under `lost`: release it without waiting (a
-        # hung worker would block a clean shutdown) and decide on a restart.
+        # The generation died under `lost`: release it without waiting and
+        # decide on a restart.
         executor.shutdown(wait=False, cancel_futures=True)
         stats["crashed"] += len(lost)
         todo = lost
@@ -477,11 +398,6 @@ def parallel_map(
     items: Iterable[T],
     *,
     processes: Optional[int] = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    backoff: float = 0.01,
-    on_error: str = "raise",
-    max_pool_restarts: int = 2,
     journal=None,
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally across crash-safe worker processes.
@@ -492,22 +408,23 @@ def parallel_map(
     callable, deterministic in its arguments, and every item picklable when
     ``processes > 1``.
 
-    Failure handling, rung by rung:
+    Failure handling follows one fixed policy, rung by rung:
 
-    * a cell whose execution raises is retried in-pool up to ``retries``
-      times with a deterministic linear ``backoff`` (task timeouts count as
-      failures; ``timeout`` is per task execution, pool rung only);
-    * a dead pool — ``BrokenProcessPool`` from a killed worker, or a task
-      hung past ``timeout`` — loses only its unresolved cells, which are
-      resubmitted on a fresh pool up to ``max_pool_restarts`` times;
+    * a cell whose execution raises is retried in-pool up to
+      :data:`TASK_RETRIES` times with a deterministic linear backoff of
+      :data:`RETRY_BACKOFF_SECONDS`;
+    * a dead pool (``BrokenProcessPool`` from a killed worker) loses only its
+      unresolved cells, which are resubmitted on a fresh pool up to
+      :data:`MAX_POOL_RESTARTS` times;
     * cells that outlive every pool rung (startup failure, restarts
       exhausted) run in-process on the serial rung, announced by a
       :class:`RuntimeWarning` with the cell count and cause;
-    * cells whose *function* still fails after all retries follow
-      ``on_error``: ``"raise"`` re-raises the failing cell's exception
-      (lowest index first), ``"retry-serial"`` gives each one final
-      in-process run before raising, ``"skip"`` records ``None`` for them
-      and warns with the count.
+    * a cell whose *function* still fails after its retries raises: the
+      exception of the lowest failing pool cell propagates once the pool
+      rungs finish, and a serial-rung failure propagates at once.
+
+    There is no task timeout: a hung worker blocks the call, so callers that
+    need a wall-clock bound impose it from outside.
 
     ``journal`` (a :class:`~repro.reliability.journal.CheckpointJournal` or
     path) checkpoints each completed cell; on resume, journaled cells are
@@ -516,101 +433,45 @@ def parallel_map(
     scheduled individually, so a crash loses at most the in-flight cells.
     :func:`last_run_stats` reports this call's failure-handling counters.
     """
-    if on_error not in ("raise", "retry-serial", "skip"):
-        raise ValueError(
-            f"on_error must be 'raise', 'retry-serial', or 'skip' (got {on_error!r})"
-        )
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative (got {retries})")
-    if max_pool_restarts < 0:
-        raise ValueError(
-            f"max_pool_restarts must be non-negative (got {max_pool_restarts})"
-        )
     work: List[T] = list(items)
     stats = {key: 0 for key in _RUN_STAT_KEYS}
     stats["cells"] = len(work)
     try:
-        return _parallel_map_impl(
-            fn, work, stats,
-            processes=processes, timeout=timeout, retries=retries,
-            backoff=backoff, on_error=on_error,
-            max_pool_restarts=max_pool_restarts, journal=journal,
-        )
+        journal = resolve_journal(journal)
+        results: list = [_PENDING] * len(work)
+        if journal is not None:
+            for index in range(len(work)):
+                key = f"cell:{index}"
+                if key in journal:
+                    results[index] = journal.get(key)
+                    stats["journal_hits"] += 1
+        pending = [index for index in range(len(work)) if results[index] is _PENDING]
+        failed: Dict[int, BaseException] = {}
+
+        count = min(resolve_processes(processes), len(pending))
+        if count > 1:
+            pending = _run_pool_rungs(
+                fn, work, pending, results, failed, stats, count, journal
+            )
+
+        # Serial rung: cells that never ran in a pool (processes == 1, startup
+        # failure, or pool death past the restart budget) execute in-process.
+        for index in pending:
+            value = fn(work[index])
+            results[index] = value
+            _journal_record(journal, index, value)
+        if failed:
+            raise failed[min(failed)]
+        return results
     finally:
         _LAST_RUN_STATS.clear()
         _LAST_RUN_STATS.update(stats)
 
 
-def _parallel_map_impl(
-    fn, work, stats, *, processes, timeout, retries, backoff, on_error,
-    max_pool_restarts, journal,
-):
-    journal = resolve_journal(journal)
-    results: list = [_PENDING] * len(work)
-    if journal is not None:
-        for index in range(len(work)):
-            key = f"cell:{index}"
-            if key in journal:
-                results[index] = journal.get(key)
-                stats["journal_hits"] += 1
-    pending = [index for index in range(len(work)) if results[index] is _PENDING]
-    failed: Dict[int, BaseException] = {}
-
-    count = min(resolve_processes(processes), len(pending))
-    if count > 1:
-        pending = _run_pool_rungs(
-            fn, work, pending, results, failed, stats,
-            count=count, timeout=timeout, retries=retries, backoff=backoff,
-            max_pool_restarts=max_pool_restarts, journal=journal,
-        )
-
-    # Serial rung: cells that never ran in a pool (processes == 1, startup
-    # failure, or pool death past the restart budget) execute in-process.
-    serial_ran: Set[int] = set()
-    for index in pending:
-        serial_ran.add(index)
-        try:
-            value = fn(work[index])
-        except Exception as exc:
-            if on_error == "raise":
-                raise
-            failed[index] = exc
-        else:
-            results[index] = value
-            _journal_record(journal, index, value)
-
-    if failed and on_error == "retry-serial":
-        for index in sorted(failed):
-            if index in serial_ran:
-                continue  # its failure *was* serial; a rerun cannot differ
-            try:
-                value = fn(work[index])
-            except Exception as exc:
-                failed[index] = exc
-            else:
-                results[index] = value
-                _journal_record(journal, index, value)
-                del failed[index]
-    if failed:
-        if on_error == "skip":
-            stats["skipped"] = len(failed)
-            first = min(failed)
-            warnings.warn(
-                f"parallel_map skipped {len(failed)} of {len(work)} cells after "
-                f"exhausted retries (first: cell {first}: {failed[first]!r})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            for index in failed:
-                results[index] = None
-        else:
-            raise failed[min(failed)]
-    if journal is not None:
-        journal.flush()
-    return results
-
-
 __all__ = [
+    "MAX_POOL_RESTARTS",
+    "RETRY_BACKOFF_SECONDS",
+    "TASK_RETRIES",
     "GameSpec",
     "default_processes",
     "last_run_stats",

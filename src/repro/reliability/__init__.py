@@ -7,8 +7,8 @@ engine and experiment layers:
   plus cheap ``fault_point("site")`` hooks compiled into the hot paths'
   failure sites (pool startup, worker task execution, LP solves, row-chunk
   builds and evictions, numpy-import gating), so tests inject crashes,
-  solver failures, hangs, and adversarial evictions at exact reproducible
-  points and assert results stay bit-identical to a fault-free run;
+  solver failures, and adversarial evictions at exact reproducible points
+  and assert results stay bit-identical to a fault-free run;
 * :mod:`repro.reliability.journal` — an atomic-write
   :class:`CheckpointJournal` of completed Gray-code profile ranges / grid
   cells, adopted by the exhaustive searches and ``parallel_map`` so a
@@ -29,7 +29,6 @@ from .faults import (
     FaultPlan,
     FaultRule,
     InjectedFault,
-    ParallelExecutionError,
     ReliabilityError,
     UnknownFaultSiteWarning,
     active_faults,
@@ -55,7 +54,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "ParallelExecutionError",
     "REGISTERED_FAULT_SITES",
     "ReliabilityError",
     "TEST_SITE_NAMESPACE",

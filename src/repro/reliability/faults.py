@@ -9,7 +9,7 @@ make *exactly* the third LP solve fail, crash the worker that runs cell 5's
 first attempt, or force an eviction on every tenth row probe — reproducibly,
 at any process count.
 
-Three fault kinds cover the failure modes the runtime must survive:
+Two fault kinds cover the failure modes the runtime must survive:
 
 * ``"error"`` — :func:`fault_point` raises :class:`InjectedFault` (a
   :class:`~repro.core.errors.BBCError`), standing in for a solver failure,
@@ -18,9 +18,7 @@ Three fault kinds cover the failure modes the runtime must survive:
   no exception), standing in for an OOM kill or segfault.  Crash rules fire
   only in worker processes (see :func:`mark_worker_process`) unless
   ``where="anywhere"`` is set explicitly, so an injected worker crash can
-  never take down the test process itself;
-* ``"sleep"`` — the call stalls for ``seconds``, standing in for a hung
-  worker so per-task timeouts can be exercised.
+  never take down the test process itself.
 
 Sites that need to *corrupt* state rather than fail call :func:`fault_fires`
 directly and apply their own effect (e.g. the poisoned-row site in
@@ -37,7 +35,6 @@ and occurrence counters are plain per-process counts.
 from __future__ import annotations
 
 import os
-import time
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -79,10 +76,6 @@ class InjectedFault(ReliabilityError):
         self.key = key
 
 
-class ParallelExecutionError(ReliabilityError):
-    """A ``parallel_map`` cell failed on every rung (pool retries and serial)."""
-
-
 class CheckpointError(ReliabilityError):
     """A checkpoint journal is unreadable, corrupt, or from a different run."""
 
@@ -106,16 +99,15 @@ class FaultRule:
     """
 
     site: str
-    kind: str = "error"  # "error" | "crash" | "sleep"
+    kind: str = "error"  # "error" | "crash"
     keys: Optional[FrozenSet] = None
     probability: Optional[float] = None
     after: int = 0
     times: Optional[int] = 1
-    seconds: float = 0.0
     where: Optional[str] = None  # None = kind default; "worker"|"parent"|"anywhere"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("error", "crash", "sleep"):
+        if self.kind not in ("error", "crash"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.keys is not None and not isinstance(self.keys, frozenset):
             object.__setattr__(self, "keys", frozenset(self.keys))
@@ -271,15 +263,11 @@ def fault_fires(site: str, key=None) -> Optional[FaultRule]:
 def fault_point(site: str, key=None) -> None:
     """Execute the fault site ``site``: a no-op unless an armed rule fires.
 
-    ``"error"`` rules raise :class:`InjectedFault`; ``"sleep"`` rules stall
-    for the rule's ``seconds``; ``"crash"`` rules terminate the process via
-    ``os._exit`` (worker-scoped by default).
+    ``"error"`` rules raise :class:`InjectedFault`; ``"crash"`` rules
+    terminate the process via ``os._exit`` (worker-scoped by default).
     """
     rule = fault_fires(site, key)
     if rule is None:
-        return
-    if rule.kind == "sleep":
-        time.sleep(rule.seconds)
         return
     if rule.kind == "crash":
         os._exit(CRASH_EXIT_CODE)
@@ -292,7 +280,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedFault",
-    "ParallelExecutionError",
     "ReliabilityError",
     "UnknownFaultSiteWarning",
     "active_faults",

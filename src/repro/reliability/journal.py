@@ -46,20 +46,15 @@ def atomic_write_text(path: "Path | str", text: str) -> None:
 class CheckpointJournal:
     """An atomic on-disk record of completed work units.
 
-    ``flush_every`` batches disk rewrites: the journal is flushed after that
-    many :meth:`record` calls (default every call) and can always be forced
-    with :meth:`flush`.  Unflushed records are at risk on a kill — callers
-    trade durability granularity for write traffic, never consistency.
+    Every change (:meth:`record`, :meth:`bind_meta`, :meth:`clear`) is
+    flushed to disk before the call returns, so a kill loses at most the
+    work unit that was in flight.
     """
 
-    def __init__(self, path: "Path | str", *, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be at least 1 (got {flush_every})")
+    def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
-        self.flush_every = int(flush_every)
         self._entries: Dict[str, object] = {}
         self._meta: Optional[dict] = None
-        self._dirty = 0
         self._load()
 
     def _load(self) -> None:
@@ -96,7 +91,6 @@ class CheckpointJournal:
         normalised = json.loads(json.dumps(meta))
         if self._meta is None:
             self._meta = normalised
-            self._dirty += 1
             self.flush()
             return
         if self._meta != normalised:
@@ -121,25 +115,19 @@ class CheckpointJournal:
         return default if value is _MISSING else value
 
     def record(self, key: str, value=None) -> None:
-        """Mark ``key`` complete with ``value`` and flush per ``flush_every``."""
+        """Mark ``key`` complete with ``value`` and flush."""
         self._entries[str(key)] = value
-        self._dirty += 1
-        if self._dirty >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
-        """Atomically rewrite the journal file if there are unflushed records."""
-        if not self._dirty:
-            return
+        """Atomically rewrite the journal file from the in-memory state."""
         payload = {"journal": _FORMAT, "meta": self._meta, "entries": self._entries}
         atomic_write_text(self.path, json.dumps(payload, indent=2) + "\n")
-        self._dirty = 0
 
     def clear(self) -> None:
         """Drop every entry and the bound meta, and rewrite the file."""
         self._entries = {}
         self._meta = None
-        self._dirty = 1
         self.flush()
 
 

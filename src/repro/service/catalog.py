@@ -160,19 +160,18 @@ class GameCatalog:
         profile=None,
         backend: Optional[str] = None,
         verify_every: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> GameEntry:
         """Register ``game`` under ``name`` with a freshly warmed engine.
 
         Integral :class:`BBCGame` instances get a *dedicated*
         :class:`CostEngine` (not the shared per-game registry entry), so
         service-level configuration — ``verify_every`` row self-verification
-        for long-lived serving, an explicit traversal ``backend``, a byte
-        budget — never leaks into batch callers sharing the same game
-        object.  :class:`FractionalBBCGame` instances resolve the usual
-        shared fractional engine (``None`` on the minimal dependency leg —
-        the entry then serves on the FlowNetwork reference path and
-        LP-backed queries surface the documented
+        for long-lived serving, an explicit traversal ``backend`` — never
+        leaks into batch callers sharing the same game object.
+        :class:`FractionalBBCGame` instances resolve the usual shared
+        fractional engine (``None`` on the minimal dependency leg — the entry
+        then serves on the FlowNetwork reference path and LP-backed queries
+        surface the documented
         :class:`~repro.core.errors.BestResponseUnavailable`).
 
         The initial ``profile`` defaults to the game's empty profile; the
@@ -203,12 +202,7 @@ class GameCatalog:
             if profile is None:
                 profile = game.empty_profile()
             game.validate_profile(profile)
-            engine = CostEngine(
-                game,
-                backend=backend,
-                verify_every=verify_every,
-                memory_budget_bytes=memory_budget_bytes,
-            )
+            engine = CostEngine(game, backend=backend, verify_every=verify_every)
             engine.sync(profile)
             entry = GameEntry(
                 name=name,

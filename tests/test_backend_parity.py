@@ -406,12 +406,6 @@ def test_engine_backend_defaults_to_python_on_small_games():
     assert engine.backend == "python"
 
 
-def test_sweep_evaluator_rejects_engine_plus_backend(small_uniform_game):
-    engine = CostEngine(small_uniform_game)
-    with pytest.raises(ValueError):
-        SweepEvaluator(small_uniform_game, engine=engine, backend="python")
-
-
 # --------------------------------------------------------------------- #
 # Engine-level parity
 # --------------------------------------------------------------------- #
@@ -564,8 +558,12 @@ def test_sweep_evaluator_backend_kwarg_parity(small_uniform_game):
     profiles = [
         random_profile(small_uniform_game, seed=seed) for seed in range(12)
     ]
-    sweep_np = SweepEvaluator(small_uniform_game, backend="numpy")
-    sweep_py = SweepEvaluator(small_uniform_game, backend="python")
+    sweep_np = SweepEvaluator(
+        small_uniform_game, engine=CostEngine(small_uniform_game, backend="numpy")
+    )
+    sweep_py = SweepEvaluator(
+        small_uniform_game, engine=CostEngine(small_uniform_game, backend="python")
+    )
     assert sweep_np.engine.backend == "numpy"
     assert sweep_py.engine.backend == "python"
     for profile in profiles:

@@ -4,8 +4,8 @@ Every entry point must, under any seeded :class:`FaultPlan`, either return a
 result bit-identical to its fault-free run or raise the documented typed
 error — never a wrong answer, never an unhandled ``multiprocessing``/scipy
 traceback.  These tests pin that contract for the fault harness itself, the
-crash-safe ``parallel_map`` (worker crashes, hung tasks, dead pools, retry
-policies), the checkpoint journal (kill/resume parity for study grids and
+crash-safe ``parallel_map`` (worker crashes, dead pools, its fixed retry
+policy), the checkpoint journal (kill/resume parity for study grids and
 exhaustive sweeps), and the engines' graceful-degradation paths
 (``verify_every`` row self-verification, chunk-build fallback, LP
 retry-then-reference fallback, numpy-import gating).
@@ -24,6 +24,8 @@ from repro.core.search import exhaustive_equilibrium_search
 from repro.engine import CostEngine, resolve_backend
 from repro.experiments.dynamics_study import max_cost_first_convergence_study
 from repro.experiments.parallel import (
+    MAX_POOL_RESTARTS,
+    TASK_RETRIES,
     GameSpec,
     default_processes,
     last_run_stats,
@@ -172,15 +174,6 @@ class TestCheckpointJournal:
         with pytest.raises(CheckpointError, match="different run"):
             reloaded.bind_meta({"radices": [3, 2]})
 
-    def test_flush_every_batches_disk_writes(self, tmp_path):
-        path = tmp_path / "j.json"
-        journal = CheckpointJournal(path, flush_every=3)
-        journal.record("a", 1)
-        journal.record("b", 2)
-        assert not path.exists()
-        journal.record("c", 3)
-        assert len(CheckpointJournal(path)) == 3
-
     def test_atomic_write_text_replaces_whole_file(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_text(path, "first")
@@ -222,20 +215,18 @@ class TestParallelMap:
         assert stats["serial_fallback_cells"] == 0
 
     def test_exhausted_restarts_fall_back_serially_with_warning(self):
+        # Crash cell 1 in the first pool and in every restarted one.
+        keys = frozenset((1, attempt) for attempt in range(MAX_POOL_RESTARTS + 1))
         plan = FaultPlan(
-            rules=(
-                FaultRule(
-                    site="parallel.task", kind="crash", keys=frozenset({(1, 0), (1, 1)})
-                ),
-            )
+            rules=(FaultRule(site="parallel.task", kind="crash", keys=keys, times=None),)
         )
         with active_faults(plan):
             with pytest.warns(RuntimeWarning, match="pool died mid-run.*serially"):
-                got = parallel_map(
-                    square, self.ITEMS, processes=2, max_pool_restarts=0
-                )
+                got = parallel_map(square, self.ITEMS, processes=2)
         assert got == self.EXPECTED
-        assert last_run_stats()["serial_fallback_cells"] >= 1
+        stats = last_run_stats()
+        assert stats["pool_restarts"] == MAX_POOL_RESTARTS
+        assert stats["serial_fallback_cells"] >= 1
 
     def test_pool_start_failure_degrades_to_serial(self):
         plan = FaultPlan(rules=(FaultRule(site="parallel.pool-start"),))
@@ -244,67 +235,21 @@ class TestParallelMap:
                 got = parallel_map(square, self.ITEMS, processes=2)
         assert got == self.EXPECTED
 
-    def test_hung_task_is_recovered_via_timeout(self):
-        plan = FaultPlan(
-            rules=(
-                FaultRule(
-                    site="parallel.task",
-                    kind="sleep",
-                    seconds=5.0,
-                    keys=frozenset({(0, 0)}),
-                ),
-            )
-        )
-        with active_faults(plan):
-            got = parallel_map(square, self.ITEMS, processes=2, timeout=0.4)
-        assert got == self.EXPECTED
-        stats = last_run_stats()
-        assert stats["timeouts"] >= 1
-
     def test_on_error_raise_propagates_the_typed_error(self):
         plan = FaultPlan(rules=(FaultRule(site="parallel.task", times=None),))
         with active_faults(plan):
             with pytest.raises(InjectedFault):
-                parallel_map(square, self.ITEMS, processes=2, retries=1)
+                parallel_map(square, self.ITEMS, processes=2)
 
-    def test_on_error_skip_yields_none_with_warning(self):
-        # Fail cell 2 on every pool attempt; the serial rung runs in the
-        # parent where worker-scoped rules stay silent, so scope this rule
-        # everywhere to keep the cell failing through all rungs.
-        keys = frozenset((2, attempt) for attempt in range(4))
-        plan = FaultPlan(
-            rules=(FaultRule(site="parallel.task", keys=keys, times=None),)
+    def test_lowest_failing_cell_is_raised_first(self):
+        keys = frozenset(
+            (index, attempt) for index in (4, 2) for attempt in range(TASK_RETRIES + 1)
         )
+        plan = FaultPlan(rules=(FaultRule(site="parallel.task", keys=keys, times=None),))
         with active_faults(plan):
-            with pytest.warns(RuntimeWarning, match="skipped 1 of 6 cells"):
-                got = parallel_map(
-                    square, self.ITEMS, processes=2, retries=1, on_error="skip"
-                )
-        assert got == [0, 1, None, 9, 16, 25]
-        assert last_run_stats()["skipped"] == 1
-
-    def test_on_error_retry_serial_recovers_worker_only_failures(self):
-        # The rule fires only inside workers, so the final serial re-run in
-        # the parent process succeeds.
-        keys = frozenset((2, attempt) for attempt in range(4))
-        plan = FaultPlan(
-            rules=(
-                FaultRule(site="parallel.task", keys=keys, times=None, where="worker"),
-            )
-        )
-        with active_faults(plan):
-            got = parallel_map(
-                square, self.ITEMS, processes=2, retries=1, on_error="retry-serial"
-            )
-        assert got == self.EXPECTED
-
-    def test_invalid_arguments_are_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            parallel_map(square, [1], on_error="explode")
-        with pytest.raises(ValueError, match="retries"):
-            parallel_map(square, [1], retries=-1)
-        with pytest.raises(ValueError, match="max_pool_restarts"):
-            parallel_map(square, [1], max_pool_restarts=-1)
+            with pytest.raises(InjectedFault) as raised:
+                parallel_map(square, self.ITEMS, processes=2)
+        assert raised.value.key == (2, TASK_RETRIES)
 
     def test_journal_resume_skips_completed_cells(self, tmp_path):
         path = tmp_path / "cells.json"
@@ -331,18 +276,17 @@ class TestParallelMap:
     @settings(max_examples=15, deadline=None)
     @given(
         processes=st.sampled_from([1, 2, 3]),
-        retries=st.integers(0, 2),
         crash_seed=st.integers(0, 1_000),
     )
     def test_results_are_bit_identical_under_any_crash_schedule(
-        self, processes, retries, crash_seed
+        self, processes, crash_seed
     ):
-        """The acceptance invariant, across all three axes at once.
+        """The acceptance invariant, across both axes at once.
 
         A seeded plan crashes a pseudo-random subset of first task attempts
         (worker-scoped, so pool generations die and restart); results must
-        equal the fault-free serial run no matter the process count, retry
-        budget, or crash schedule.
+        equal the fault-free serial run no matter the process count or crash
+        schedule.
         """
         items = list(range(8))
         expected = [x * x for x in items]
@@ -352,9 +296,7 @@ class TestParallelMap:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with active_faults(plan):
-                got = parallel_map(
-                    square, items, processes=processes, retries=retries
-                )
+                got = parallel_map(square, items, processes=processes)
         assert got == expected
 
 
@@ -409,7 +351,7 @@ class TestStudyGridCrashParity:
             7, 2, num_starts=4, max_rounds=15, seed=0, processes=1
         )
         # First run dies on cell 2: fail every pool retry attempt so the
-        # default on_error="raise" policy aborts the grid mid-run.  The other
+        # cell's exception aborts the grid mid-run.  The other
         # cells were journalled as they completed.
         plan = FaultPlan(
             rules=(
