@@ -310,7 +310,6 @@ def best_response(
     *,
     candidates: Optional[Sequence[Node]] = None,
     limit: float = DEFAULT_ENUMERATION_LIMIT,
-    prefer_current: bool = True,
     engine=None,
 ) -> BestResponseResult:
     """Compute an exact best response for ``node`` against ``profile``.
@@ -327,7 +326,7 @@ def best_response(
     current_cost = score(current_strategy)
 
     best_strategy = current_strategy
-    best_cost = current_cost if prefer_current else math.inf
+    best_cost = current_cost
     evaluated = 0
     batch = batched_combination_costs(game, scorer, node, candidates, limit)
     if batch is not None:
@@ -353,9 +352,6 @@ def best_response(
             if cost < best_cost - 1e-9:
                 best_cost = cost
                 best_strategy = strategy
-    if not prefer_current and best_cost == math.inf:  # no feasible strategy enumerated
-        best_strategy = current_strategy
-        best_cost = current_cost
     improved = best_cost < current_cost - 1e-9
     return BestResponseResult(
         node=node,

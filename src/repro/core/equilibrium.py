@@ -126,12 +126,10 @@ def is_pure_nash(
 
     Short-circuits on the first node with a profitable deviation.
     """
-    game.validate_profile(profile)
-    for node in game.nodes:
-        result = best_response(game, profile, node, limit=limit, engine=engine)
-        if result.regret > tolerance:
-            return False
-    return True
+    return (
+        first_unstable_node(game, profile, tolerance=tolerance, limit=limit, engine=engine)
+        is None
+    )
 
 
 def first_unstable_node(

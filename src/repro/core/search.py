@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence
 
 from ..rng import SeedLike, as_rng
+from .best_response import count_feasible_strategies
 from .equilibrium import is_pure_nash
 from .errors import SearchSpaceTooLarge
 from .game import BBCGame, DEFAULT_ENUMERATION_LIMIT
@@ -170,29 +171,30 @@ def exhaustive_equilibrium_search(
     ``journal`` (a :class:`~repro.reliability.CheckpointJournal` or a path)
     makes the sweep crash-safe: completed blocks of ``checkpoint_every``
     consecutive Gray-order profiles are recorded atomically, and a re-run
-    with the same journal skips their Nash checks entirely (profile
-    construction is replayed — the Gray walk is the iteration order — but no
-    deviation is re-enumerated).  The resumed summary is identical to an
-    uninterrupted run's.  The journal is bound to this search's shape
-    (radices, ``checkpoint_every``, ``stop_at_first``); reusing it for a
-    different search raises
-    :class:`~repro.reliability.CheckpointError`.
+    with the same journal skips them entirely (the unfinished blocks are
+    seeked by Gray rank, so no journalled profile is rebuilt or
+    re-checked).  The resumed summary is identical to an uninterrupted
+    run's.  The journal is bound to this search's shape (radices,
+    ``checkpoint_every``, ``stop_at_first``); reusing it for a different
+    search raises :class:`~repro.reliability.CheckpointError`.
 
-    ``processes`` shards the profile space: the not-yet-journalled checkpoint
-    blocks are split into contiguous Gray-rank subranges, each evaluated by a
-    pool worker that rebuilds the game (and, on the engine path, its own
-    :class:`~repro.engine.CostEngine`) from a picklable
+    Every run has one block runner, :func:`_sweep_blocks`: the
+    not-yet-journalled blocks are split into contiguous Gray-rank shards,
+    each swept block by block, and one merge loop folds the per-block
+    records into the summary in global block order.  With ``processes=1``
+    the shards run in-process and each block is journalled as it completes,
+    so a kill loses at most the block in flight.  With more workers each
+    shard runs in a pool worker that rebuilds the game (and, on the engine
+    path, its own :class:`~repro.engine.CostEngine`) from a picklable
     :class:`~repro.experiments.parallel.GameSpec` plus the candidate sets,
-    and the per-block records are merged in global block order.  Records,
-    the journal, and the summary are **bit-identical** to a serial run at
-    any worker count;
-    ``None`` means one worker per available CPU
-    (:func:`~repro.experiments.parallel.resolve_processes`).  An explicit
-    engine *instance* is process-local state and cannot shard — pass
-    ``engine=None`` (each worker builds its own) or ``engine=False``.
+    and fresh blocks are journalled at the merge, so a worker crash never
+    half-writes a checkpoint.  Records, the journal, and the summary are
+    **bit-identical** at any worker count; ``None`` means one worker per
+    available CPU (:func:`~repro.experiments.parallel.resolve_processes`).
+    An explicit engine *instance* is process-local state and cannot shard —
+    pass ``engine=None`` (each worker builds its own) or ``engine=False``.
     """
-    from ..engine.sweep import gray_code_profiles
-    from ..reliability.faults import fault_point
+    from ..engine.sweep import _resolve_gray_space
     from ..reliability.journal import resolve_journal
 
     if checkpoint_every < 1:
@@ -216,187 +218,11 @@ def exhaustive_equilibrium_search(
         from ..experiments.parallel import resolve_processes
 
         count = resolve_processes(processes)
-    if count > 1:
-        if engine is not None and engine is not False:
-            raise ValueError(
-                "an explicit engine instance is process-local; pass "
-                "engine=None or engine=False to shard with processes > 1"
-            )
-        return _sharded_search(
-            game,
-            sets,
-            stop_at_first=stop_at_first,
-            profile_limit=profile_limit,
-            deviation_limit=deviation_limit,
-            tolerance=tolerance,
-            use_engine=engine is None,
-            journal=journal,
-            checkpoint_every=checkpoint_every,
-            count=count,
+    if count > 1 and engine is not None and engine is not False:
+        raise ValueError(
+            "an explicit engine instance is process-local; pass "
+            "engine=None or engine=False to shard with processes > 1"
         )
-
-    check = _nash_checker(game, tolerance, deviation_limit, engine)
-    examined = 0
-    found = 0
-    first: Optional[StrategyProfile] = None
-
-    def finish(record) -> None:
-        nonlocal examined, found, first
-        examined += record["examined"]
-        found += record["found"]
-        if first is None and record["first"] is not None:
-            first = _deserialize_profile(record["first"])
-
-    profiles = gray_code_profiles(
-        game,
-        candidate_strategies=sets,
-        limit=profile_limit,
-    )
-    block_index = 0
-    exhausted = True
-    done = False
-    while not done:
-        block = list(itertools.islice(profiles, checkpoint_every))
-        if not block:
-            break
-        completed = journal.get(f"block:{block_index}") if journal is not None else None
-        if completed is not None:
-            # The block's verdicts are already journalled: adopt them without
-            # re-enumerating a single deviation.
-            finish(completed)
-            if completed["stopped"]:
-                exhausted = False
-                done = True
-        else:
-            record = {"examined": 0, "found": 0, "first": None, "stopped": False}
-            base = block_index * checkpoint_every
-            for offset, profile in enumerate(block):
-                fault_point("search.profile", key=base + offset)
-                record["examined"] += 1
-                if check(profile):
-                    record["found"] += 1
-                    if record["first"] is None:
-                        record["first"] = _serialize_profile(profile)
-                    if stop_at_first:
-                        record["stopped"] = True
-                        break
-            if journal is not None:
-                journal.record(f"block:{block_index}", record)
-            finish(record)
-            if record["stopped"]:
-                exhausted = False
-                done = True
-        block_index += 1
-    return SearchSummary(
-        profiles_examined=examined,
-        equilibria_found=found,
-        first_equilibrium=first,
-        exhausted=exhausted,
-    )
-
-
-#: Per-process context cache of the last search a shard cell served, keyed
-#: by the parent's run token: the rebuilt game, candidate sets, parameters,
-#: and the warm Nash checker (its evaluator memo carries across the worker's
-#: shards).  One entry only — a different run evicts it, so stale games
-#: cannot pin memory across unrelated searches.
-_SHARD_CACHE: Dict[tuple, tuple] = {}
-
-#: Mints the per-search run tokens keying :data:`_SHARD_CACHE`.
-_RUN_COUNTER = itertools.count()
-
-
-def _search_shard_cell(args) -> list:
-    """Pool-worker cell: sweep blocks ``[block_start, block_stop)`` of a search.
-
-    ``args`` is ``(run_token, context, block_start, block_stop)``; the
-    context (see :func:`_sharded_search`) carries everything the sweep reads,
-    and the worker rebuilds the game from its spec.  Returns
-    ``[[block_index, record], ...]`` with exactly the records the serial loop
-    produces for those blocks — same profiles in the same Gray order, same
-    ``search.profile`` fault keys (global ranks), same stop-at-first
-    truncation — so the parent can merge shards in global block order into a
-    serial-identical summary.  Also the serial-rung fallback when the pool
-    cannot run: everything here is process-local or read-only.
-    """
-    token, context, block_start, block_stop = args
-    from ..engine.sweep import gray_code_profiles
-    from ..reliability.faults import fault_point
-
-    ctx = _SHARD_CACHE.get(token)
-    if ctx is None:
-        game = context["spec"].build()
-        sets = {node: list(strategies) for node, strategies in context["sets"]}
-        params = context["params"]
-        if params["use_engine"]:
-            from ..engine.cost_engine import CostEngine
-
-            engine = CostEngine(game)
-        else:
-            engine = False
-        check = _nash_checker(
-            game, params["tolerance"], params["deviation_limit"], engine
-        )
-        ctx = (game, sets, params, check)
-        _SHARD_CACHE.clear()
-        _SHARD_CACHE[token] = ctx
-    game, sets, params, check = ctx
-    checkpoint_every = params["checkpoint_every"]
-    stop = min(block_stop * checkpoint_every, params["size"])
-    profiles = gray_code_profiles(
-        game,
-        candidate_strategies=sets,
-        limit=params["profile_limit"],
-        start=block_start * checkpoint_every,
-        stop=stop,
-    )
-    out = []
-    for block_index in range(block_start, block_stop):
-        base = block_index * checkpoint_every
-        record = {"examined": 0, "found": 0, "first": None, "stopped": False}
-        for offset in range(min(base + checkpoint_every, stop) - base):
-            profile = next(profiles)
-            fault_point("search.profile", key=base + offset)
-            record["examined"] += 1
-            if check(profile):
-                record["found"] += 1
-                if record["first"] is None:
-                    record["first"] = _serialize_profile(profile)
-                if params["stop_at_first"]:
-                    record["stopped"] = True
-                    break
-        out.append([block_index, record])
-        if record["stopped"]:
-            break
-    return out
-
-
-def _sharded_search(
-    game: BBCGame,
-    sets: Dict[Node, List[Strategy]],
-    *,
-    stop_at_first: bool,
-    profile_limit: float,
-    deviation_limit: float,
-    tolerance: float,
-    use_engine: bool,
-    journal,
-    checkpoint_every: int,
-    count: int,
-) -> SearchSummary:
-    """Parent side of a sharded exhaustive search (``journal`` pre-bound).
-
-    Splits the not-yet-journalled checkpoint blocks into at most ``count``-ish
-    contiguous shards and fans them out over a :func:`parallel_map` pool.
-    Each cell carries the picklable game spec, candidate sets and parameters;
-    workers rebuild everything else.  The per-block records merge in global
-    block order, truncating at the first ``stopped`` block exactly like the
-    serial loop, before the surviving records are journalled.  Fresh blocks
-    land in the journal only here, in the parent, so a worker crash never
-    half-writes a checkpoint.
-    """
-    from ..engine.sweep import _resolve_gray_space
-    from ..experiments.parallel import GameSpec, parallel_map
 
     _, _, _, _, size = _resolve_gray_space(game, sets, None, None, profile_limit)
     total_blocks = -(-size // checkpoint_every)
@@ -411,55 +237,54 @@ def _sharded_search(
             if record["stopped"]:
                 cutoff = i + 1
                 break
+    # Shards: contiguous runs of the blocks still to sweep, chopped so about
+    # `count` shards cover them.  Boundaries depend on `count`; the per-block
+    # records do not.
     needed = [i for i in range(cutoff) if i not in journaled]
-    records: Dict[int, dict] = dict(journaled)
-    if needed:
-        # Shards: contiguous runs of needed blocks, chopped so ~count shards
-        # cover them.  Boundaries depend on `count`; the merged summary does
-        # not — records are per-block either way.
-        chunk = max(1, -(-len(needed) // count))
-        shards: List[tuple] = []
-        run_start = prev = needed[0]
-        for block in needed[1:] + [None]:
-            if block is not None and block == prev + 1 and block - run_start < chunk:
-                prev = block
-                continue
-            shards.append((run_start, prev + 1))
-            if block is not None:
-                run_start = prev = block
+    chunk = max(1, -(-len(needed) // count))
+    shards: List[List[int]] = []
+    for i in needed:
+        if shards and shards[-1][1] == i and i - shards[-1][0] < chunk:
+            shards[-1][1] = i + 1
+        else:
+            shards.append([i, i + 1])
+
+    params = {
+        "checkpoint_every": checkpoint_every,
+        "stop_at_first": bool(stop_at_first),
+        "profile_limit": profile_limit,
+        "deviation_limit": deviation_limit,
+        "tolerance": tolerance,
+        "use_engine": engine is None,
+    }
+    if count == 1:
+        context = (game, sets, _nash_checker(game, tolerance, deviation_limit, engine), params)
+        shard_records = (_sweep_blocks(context, lo, hi) for lo, hi in shards)
+    else:
+        from ..experiments.parallel import GameSpec, parallel_map
+
         token = (os.getpid(), next(_RUN_COUNTER))
-        context = {
-            "spec": GameSpec.from_game(game),
-            "sets": [(node, list(sets[node])) for node in game.nodes],
-            "params": {
-                "checkpoint_every": checkpoint_every,
-                "stop_at_first": bool(stop_at_first),
-                "profile_limit": profile_limit,
-                "deviation_limit": deviation_limit,
-                "tolerance": tolerance,
-                "use_engine": use_engine,
-                "size": size,
-            },
-        }
-        cells = [(token, context, lo, hi) for lo, hi in shards]
-        for shard in parallel_map(_search_shard_cell, cells, processes=count):
-            for block_index, record in shard:
-                records[block_index] = record
+        payload = {"spec": GameSpec.from_game(game), "sets": sets, "params": params}
+        cells = [(token, payload, lo, hi) for lo, hi in shards]
+        shard_records = parallel_map(_search_shard_cell, cells, processes=count)
+    # Fresh records arrive in block order up to the first stopped block,
+    # which ends the merge before any later shard's records are read.
+    fresh = itertools.chain.from_iterable(shard_records)
 
     examined = 0
     found = 0
     first: Optional[StrategyProfile] = None
     exhausted = True
-    for i in range(total_blocks):
-        record = records.get(i)
-        if record is None:  # beyond the block where a shard stopped early
-            break
+    for i in range(cutoff):
+        record = journaled.get(i)
+        if record is None:
+            _, record = next(fresh)
+            if journal is not None:
+                journal.record(f"block:{i}", record)
         examined += record["examined"]
         found += record["found"]
         if first is None and record["first"] is not None:
             first = _deserialize_profile(record["first"])
-        if journal is not None and i not in journaled:
-            journal.record(f"block:{i}", record)
         if record["stopped"]:
             exhausted = False
             break
@@ -469,6 +294,82 @@ def _sharded_search(
         first_equilibrium=first,
         exhausted=exhausted,
     )
+
+
+def _sweep_blocks(context: tuple, lo: int, hi: int) -> Iterator[tuple]:
+    """Sweep checkpoint blocks ``[lo, hi)``, yielding ``(block_index, record)``.
+
+    The one per-block loop of :func:`exhaustive_equilibrium_search`, run
+    in-process or inside a pool worker.  ``context`` is ``(game, sets,
+    check, params)``.  The blocks' profiles are seeked by Gray rank, so a
+    shard yields exactly the records an unsharded sweep produces for those
+    blocks: same profiles in the same order, same ``search.profile`` fault
+    keys (global ranks).  Under ``stop_at_first`` the block holding the
+    first equilibrium is marked ``stopped`` and ends the shard.
+    """
+    from ..engine.sweep import gray_code_profiles
+    from ..reliability.faults import fault_point
+
+    game, sets, check, params = context
+    every = params["checkpoint_every"]
+    profiles = gray_code_profiles(
+        game, sets, limit=params["profile_limit"], start=lo * every, stop=hi * every
+    )
+    for block_index in range(lo, hi):
+        record = {"examined": 0, "found": 0, "first": None, "stopped": False}
+        ranks = range(block_index * every, (block_index + 1) * every)
+        for rank, profile in zip(ranks, profiles):
+            fault_point("search.profile", key=rank)
+            record["examined"] += 1
+            if check(profile):
+                record["found"] += 1
+                if record["first"] is None:
+                    record["first"] = _serialize_profile(profile)
+                if params["stop_at_first"]:
+                    record["stopped"] = True
+                    break
+        yield block_index, record
+        if record["stopped"]:
+            return
+
+
+#: Per-process context cache of the last search a shard cell served, keyed
+#: by the parent's run token: the rebuilt game, candidate sets, warm Nash
+#: checker (its evaluator memo carries across the worker's shards) and
+#: parameters.  One entry only — a different run evicts it, so stale games
+#: cannot pin memory across unrelated searches.
+_SHARD_CACHE: Dict[tuple, tuple] = {}
+
+#: Mints the per-search run tokens keying :data:`_SHARD_CACHE`.
+_RUN_COUNTER = itertools.count()
+
+
+def _search_shard_cell(args) -> list:
+    """Pool-worker cell: ``list(_sweep_blocks(...))`` over blocks ``[lo, hi)``.
+
+    ``args`` is ``(run_token, payload, lo, hi)``, where ``payload`` carries
+    the game's spec, the candidate sets and the search parameters; the
+    worker rebuilds the game and its Nash checker once per run token.  Also
+    the serial-rung fallback when the pool cannot run: everything here is
+    process-local or read-only.
+    """
+    token, payload, lo, hi = args
+    context = _SHARD_CACHE.get(token)
+    if context is None:
+        game = payload["spec"].build()
+        params = payload["params"]
+        engine = False
+        if params["use_engine"]:
+            from ..engine.cost_engine import CostEngine
+
+            engine = CostEngine(game)
+        check = _nash_checker(
+            game, params["tolerance"], params["deviation_limit"], engine
+        )
+        context = (game, payload["sets"], check, params)
+        _SHARD_CACHE.clear()
+        _SHARD_CACHE[token] = context
+    return list(_sweep_blocks(context, lo, hi))
 
 
 def find_equilibria(
@@ -491,6 +392,8 @@ def find_equilibria(
     """
     from ..engine.sweep import gray_code_profiles
 
+    if max_results is not None and max_results < 1:
+        return []
     check = _nash_checker(game, tolerance, deviation_limit, engine)
     results: List[StrategyProfile] = []
     for profile in gray_code_profiles(
@@ -568,18 +471,7 @@ def sampled_equilibrium_search(
 
 def estimate_profile_space(game: BBCGame) -> float:
     """Return (an estimate of) the number of budget-maximal profiles of ``game``."""
-    total = 1.0
-    for node in game.nodes:
-        candidates = [v for v in game.nodes if v != node]
-        costs = {game.link_cost(node, v) for v in candidates}
-        if len(costs) <= 1:
-            per_link = next(iter(costs)) if costs else 0.0
-            if per_link <= 0:
-                count = 1
-            else:
-                max_links = min(len(candidates), int(game.budget(node) // per_link))
-                count = math.comb(len(candidates), max_links)
-        else:
-            count = sum(1 for _ in game.feasible_strategies(node, maximal_only=True))
-        total *= max(1, count)
-    return total
+    return math.prod(
+        (max(1, count_feasible_strategies(game, node)) for node in game.nodes),
+        start=1.0,
+    )

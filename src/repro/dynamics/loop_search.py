@@ -115,6 +115,8 @@ def reconstruct_figure4(
     tri-state: ``False`` scores every probe with the dict-based reference
     oracle; the results are identical either way.
     """
+    if max_results < 1:
+        return []
     game = UniformBBCGame(7, 2)
     free_nodes = (0, 1, 4, 5)
     sets: Dict[int, List[FrozenSet[int]]] = {

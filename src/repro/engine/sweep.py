@@ -57,9 +57,10 @@ _CHAIN_EPS = 1e-9
 #: (mirrors :data:`repro.core.search.DEFAULT_PROFILE_LIMIT`).
 DEFAULT_SWEEP_LIMIT = 5_000_000
 
-#: Default bound on memoised entries (environment minima + verdict bits)
-#: across all nodes; exceeding it drops every memo and starts over.
-DEFAULT_MEMO_ENTRY_LIMIT = 1_000_000
+#: Bound on a :class:`SweepEvaluator`'s memoised entries (environment minima
+#: + verdict bits) across all nodes; exceeding it drops every memo and starts
+#: over.  Read at use time.
+MEMO_ENTRY_LIMIT = 1_000_000
 
 
 def _resolve_gray_space(
@@ -158,19 +159,20 @@ def gray_code_profiles(
     """Yield every profile over the per-node strategy sets in Gray order.
 
     Consecutive profiles differ in **exactly one** node's strategy (mixed-radix
-    reflected Gray order, Knuth 7.2.1.1 Algorithm H), and the full cartesian
-    product is covered exactly once.  ``sets`` explicitly fixes the strategy
-    list of the nodes it mentions (shorthand for ``candidate_strategies``);
-    nodes covered by neither fall back to all budget-maximal strategies, like
+    reflected Gray order), and the full cartesian product is covered exactly
+    once.  ``sets`` explicitly fixes the strategy list of the nodes it
+    mentions (shorthand for ``candidate_strategies``); nodes covered by
+    neither fall back to all budget-maximal strategies, like
     :func:`repro.core.enumerate_profiles`.  The last node in declaration
     order varies fastest, mirroring ``itertools.product``.
 
     ``start``/``stop`` select the half-open rank subrange ``[start, stop)``
-    of that same order (``stop=None`` = the end): the first profile is
-    seeked in O(nodes) via :func:`profile_at`'s digit arithmetic and the
-    rest follow incrementally, so a sharded sweep over ``k`` contiguous
-    subranges yields exactly the serial stream, partitioned — each
-    subrange still steps one node at a time internally.
+    of that same order (``stop=None`` = the end).  Every call seeks its
+    first profile in O(nodes) with :func:`profile_at`'s digit arithmetic
+    and then steps a mixed-radix counter whose digits carry their sweep
+    direction, one strategy edit per profile; a sharded sweep over ``k``
+    contiguous subranges therefore yields exactly the full stream,
+    partitioned.
 
     The search-space size is estimated up front; exceeding ``limit`` raises
     :class:`~repro.core.errors.SearchSpaceTooLarge`.
@@ -184,59 +186,34 @@ def gray_code_profiles(
     if size == 0 or start >= hi:
         return  # empty product or empty subrange
 
+    # Seek the Gray word of `start` in closed form, then step a plain
+    # mixed-radix counter.  Digit j sweeps forward on even passes and
+    # backward on odd ones (the pass count is `rank // prod(radix[:j+1])`),
+    # so each digit keeps its direction, seeded from `start` and flipped
+    # whenever the carry rolls it over.  Between consecutive ranks only the
+    # digit where the carry stops changes in the Gray word (reflection
+    # swallows the rolled-over lower digits), so each step is one edit.
     current: Dict[Node, Strategy] = {node: resolved[node][0] for node in nodes}
-    m = len(digit_nodes)
-
-    if start == 0 and hi == size:
-        # Full enumeration: Knuth 7.2.1.1 Algorithm H, loopless per step.
-        yield StrategyProfile(current)
-        if m == 0:
-            return
-        value = [0] * m
-        direction = [1] * m
-        focus = list(range(m + 1))
-        while True:
-            j = focus[0]
-            focus[0] = 0
-            if j == m:
-                return
-            value[j] += direction[j]
-            if value[j] == 0 or value[j] == radix[j] - 1:
-                direction[j] = -direction[j]
-                focus[j] = focus[j + 1]
-                focus[j + 1] = j + 1
-            node = digit_nodes[j]
-            current[node] = resolved[node][value[j]]
-            yield StrategyProfile(current)
-
-    # Subrange: seek the Gray word of `start` in closed form, then advance a
-    # plain mixed-radix counter; between consecutive ranks only the digit
-    # where the counter's carry stops changes in the Gray word (reflection
-    # swallows the rolled-over lower digits), so each step is one strategy
-    # edit — the same single-edit stream a worker's local engine wants.
-    b = [0] * m
-    remaining = start
-    for j in range(m):
-        remaining, b[j] = divmod(remaining, radix[j])
     for node, digit in zip(digit_nodes, _gray_digits(start, radix)):
         current[node] = resolved[node][digit]
     yield StrategyProfile(current)
-    prefix = [1]
-    for m_j in radix:
-        prefix.append(prefix[-1] * m_j)
-    for rank in range(start + 1, hi):
+    counter: List[int] = []
+    backward: List[bool] = []
+    quotient = start
+    for m in radix:
+        quotient, b = divmod(quotient, m)
+        counter.append(b)
+        backward.append(quotient % 2 == 1)
+    top = [m - 1 for m in radix]
+    options = [resolved[node] for node in digit_nodes]
+    for _ in range(start + 1, hi):
         j = 0
-        while b[j] == radix[j] - 1:
-            b[j] = 0
+        while counter[j] == top[j]:
+            counter[j] = 0
+            backward[j] = not backward[j]
             j += 1
-        b[j] += 1
-        digit = (
-            b[j]
-            if (rank // prefix[j + 1]) % 2 == 0
-            else radix[j] - 1 - b[j]
-        )
-        node = digit_nodes[j]
-        current[node] = resolved[node][digit]
+        b = counter[j] = counter[j] + 1
+        current[digit_nodes[j]] = options[j][top[j] - b if backward[j] else b]
         yield StrategyProfile(current)
 
 
@@ -263,7 +240,6 @@ class SweepEvaluator:
         tolerance: float = 1e-9,
         deviation_limit: float = DEFAULT_ENUMERATION_LIMIT,
         engine=None,
-        memo_entry_limit: int = DEFAULT_MEMO_ENTRY_LIMIT,
     ) -> None:
         from . import resolve_engine
 
@@ -289,7 +265,6 @@ class SweepEvaluator:
         # per node: environment key -> [pure minimum, {strategy: verdict}]
         self._memo: List[Dict[tuple, list]] = [dict() for _ in range(self._n)]
         self._memo_entries = 0
-        self._memo_entry_limit = memo_entry_limit
         #: Observability: how each check was decided.
         self.stats: Dict[str, int] = {
             "checks": 0,
@@ -457,7 +432,7 @@ class SweepEvaluator:
 
     def _account_memo(self, added: int) -> None:
         self._memo_entries += added
-        if self._memo_entries > self._memo_entry_limit:
+        if self._memo_entries > MEMO_ENTRY_LIMIT:
             for memo in self._memo:
                 memo.clear()
             self._memo_entries = 0

@@ -74,6 +74,12 @@ def test_find_equilibria_returns_verified_profiles():
     assert all(is_pure_nash(game, profile) for profile in equilibria)
 
 
+def test_find_equilibria_max_results_zero_returns_nothing():
+    game = UniformBBCGame(4, 1)
+    assert find_equilibria(game, max_results=0) == []
+    assert find_equilibria(game, max_results=0, engine=False) == []
+
+
 def test_candidate_restriction_in_search():
     game = UniformBBCGame(4, 1)
     # Restrict every node to link to its successor on the cycle: the only

@@ -424,6 +424,28 @@ class TestSearchJournal:
         with active_faults(plan):
             assert self.run(game, journal=path, checkpoint_every=4) == baseline
 
+    @pytest.mark.parametrize("stop_at_first", [True, False])
+    def test_journal_is_identical_at_any_worker_count(self, tmp_path, stop_at_first):
+        game = UniformBBCGame(4, 2)
+        journals, summaries = [], []
+        for processes in (1, 2):
+            path = tmp_path / f"search-{processes}.json"
+            summaries.append(
+                exhaustive_equilibrium_search(
+                    game,
+                    stop_at_first=stop_at_first,
+                    checkpoint_every=8,
+                    processes=processes,
+                    journal=path,
+                )
+            )
+            entries = json.loads(path.read_text())["entries"]
+            journals.append(
+                {key: value for key, value in entries.items() if key.startswith("block:")}
+            )
+        assert journals[0] and journals[0] == journals[1]
+        assert summaries[0] == summaries[1]
+
     def test_stop_at_first_parity_fresh_and_resumed(self, tmp_path):
         game = UniformBBCGame(4, 1)
         path = tmp_path / "search.json"

@@ -234,9 +234,12 @@ def test_sweep_evaluator_repeated_profile_uses_cached_verdict():
     assert evaluator.stats["noop_checks"] == 1
 
 
-def test_sweep_evaluator_memo_reset_keeps_verdicts_correct():
+def test_sweep_evaluator_memo_reset_keeps_verdicts_correct(monkeypatch):
+    from repro.engine import sweep
+
+    monkeypatch.setattr(sweep, "MEMO_ENTRY_LIMIT", 4)
     game = UniformBBCGame(5, 2)
-    evaluator = SweepEvaluator(game, engine=CostEngine(game), memo_entry_limit=4)
+    evaluator = SweepEvaluator(game, engine=CostEngine(game))
     for profile in gray_code_profiles(game):
         assert evaluator.is_nash(profile) == is_pure_nash(game, profile, engine=False)
     assert evaluator.stats["memo_resets"] > 0
@@ -318,6 +321,12 @@ def test_figure4_reconstruction_parity():
     assert sweep and verify_figure4_loop(sweep[0])
 
 
+def test_figure4_reconstruction_max_results_zero_returns_nothing():
+    from repro.dynamics import reconstruct_figure4
+
+    assert reconstruct_figure4(max_results=0) == []
+
+
 # --------------------------------------------------------------------- #
 # Process-parallel sweeps
 # --------------------------------------------------------------------- #
@@ -387,6 +396,28 @@ def test_sharded_search_rejects_explicit_engine_instance():
     # processes=1 keeps accepting an explicit instance (the serial loop).
     summary = exhaustive_equilibrium_search(game, engine=CostEngine(game))
     assert summary == exhaustive_equilibrium_search(game)
+
+
+def test_search_has_one_block_loop():
+    """``_sweep_blocks`` is the one per-block loop of exhaustive search:
+    serial and sharded runs both go through it, so ``search.py`` names the
+    ``search.profile`` fault site exactly once."""
+    import ast
+    import inspect
+
+    from repro.core import search
+
+    sites = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(search)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "fault_point"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == "search.profile"
+    ]
+    assert len(sites) == 1
 
 
 def test_equilibrium_census_study_shards_identically():
