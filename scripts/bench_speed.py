@@ -25,8 +25,8 @@ Usage::
 
 Scenarios that need numpy or scipy are skipped, with the reason printed,
 where those are missing.  ``--check-floors`` runs nothing: it re-reads this
-recording and ``BENCH_service.json`` and exits 0 when every floor holds, 1
-on a violation or a missing recording, and 2 on a corrupt one.
+recording and exits 0 when every floor holds, 1 on a violation or a missing
+recording, and 2 on a corrupt one.
 """
 
 import argparse
@@ -67,16 +67,6 @@ CANDIDATE_SEED = 11
 CANDIDATES_PER_NODE = 6
 FRACTIONAL_MAX_ROUNDS = 12
 FRACTIONAL_TOLERANCE = 1e-5
-#: The service load generator (``scripts/bench_service.py``) must sustain at
-#: least this many queries per second across its whole catalog; the floor is
-#: deliberately an order of magnitude under warm-cache measurements so it
-#: catches a serving-layer regression (per-query traversals, lost batching)
-#: rather than machine noise.
-SERVICE_QPS_FLOOR = 25.0
-#: The service load run must coalesce concurrently-submitted reads into
-#: giant batches: total batched queries per executed batch across the
-#: catalog.  A value near 1.0 means the worker loop stopped batching.
-SERVICE_COALESCING_FLOOR = 3.0
 
 
 # Workloads: ``build(n)`` returns ``(game, run)``; only ``run(**arm)`` is timed.
@@ -356,7 +346,7 @@ def run_scenario(scenario, sizes, repeats, processes, smoke):
     return rows
 
 
-def load_recording(json_path, writer="the benchmarks"):
+def load_recording(json_path):
     """Return ``(payload, code)``: code 1 for a missing file, 2 for a corrupt one."""
     if not json_path.exists():
         return {}, 1
@@ -366,7 +356,7 @@ def load_recording(json_path, writer="the benchmarks"):
         print(
             f"CORRUPT RECORDING: {json_path} exists but is not parseable JSON "
             f"({exc}); the benchmark writes are atomic, so this points at disk "
-            f"corruption or a manual edit — delete the file and re-run {writer}",
+            "corruption or a manual edit — delete the file and re-run the benchmarks",
             file=sys.stderr,
         )
         return None, 2
@@ -401,27 +391,8 @@ def floor_violations(rows):
     ]
 
 
-def _service_floor_violations(rows):
-    """Floor checks for the ``BENCH_service.json`` load-generator recording."""
-    total = next((row for row in rows if row.get("task") == "service_total"), None)
-    if total is None:
-        return ["service: recording has no service_total row"]
-    violations = []
-    if total["qps"] < SERVICE_QPS_FLOOR:
-        violations.append(
-            f"service: total throughput {total['qps']:.1f} q/s is below "
-            f"{SERVICE_QPS_FLOOR:g} q/s"
-        )
-    if total["coalescing_factor"] < SERVICE_COALESCING_FLOOR:
-        violations.append(
-            f"service: batch coalescing factor {total['coalescing_factor']:.2f} "
-            f"is below {SERVICE_COALESCING_FLOOR:g}"
-        )
-    return violations
-
-
-def check_floors(json_path, service_json_path=None):
-    """The ``--check-floors`` entry point, covering ``BENCH_service.json`` too.
+def check_floors(json_path):
+    """The ``--check-floors`` entry point.
 
     Exits 1 for a missing recording or a floor violation and 2 for one that
     cannot be parsed: with atomic writes that means disk corruption or a
@@ -435,15 +406,6 @@ def check_floors(json_path, service_json_path=None):
     rows = payload.get("rows", [])
     violations = floor_violations(rows)
     checked = list(dict.fromkeys(scenario.name for scenario, _ in gated_rows(rows)))
-    service, code = load_recording(
-        service_json_path or json_path.parent / "BENCH_service.json",
-        "scripts/bench_service.py",
-    )
-    if code == 2:
-        return 2
-    if code == 0 and not service.get("service_meta", {}).get("smoke"):
-        violations.extend(_service_floor_violations(service.get("service_results") or []))
-        checked.append("service")
     if violations:
         for violation in violations:
             print(f"FLOOR VIOLATION: {violation}", file=sys.stderr)
@@ -528,7 +490,7 @@ def main(argv=None):
         "--check-floors",
         action="store_true",
         help="run no benchmarks; exit non-zero if a recorded (non-smoke) row "
-        "in BENCH_speed.json or BENCH_service.json is below its floor",
+        "in BENCH_speed.json is below its floor",
     )
     parser.add_argument(
         "--readme-table",

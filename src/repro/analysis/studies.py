@@ -2,8 +2,8 @@
 
 Each function regenerates the data for one claim of the paper as a list of
 row dictionaries; the benchmarks render them with
-:func:`repro.analysis.tables.format_table` and EXPERIMENTS.md records a
-snapshot of the output.
+:func:`repro.analysis.tables.format_table` and record a snapshot of the
+output under ``benchmarks/output/``.
 
 Every grid study is a map over independent parameter cells, so each one
 accepts ``processes`` and fans the cells out through
@@ -323,8 +323,9 @@ def equilibrium_census_study(
     space* of each cell, not the cell count — so ``processes`` shards each
     cell's Gray sweep through
     :func:`~repro.core.exhaustive_equilibrium_search`'s ``processes=``
-    (contiguous rank subranges over one shared payload) instead of fanning
-    the cells out, and the cells themselves run in order in the parent.
+    (contiguous Gray-rank shards, each worker rebuilding the game from its
+    spec) instead of fanning the cells out, and the cells themselves run in
+    order in the parent.
     Rows are bit-identical at any worker count.  ``journal_dir`` (a
     directory path) checkpoints each cell's sweep into its own journal file
     ``census-n{n}-k{k}.json``, so a killed census resumes per cell *and*

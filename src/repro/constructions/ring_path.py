@@ -37,15 +37,6 @@ class RingWithPathInstance:
         """Return the node label of the tail (start) of the directed path."""
         return self.ring_size
 
-    @property
-    def theoretical_step_lower_bound(self) -> int:
-        """Return the Ω(n²) scale ``(ring_size - path_size) * path_size``.
-
-        Each "rotation" of the construction needs about one full round of
-        ``n`` best-response probes and advances the merged ring by one node.
-        """
-        return max(0, (self.ring_size - self.path_size)) * self.num_nodes
-
 
 def build_ring_with_path(ring_size: int, path_size: int) -> RingWithPathInstance:
     """Construct the ring+path configuration for the ``(n, 1)``-uniform game.

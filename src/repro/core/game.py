@@ -182,10 +182,6 @@ class BBCGame:
         lengths = [self._default_link_length] + list(self._link_lengths.values())
         return max(lengths)
 
-    def positive_preference_targets(self, node: Node) -> Tuple[Node, ...]:
-        """Return the targets ``node`` actually cares about (``w > 0``)."""
-        return tuple(v for v in self._nodes if v != node and self.weight(node, v) > 0)
-
     @property
     def is_uniform(self) -> bool:
         """Return ``True`` when all weights, costs, lengths, and budgets coincide.
@@ -271,21 +267,6 @@ class BBCGame:
     def empty_profile(self) -> StrategyProfile:
         """Return the profile in which nobody buys any link."""
         return StrategyProfile.empty(self._nodes)
-
-    def max_affordable_links(self, node: Node, candidates: Optional[Sequence[Node]] = None) -> int:
-        """Return how many of the cheapest candidate links ``node`` can afford."""
-        if candidates is None:
-            candidates = [v for v in self._nodes if v != node]
-        prices = sorted(self.link_cost(node, v) for v in candidates)
-        budget = self.budget(node)
-        bought = 0
-        for price in prices:
-            if price <= budget + 1e-9:
-                budget -= price
-                bought += 1
-            else:
-                break
-        return bought
 
     def _normalize_candidates(
         self, node: Node, candidates: Optional[Sequence[Node]]
@@ -482,10 +463,6 @@ class BBCGame:
     def social_cost(self, profile: StrategyProfile, *, engine=None) -> float:
         """Return the total cost over all nodes (the paper's social cost)."""
         return sum(self.all_costs(profile, engine=engine).values())
-
-    def node_utility(self, profile: StrategyProfile, node: Node) -> float:
-        """Return the utility of ``node`` (the negative of its cost)."""
-        return -self.node_cost(profile, node)
 
     # ------------------------------------------------------------------ #
     # Reporting

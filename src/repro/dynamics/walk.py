@@ -50,12 +50,6 @@ class WalkResult:
     cycle_length_rounds: Optional[int]
     steps: List[WalkStep] = field(default_factory=list)
 
-    @property
-    def reached_strong_connectivity(self) -> bool:
-        """Return whether the walk produced a strongly connected graph."""
-        return self.strong_connectivity_probe is not None
-
-
 def _round_order(
     game: BBCGame,
     scheduler: str,

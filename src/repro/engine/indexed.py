@@ -160,15 +160,5 @@ class IndexedGame:
             self._length_matrix = _np.asarray(self.length_rows, dtype=_np.float64)
         return self._length_matrix
 
-    def to_ints(self, labels) -> List[int]:
-        """Map an iterable of node labels to their dense int ids."""
-        index = self.index
-        return [index[label] for label in labels]
-
-    def to_labels(self, ints) -> List[Node]:
-        """Map dense int ids back to node labels."""
-        labels = self.labels
-        return [labels[i] for i in ints]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedGame(n={self.n}, objective={self.objective.value})"

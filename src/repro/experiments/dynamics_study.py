@@ -10,7 +10,8 @@ uniform games:
 3. some walks from non-empty starts appear to take exponentially long.
 
 Each observation gets a study function returning row dictionaries that the
-``bench_dynamics_empirical`` benchmark renders and EXPERIMENTS.md snapshots.
+``bench_dynamics_empirical`` benchmark renders into
+``benchmarks/output/sec43_dynamics.txt``.
 
 The multi-start / multi-size studies accept a ``processes`` argument and fan
 their independent cells out through :func:`repro.experiments.parallel_map`:

@@ -94,11 +94,6 @@ class DiGraph:
             self._pred[head][tail] = data
         data.update(attrs)
 
-    def add_edges_from(self, edges: Iterable[Edge]) -> None:
-        """Add every ``(tail, head)`` pair of ``edges``."""
-        for tail, head in edges:
-            self.add_edge(tail, head)
-
     def remove_edge(self, tail: Node, head: Node) -> None:
         """Remove the edge ``tail -> head``."""
         if tail not in self._succ or head not in self._succ[tail]:

@@ -252,13 +252,6 @@ class FlowNetwork:
                     heapq.heappush(heap, (candidate, head))
         return dist, parent_arc
 
-    def arc_endpoints(self, arc_id: int) -> Tuple[Node, Node]:
-        """Return ``(tail, head)`` labels of a forward arc."""
-        arc = self._arcs[arc_id]
-        tail_idx = self._arcs[arc.partner].head
-        return self._labels[tail_idx], self._labels[arc.head]
-
-
 def min_cost_unit_flow_cost(
     edges: List[Tuple[Node, Node, float, float]], source: Node, sink: Node
 ) -> Optional[float]:

@@ -56,11 +56,6 @@ class CNFFormula:
                 highest = max(highest, abs(literal))
         return CNFFormula(num_variables=highest, clauses=normalised)
 
-    def with_clause(self, clause: Sequence[Literal]) -> "CNFFormula":
-        """Return a new formula with ``clause`` appended."""
-        highest = max([self.num_variables] + [abs(lit) for lit in clause])
-        return CNFFormula(num_variables=highest, clauses=self.clauses + (tuple(clause),))
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -83,10 +78,6 @@ class CNFFormula:
             if not clause_satisfied(clause, assignment):
                 return False
         return True
-
-    def clause_status(self, assignment: Assignment) -> List[bool]:
-        """Return per-clause satisfaction under a (possibly partial) assignment."""
-        return [clause_satisfied(clause, assignment) for clause in self.clauses]
 
     def to_dimacs(self) -> str:
         """Serialise to DIMACS CNF text."""

@@ -66,10 +66,6 @@ class DPLLSolver:
             if limit is not None and count >= limit:
                 return
 
-    def count_models(self, limit: Optional[int] = None) -> int:
-        """Return the number of models (capped at ``limit`` when given)."""
-        return sum(1 for _ in self.enumerate_models(limit=limit))
-
     # ------------------------------------------------------------------ #
     # DPLL search
     # ------------------------------------------------------------------ #

@@ -35,10 +35,8 @@ The layer cake, bottom up:
   per game serializing batched reads and single-node updates (the
   incremental repair path) without locks.
 
-``docs/service.md`` is the client-facing guide; ``scripts/bench_service.py``
-is the load generator recording ``benchmarks/output/BENCH_service.json``
-(floor-gated by ``scripts/bench_speed.py --check-floors``) and, with
-``--drill``, the fault-drill harness CI runs on both dependency legs.
+``docs/service.md`` is the client-facing guide; ``tests/test_service.py``
+holds the fault drill, run on both dependency legs.
 """
 
 from .batching import (

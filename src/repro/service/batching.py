@@ -17,7 +17,7 @@ Each query yields exactly one :class:`Response`: either a payload or a
 exception can never take down the worker loop.  Payloads are plain
 JSON-able scalars/dicts/lists, deterministically ordered, so two identical
 query scripts produce byte-identical response streams — the property the
-fault drill (``scripts/bench_service.py --drill``) asserts under injection.
+fault drill in ``tests/test_service.py`` asserts under injection.
 """
 
 from __future__ import annotations

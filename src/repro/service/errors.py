@@ -9,8 +9,8 @@ fault plan).  The service's availability contract mirrors the engine's
 failure semantics: a query either returns a payload **bit-identical** to its
 fault-free run or a *documented typed error* — never a wrong answer, never a
 bare traceback, and never a dead worker loop.  ``docs/service.md`` lists the
-full client-observable set; ``scripts/bench_service.py --drill`` and
-``tests/test_service.py`` enforce it under seeded fault plans.
+full client-observable set; the drill tests in ``tests/test_service.py``
+enforce it under seeded fault plans.
 """
 
 from __future__ import annotations

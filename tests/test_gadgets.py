@@ -85,8 +85,9 @@ def test_sat_reduction_canonical_profile_variable_layer_is_stable():
     assignment = solve(formula)
     report = satisfiable_direction_report(instance, assignment)
     # The variable / intermediate / hub layers verify exactly; the clause and
-    # gadget layers are where the figure's unpublished details matter (see
-    # EXPERIMENTS.md), so we assert the layers we can certify.
+    # gadget layers are where the figure's unpublished details matter (the
+    # FIG2 benchmark reports every layer), so we assert the layers we can
+    # certify.
     assert report.variable_nodes_stable
     assert report.hub_stable
 

@@ -602,6 +602,8 @@ class TestCostEngineDegradation:
                 resolve_backend("numpy", 100_000, True)
         if HAVE_NUMPY:
             assert resolve_backend("auto", 100_000, True) == "numpy"
+        else:
+            assert resolve_backend("auto", 100_000, True) == "python"
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="FractionalEngine requires numpy/scipy")
@@ -825,5 +827,5 @@ class TestShardedSearchFaults:
             with pytest.warns(RuntimeWarning, match="restarts are exhausted"):
                 assert self._sharded(game) == serial
         stats = last_run_stats()
-        assert stats["pool_restarts"] >= 1
+        assert stats["pool_restarts"] == MAX_POOL_RESTARTS
         assert stats["serial_fallback_cells"] >= 1

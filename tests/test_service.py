@@ -13,12 +13,14 @@ Four surfaces are pinned, mirroring ``docs/service.md``:
 """
 
 import asyncio
+import warnings
 
 import pytest
 
-from repro.core import UniformBBCGame, equilibrium_report
+from repro.core import FractionalBBCGame, UniformBBCGame, equilibrium_report
 from repro.core.errors import InvalidStrategy
 from repro.reliability import FaultPlan, FaultRule, active_faults
+from repro.rng import as_rng
 from repro.service import (
     DuplicateGameError,
     GameCatalog,
@@ -291,6 +293,121 @@ def _drill_script(svc_name="g"):
     return scenario
 
 
+#: Seed of the catalog drill's scripts and fault plan (PODC 2008, where the
+#: source paper appeared).
+DRILL_SEED = 20080
+#: The node the drill's ``service.update`` rule is pinned to.  Script updates
+#: never move it, so the one state-changing injection is the tail update,
+#: after every compared read, and cannot fork the version history.
+DRILL_UPDATE_NODE = 0
+
+
+def drill_plan():
+    """The seeded injection set: two service sites and three engine sites."""
+    return FaultPlan(
+        seed=DRILL_SEED,
+        rules=(
+            # Handler failure on the first two uniform cost dispatches.
+            FaultRule(site="service.query", keys=[("uniform", "cost")], times=2),
+            # Write-side failure, pinned to the tail update.
+            FaultRule(site="service.update", keys=[("uniform", DRILL_UPDATE_NODE)]),
+            # Absorbed below the response surface: verified rebuild,
+            # per-node degradation, LP fallback.
+            FaultRule(site="engine.row-poison", times=1),
+            FaultRule(site="engine.chunk-build", times=1),
+            FaultRule(site="fractional.lp-solve", times=2),
+        ),
+    )
+
+
+def _integral_wave(game, rng, clients):
+    """Concurrent cost/what-if/best-response reads, then one update."""
+    nodes = list(game.nodes)
+    queries = []
+    for _ in range(clients):
+        node = nodes[rng.randrange(len(nodes))]
+        others = [v for v in nodes if v != node]
+        roll = rng.random()
+        if roll < 0.5:
+            queries.append(Query(kind="cost", node=node))
+        elif roll < 0.75:
+            targets = rng.sample(others, min(2, len(others)))
+            queries.append(Query(kind="what_if", node=node, strategy=tuple(targets)))
+        else:
+            candidates = rng.sample(others, min(3, len(others)))
+            queries.append(
+                Query(kind="best_response", node=node, candidates=tuple(candidates))
+            )
+    movers = [v for v in nodes if v != DRILL_UPDATE_NODE]
+    node = movers[rng.randrange(len(movers))]
+    others = [v for v in nodes if v != node]
+    return queries, (node, tuple(rng.sample(others, min(2, len(others)))))
+
+
+def _fractional_wave(game, rng, clients):
+    """Concurrent cost/what-if/best-response reads, then one update."""
+    nodes = list(game.nodes)
+    queries = []
+    for _ in range(clients):
+        node = nodes[rng.randrange(len(nodes))]
+        others = [v for v in nodes if v != node]
+        roll = rng.random()
+        if roll < 0.4:
+            queries.append(Query(kind="cost", node=node))
+        elif roll < 0.7:
+            target = others[rng.randrange(len(others))]
+            queries.append(Query(kind="what_if", node=node, strategy={target: 1.0}))
+        else:
+            queries.append(Query(kind="best_response", node=node))
+    node = nodes[rng.randrange(len(nodes))]
+    others = [v for v in nodes if v != node]
+    return queries, (node, {others[rng.randrange(len(others))]: 1.0})
+
+
+def _drill_catalog_script(game, kind, *, waves, clients, seed):
+    """``waves`` deterministic (reads, update) pairs; a report rides the last."""
+    rng = as_rng(seed)
+    wave = _fractional_wave if kind == "fractional" else _integral_wave
+    script = [wave(game, rng, clients) for _ in range(waves)]
+    if kind == "fractional":
+        script[-1][0].append(Query(kind="report"))
+    else:
+        nodes = list(game.nodes)
+        candidates = {
+            node: rng.sample([v for v in nodes if v != node], 2) for node in nodes
+        }
+        script[-1][0].append(Query(kind="report", candidates=candidates))
+    return script
+
+
+async def _serve_drill_catalog(specs, scripts):
+    """Serve every game's script concurrently, then the reserved tail update.
+
+    Returns each game's responses in submission order and its final stats.
+    """
+
+    async def drive(svc, name):
+        responses = []
+        for queries, (node, strategy) in scripts[name]:
+            responses.extend(await svc.gather(name, queries))
+            responses.append(await svc.update(name, node, strategy))
+        return responses
+
+    async with GameService() as svc:
+        for name, game, kind in specs:
+            if kind == "fractional":
+                svc.register(name, game)
+            else:
+                svc.register(name, game, verify_every=1)
+        streams = await asyncio.gather(*(drive(svc, name) for name, _, _ in specs))
+        responses = {name: stream for (name, _, _), stream in zip(specs, streams)}
+        responses["uniform"].append(
+            await svc.update("uniform", DRILL_UPDATE_NODE, (1, 2))
+        )
+        stats = {name: (await svc.stats(name)).payload for name, _, _ in specs}
+    return responses, stats
+
+
 class TestFaultDrillParity:
     def test_injected_read_fault_is_typed_and_isolated(self):
         scenario = _drill_script()
@@ -330,6 +447,45 @@ class TestFaultDrillParity:
         assert drilled[update_index].version == 1
         for response in drilled[update_index + 1 :]:
             assert response.ok and response.version == 1
+
+    def test_seeded_catalog_drill_is_bit_identical_or_typed(self):
+        # Serve the same deterministic script twice, healthy and under
+        # drill_plan(): every drilled response equals its healthy twin or is
+        # the documented InjectedFault.  Exactly the three handler crashes
+        # surface; the poisoned row, chunk-build failure and LP failures are
+        # absorbed below the response surface.
+        specs = [
+            ("uniform", UniformBBCGame(6, 2), "integral"),
+            ("fractional", FractionalBBCGame(UniformBBCGame(4, 1)), "fractional"),
+        ]
+        scripts = {
+            name: _drill_catalog_script(
+                game, kind, waves=2, clients=3, seed=DRILL_SEED + 100 + offset
+            )
+            for offset, (name, game, kind) in enumerate(specs)
+        }
+        healthy, _ = run(_serve_drill_catalog(specs, scripts))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with active_faults(drill_plan()):
+                drilled, drilled_stats = run(_serve_drill_catalog(specs, scripts))
+
+        identical = typed_errors = 0
+        mismatches = []
+        for name, _, _ in specs:
+            assert len(healthy[name]) == len(drilled[name])
+            for index, (want, got) in enumerate(zip(healthy[name], drilled[name])):
+                if want.comparable() == got.comparable():
+                    identical += 1
+                elif got.error == "InjectedFault":
+                    typed_errors += 1
+                else:
+                    mismatches.append((name, index, want.comparable(), got.comparable()))
+        assert mismatches == []
+        assert (identical, typed_errors) == (16, 3)
+        # The poisoned row was caught by verify_every=1, not served.
+        assert drilled_stats["uniform"]["engine"]["row_verify_failures"] == 1
+        assert any("self-verification" in str(w.message) for w in caught)
 
 
 # --------------------------------------------------------------------------
