@@ -32,11 +32,6 @@ class RingWithPathInstance:
         """Return ``n = ring_size + path_size``."""
         return self.ring_size + self.path_size
 
-    @property
-    def path_tail(self) -> int:
-        """Return the node label of the tail (start) of the directed path."""
-        return self.ring_size
-
 
 def build_ring_with_path(ring_size: int, path_size: int) -> RingWithPathInstance:
     """Construct the ring+path configuration for the ``(n, 1)``-uniform game.

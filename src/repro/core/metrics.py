@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .game import BBCGame, UniformBBCGame
 from .profile import StrategyProfile
@@ -166,43 +166,3 @@ def willow_total_cost_upper_bound(n: int, k: int) -> float:
 def willow_total_cost_lower_bound(n: int, k: int) -> float:
     """Return the Ω(n² sqrt(n/k)) social-cost scale of maximal-tail willow forests."""
     return n * n * math.sqrt(n / k)
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Summary of a family of equilibria against a social-cost baseline."""
-
-    optimum_bound: float
-    best_equilibrium_cost: float
-    worst_equilibrium_cost: float
-    price_of_stability: float
-    price_of_anarchy: float
-
-    @staticmethod
-    def from_equilibria(
-        game: BBCGame,
-        equilibria: Sequence[StrategyProfile],
-        optimum: Optional[float] = None,
-    ) -> "EfficiencyReport":
-        """Build a report from explicit equilibrium profiles."""
-        if not equilibria:
-            raise ValueError("need at least one equilibrium profile")
-        denominator = _resolve_optimum(game, optimum)
-        costs = [game.social_cost(profile) for profile in equilibria]
-        return EfficiencyReport(
-            optimum_bound=denominator,
-            best_equilibrium_cost=min(costs),
-            worst_equilibrium_cost=max(costs),
-            price_of_stability=min(costs) / denominator,
-            price_of_anarchy=max(costs) / denominator,
-        )
-
-    def as_row(self) -> Dict[str, float]:
-        """Return the report as a flat dict (for table rendering)."""
-        return {
-            "optimum_bound": self.optimum_bound,
-            "best_equilibrium_cost": self.best_equilibrium_cost,
-            "worst_equilibrium_cost": self.worst_equilibrium_cost,
-            "price_of_stability": self.price_of_stability,
-            "price_of_anarchy": self.price_of_anarchy,
-        }

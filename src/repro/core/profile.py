@@ -43,23 +43,6 @@ class StrategyProfile(Mapping[Node, Strategy]):
         """Return the profile in which no node buys any link."""
         return StrategyProfile({node: frozenset() for node in nodes})
 
-    @staticmethod
-    def from_graph(graph: DiGraph) -> "StrategyProfile":
-        """Interpret each node's out-edges in ``graph`` as its strategy."""
-        return StrategyProfile(
-            {node: frozenset(graph.successors(node)) for node in graph.nodes()}
-        )
-
-    @staticmethod
-    def from_pairs(nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]]) -> "StrategyProfile":
-        """Build a profile from an explicit node set and ``(buyer, target)`` pairs."""
-        strategies: Dict[Node, set] = {node: set() for node in nodes}
-        for buyer, target in edges:
-            if buyer not in strategies:
-                raise InvalidProfile(f"edge buyer {buyer!r} is not a declared node")
-            strategies[buyer].add(target)
-        return StrategyProfile(strategies)
-
     def with_strategy(self, node: Node, targets: Iterable[Node]) -> "StrategyProfile":
         """Return a new profile in which ``node`` plays ``targets`` instead."""
         if node not in self._strategies:

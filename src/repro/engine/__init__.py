@@ -89,7 +89,7 @@ traversal.  Inside the engine there is one dispatch and one fill path:
 (one source runs the single-source kernel, a batch the multi-source one),
 and ``CostEngine._fill`` stores, charges and counts the rows of every cache
 fill — single-row misses, per-node prefetch and giant plan chunks alike.
-``timings["traversal_seconds"]`` is accumulated there, so it covers every
+``CostEngine.traversal_seconds`` is accumulated there, so it covers every
 traversal, single rows and self-verify recomputes included.  The numpy
 backend stores cached rows as arrays (the python backend keeps lists), but
 derived results — through rows, costs, regrets — stay plain Python floats, so every scorer fast path, cache contract, and result
@@ -170,42 +170,24 @@ and never re-probes a node whose environment rows are still valid.
 sweep layers know exactly which memo entries survived.  Verdicts stay
 bit-identical to the reference path; ``tests/test_sweep.py`` pins it.
 
-**Snapshot ownership and lifetime** (new in PR 9).  Everything a traversal
-or sweep *reads* — the CSR of the bought graph, aligned edge lengths, the
-synced strategies, the static tables and licence flags — lives in a frozen
-:class:`~repro.engine.snapshot.EngineSnapshot`, separable from the engine's
-mutable cache/repair machinery.  The ownership rules:
-
-* **One writer.**  ``CostEngine._rebuild_csr`` (reached only through
-  ``sync``) is the sole producer: it builds a *fresh* snapshot for each
-  profile version and publishes it atomically; a published snapshot is never
-  mutated.  Readers obtain it via :meth:`CostEngine.snapshot` and may hold
-  it across syncs — its lists and array views stay exactly as published.
-* **Version rules.**  Each snapshot carries the engine ``version`` it was
-  built at.  A reader caching state derived from a snapshot compares
-  ``snapshot().version`` instead of re-diffing strategies; equal versions
-  guarantee bit-identical reads.
-* **Cross-process lifetime.**  Snapshots never cross a process boundary.
-  Sharded sweeps ship each worker the picklable
-  :class:`~repro.experiments.parallel.GameSpec` plus the candidate sets and
-  plain parameters; the worker rebuilds the game, its :class:`IndexedGame`
-  and its own :class:`CostEngine` from that spec (well under a millisecond
-  at the sizes exhaustive search reaches) and writes nothing back.  There
-  is no shared segment to own, attach or leak, so worker crashes and pool
-  restarts only change *where* a shard's records are computed.
-
 **The parallel-map spec.**  For process-level fan-out,
 :mod:`repro.experiments.parallel` ships a compact picklable
 :class:`~repro.experiments.parallel.GameSpec` — ``("uniform", (n, k,
 objective, penalty))`` or ``("general", (nodes, sparse tables, defaults))`` —
-from which each worker rebuilds the game and its :class:`IndexedGame`/
-:class:`CostEngine` locally instead of pickling engine state;
-``parallel_map(fn, items, processes=...)`` preserves item order and falls
-back to a deterministic serial loop when ``processes == 1``.  The fan-out is
-crash-safe: bounded deterministic retries, dead-pool detection with
-resubmission of only the lost cells on fresh pools, and a final serial rung
-mean results are bit-identical at any process count or crash schedule
-(``tests/test_reliability.py`` pins it across both axes).
+plus the candidate sets and plain parameters.
+
+* **Rebuild, don't ship.**  No engine state crosses a process boundary:
+  each worker rebuilds the game, its :class:`IndexedGame` and its own
+  :class:`CostEngine` from the spec (well under a millisecond at the sizes
+  exhaustive search reaches) and writes nothing back.  There is no shared
+  segment to own, attach or leak, so worker crashes and pool restarts only
+  change *where* a shard's records are computed.
+* ``parallel_map(fn, items, processes=...)`` preserves item order and falls
+  back to a deterministic serial loop when ``processes == 1``.  The fan-out
+  is crash-safe: bounded deterministic retries, dead-pool detection with
+  resubmission of only the lost cells on fresh pools, and a final serial
+  rung, so results are bit-identical at any process count or crash
+  schedule (``tests/test_reliability.py`` pins it across both axes).
 
 **Failure semantics.**  Every entry point above either returns a result
 bit-identical to its fault-free run or raises a *documented typed error* —
@@ -310,7 +292,6 @@ from .fractional_engine import (
     resolve_fractional_engine,
 )
 from .indexed import IndexedGame
-from .snapshot import EngineSnapshot
 from .sweep import SweepEvaluator, gray_code_profiles, profile_at
 
 #: One shared engine per live game object; weak keys so games can be GC'd.
@@ -350,7 +331,6 @@ def resolve_engine(game, engine) -> "CostEngine | None":
 
 __all__ = [
     "CostEngine",
-    "EngineSnapshot",
     "NUMPY_BACKEND_MIN_N",
     "StrategyScorer",
     "FractionalEngine",

@@ -58,7 +58,6 @@ from ..graphs.int_kernels import (
 )
 from .indexed import IndexedGame
 from .row_store import ChunkLedger
-from .snapshot import EngineSnapshot, csr_arrays_of, csr_of
 
 try:  # Optional vectorised backend; every path below degrades gracefully.
     import numpy as _np
@@ -228,13 +227,7 @@ class CostEngine:
         self.backend = resolve_backend(
             backend, self.indexed.n, self.indexed.uniform_lengths
         )
-        # The numpy traversal state (int64 CSR views plus aligned edge
-        # lengths — exact int64 when the licence holds, float64 otherwise)
-        # lives inside the published EngineSnapshot; only the lazily built
-        # reverse CSR the repair kernels seed from stays an engine-side
-        # cache, reset by _rebuild_csr per profile version.
         self._np_traversal = self.backend == "numpy"
-        self._rev_csr_np = None
         # Repair beats recompute only while the pending edits reach a small
         # part of the graph: past this many distinct net movers the affected
         # region approaches the whole row and a fresh traversal is cheaper,
@@ -258,18 +251,18 @@ class CostEngine:
         # same incremental way.
         self._label_strategies: Optional[List[frozenset]] = None
         self._sorted_rows: List[List[int]] = []
-        # The frozen read-view of the current profile version: everything a
-        # traversal consumes (CSR, lengths, synced strategies, static
-        # tables).  _rebuild_csr publishes a *fresh* snapshot per sync and
-        # never mutates an old one, so readers holding a snapshot are safe
-        # across engine syncs.
-        self._snapshot = EngineSnapshot(
-            version=0,
-            indexed=self.indexed,
-            indptr=[0] * (self.indexed.n + 1),
-            indices=[],
-            edge_lengths=None,
+        # The bought graph of the current version, as _rebuild_csr leaves
+        # it: ``(indptr, indices, edge_lengths)`` for the list kernels
+        # (``edge_lengths`` is None on uniform games) and, on the numpy
+        # backend, ``(indptr, indices, lengths, exact_lengths)`` int64 /
+        # float64 arrays (``exact_lengths`` is the int64 view when the
+        # integral-lengths licence holds).  The reverse CSR the repair
+        # kernels seed from is built lazily, once per version.
+        self._csr: Tuple[List[int], List[int], Optional[List[float]]] = (
+            [0] * (n + 1), [], None
         )
+        self._csr_np: Optional[tuple] = None
+        self._rev_csr_np = None
         # In-neighbour sets of the current snapshot, maintained alongside the
         # CSR; the repair kernels seed orphaned nodes from their intact
         # in-boundary, which a forward-only CSR cannot answer.
@@ -350,7 +343,7 @@ class CostEngine:
         #: Wall-clock seconds spent inside traversal kernels — every
         #: :meth:`_traverse` call, single rows and verify recomputes included;
         #: the bench profile's traversal-vs-scoring split reads this.
-        self.timings: Dict[str, float] = {"traversal_seconds": 0.0}
+        self.traversal_seconds = 0.0
 
     def cache_bytes(self) -> int:
         """Current bytes of cached rows charged against the memory budget."""
@@ -366,7 +359,7 @@ class CostEngine:
         snapshot: Dict[str, float] = dict(self.stats)
         snapshot["cache_bytes"] = self.cache_bytes()
         snapshot["memory_budget_bytes"] = self.memory_budget_bytes
-        snapshot["traversal_seconds"] = self.timings["traversal_seconds"]
+        snapshot["traversal_seconds"] = self.traversal_seconds
         return snapshot
 
     def check_game(self, game) -> None:
@@ -388,24 +381,23 @@ class CostEngine:
     def sync(self, profile: StrategyProfile) -> Optional[Tuple[int, ...]]:
         """Point the engine at ``profile``, invalidating as little as possible.
 
-        Diffs the profile against the current snapshot: no change keeps the
+        Diffs the profile against the last synced one: no change keeps the
         version (full cache reuse); a single-node change bumps the version,
         preserves the mover's own environment rows (``G - u`` does not
         contain ``u``'s links) and records the step in the edit log so every
         other node's still-cached rows can be repaired in place on their next
-        touch; anything larger resets all caches.
+        touch; anything larger resets all caches.  Every real change
+        rebuilds the CSR in place, so :attr:`version` is the only handle a
+        caller needs: equal versions mean the same synced profile.
 
         Returns the dense int ids of the nodes whose strategies changed —
         ``()`` for a no-op sync — or ``None`` on the first sync, when there
-        is no previous snapshot to diff against, so callers and
-        instrumentation can see how a profile step was classified.  (The
-        sweep layer diffs against ``snapshot().label_strategies`` instead:
-        its memo validity depends on *its* last profile, and a shared engine
-        may have been synced elsewhere in between.)
+        is no previous profile to diff against, so callers and
+        instrumentation can see how a profile step was classified.
         """
         indexed = self.indexed
         # Identity fast path: profiles are immutable throughout the repo, so
-        # re-syncing the very object the snapshot came from cannot change
+        # re-syncing the very object the engine was synced to cannot change
         # anything — and it is the overwhelmingly common case (equilibrium
         # checks sync the same profile once per node).
         if profile is self._synced_profile:
@@ -520,60 +512,28 @@ class CostEngine:
                 length_row = indexed.length_rows[u]
                 lengths.extend(length_row[v] for v in row)
             edge_lengths = lengths
-        indptr_np = indices_np = edge_lengths_np = edge_lengths_exact_np = None
+        self._csr = (indptr, indices, edge_lengths)
         if self._np_traversal:
             indptr_np, indices_np = _npk.csr_arrays(indptr, indices)
+            lengths_np = exact_np = None
             if not indexed.uniform_lengths:
-                edge_lengths_np = _np.asarray(edge_lengths, dtype=_np.float64)
+                lengths_np = _np.asarray(edge_lengths, dtype=_np.float64)
                 # Integer-valued lengths run the fresh traversals in exact
                 # int64 space; repairs patch the float rows directly (their
                 # entries are those same integers in float form).
-                edge_lengths_exact_np = (
-                    edge_lengths_np.astype(_np.int64)
-                    if indexed.integral_lengths
-                    else None
-                )
+                if indexed.integral_lengths:
+                    exact_np = lengths_np.astype(_np.int64)
+            self._csr_np = (indptr_np, indices_np, lengths_np, exact_np)
             self._rev_csr_np = None
-        # Publish the new read-view atomically: one fresh frozen object per
-        # version, never a mutation of the previous one — snapshots handed
-        # out earlier stay internally consistent forever.
-        label_strategies = self._label_strategies
-        self._snapshot = EngineSnapshot(
-            version=self.version,
-            indexed=indexed,
-            indptr=indptr,
-            indices=indices,
-            edge_lengths=edge_lengths,
-            indptr_np=indptr_np,
-            indices_np=indices_np,
-            edge_lengths_np=edge_lengths_np,
-            edge_lengths_exact_np=edge_lengths_exact_np,
-            label_strategies=(
-                None if label_strategies is None else tuple(label_strategies)
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Snapshot access
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> EngineSnapshot:
-        """Return the frozen read-view of the current profile version.
-
-        The returned object is immutable and remains valid (and internally
-        consistent) after further :meth:`sync` calls — later syncs publish
-        *new* snapshots rather than mutating this one.  It is the only
-        engine state the kernels and the sweep layer consume.
-        """
-        return self._snapshot
 
     def _rev_csr(self):
-        """Return the current snapshot's reverse CSR (numpy backend, lazy).
+        """Return the current version's reverse CSR (numpy backend, lazy).
 
         Built at most once per profile version and shared by every row repair
         at that version; ``_rebuild_csr`` resets it on each sync.
         """
         if self._rev_csr_np is None:
-            indptr_np, indices_np, _, _ = csr_arrays_of(self._snapshot)
+            indptr_np, indices_np, _, _ = self._csr_np
             self._rev_csr_np = _npk.reverse_csr(indptr_np, indices_np, self.indexed.n)
         return self._rev_csr_np
 
@@ -692,13 +652,12 @@ class CostEngine:
         rows = entry[1]
         if edits:
             indexed = self.indexed
-            snap = self._snapshot
-            indptr, indices, edge_lengths = csr_of(snap)
+            indptr, indices, edge_lengths = self._csr
             rev = self._rev_rows
             uniform = self._unit is not None
             use_np = self._np_traversal
             if use_np:
-                indptr_np, indices_np, edge_lengths_np, _ = csr_arrays_of(snap)
+                indptr_np, indices_np, edge_lengths_np, _ = self._csr_np
                 rev_indptr, rev_tails = self._rev_csr()
                 length_matrix = None if uniform else indexed.length_matrix()
             for first_hop, row in rows.items():
@@ -813,7 +772,7 @@ class CostEngine:
             # overhead.  Measured on 2-out-degree games at n in {1k, 4k},
             # 32-48 rows per traversal is the sweet spot (at or below the
             # per-node batch cost); scale down as the edge count grows.
-            edges = max(1, len(self._snapshot.indices))
+            edges = max(1, len(self._csr[1]))
             row_cap = max(12, min(48, (1 << 19) // edges))
         chunks: List[List[Tuple[int, List[int]]]] = []
         current: List[Tuple[int, List[int]]] = []
@@ -903,14 +862,14 @@ class CostEngine:
         distance rows; integer lengths traverse in exact int64 before one
         conversion (``float(int)`` is exact under
         :attr:`IndexedGame.integral_lengths`).  Every call is charged to
-        ``timings["traversal_seconds"]``.
+        :attr:`traversal_seconds`.
         """
         n = self.indexed.n
         uniform = self._unit is not None
         single = len(sources) == 1
         start = time.perf_counter()
         if self._np_traversal:
-            indptr, indices, lengths, exact = csr_arrays_of(self._snapshot)
+            indptr, indices, lengths, exact = self._csr_np
             if uniform and single:
                 rows = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks)[None]
             elif uniform:
@@ -929,7 +888,7 @@ class CostEngine:
                 if exact is not None:
                     rows = _npk.int_to_float_rows(rows)
         else:
-            indptr, indices, lengths = csr_of(self._snapshot)
+            indptr, indices, lengths = self._csr
             if uniform and single:
                 rows = [bfs_hops_csr(indptr, indices, n, sources[0], masks)]
             elif uniform:
@@ -938,7 +897,7 @@ class CostEngine:
                 rows = [dijkstra_csr(indptr, indices, lengths, n, sources[0], masks)]
             else:
                 rows = dijkstra_csr_multi(indptr, indices, lengths, n, sources, masks)
-        self.timings["traversal_seconds"] += time.perf_counter() - start
+        self.traversal_seconds += time.perf_counter() - start
         return rows
 
     def _distances(self, rows):
@@ -1159,7 +1118,7 @@ class CostEngine:
             # depend on how the sources are batched.
             chunk_rows = max(1, min(n, GIANT_CHUNK_TARGET_BYTES // self._row_bytes))
             if self._unit is None:
-                edges = max(1, len(self._snapshot.indices))
+                edges = max(1, len(self._csr[1]))
                 chunk_rows = min(
                     chunk_rows, max(16, GIANT_CHUNK_TARGET_BYTES // (8 * edges))
                 )

@@ -60,9 +60,6 @@ class ChunkLedger:
     def __len__(self) -> int:
         return len(self._node_chunk)
 
-    def node_bytes(self, u: int) -> int:
-        return self._node_bytes.get(u, 0)
-
     def add(self, u: int, nbytes: int) -> None:
         """Charge ``nbytes`` to node ``u``, tracking it if new.
 

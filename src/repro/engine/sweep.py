@@ -255,12 +255,15 @@ class SweepEvaluator:
         self.engine: CostEngine = resolved
         self.tolerance = float(tolerance)
         self.deviation_limit = deviation_limit
-        # Static game facts come off the engine's frozen snapshot, not its
-        # internals — the same read path pool workers use over an attached
-        # shared snapshot.
-        self.labels: Tuple[Node, ...] = resolved.snapshot().indexed.labels
+        self.labels: Tuple[Node, ...] = resolved.indexed.labels
         self._n = len(self.labels)
         self._strategies: Optional[List[FrozenSet[Node]]] = None
+        # The strategies this evaluator last synced the engine to, and the
+        # engine version that sync left.  Every real sync bumps the version,
+        # so while it is unchanged the engine still holds these strategies,
+        # even if another caller shares the engine.
+        self._synced: Optional[List[FrozenSet[Node]]] = None
+        self._synced_version = -1
         self._last_verdict: Optional[bool] = None
         # per node: environment key -> [pure minimum, {strategy: verdict}]
         self._memo: List[Dict[tuple, list]] = [dict() for _ in range(self._n)]
@@ -299,29 +302,29 @@ class SweepEvaluator:
 
         # The moving node keeps its environment, and every row its check
         # reads is masked at the node itself (``d_{G-u}`` never contains
-        # ``u``'s links) — so as long as the engine's snapshot differs from
-        # the new profile *only* at the mover, the mover can be probed
-        # against the existing snapshot without a sync.  Along a Gray run of
-        # one node's strategies, an unstable mover therefore rejects the
-        # whole profile with no sync and no CSR rebuild at all.
+        # ``u``'s links) — so as long as the engine's synced profile differs
+        # from the new one *only* at the mover, the mover can be probed
+        # without a sync.  Along a Gray run of one node's strategies, an
+        # unstable mover therefore rejects the whole profile with no sync
+        # and no CSR rebuild at all.
         mover: Optional[int] = None
         if changed is not None and len(changed) == 1:
             mover = changed[0]
-            snapshot = self.engine.snapshot().label_strategies
-            if snapshot is not None and all(
-                u == mover or strategies[u] == snapshot[u] for u in range(self._n)
+            synced = self._synced
+            if (
+                synced is not None
+                and self.engine.version == self._synced_version
+                and all(u == mover or strategies[u] == synced[u] for u in range(self._n))
             ):
                 if not self._node_stable(mover, strategies):
                     self._strategies = strategies
                     self._last_verdict = False
                     return False
-                # Mover stable: the remaining nodes need the real snapshot.
-                self.engine.sync(profile)
-                self._strategies = strategies
+                # Mover stable: the remaining nodes need the real profile.
+                self._sync(profile, strategies)
                 return self._check_rest(strategies, skip=mover)
 
-        self.engine.sync(profile)
-        self._strategies = strategies
+        self._sync(profile, strategies)
         if mover is not None:
             # Check the mover first: it is both the cheapest node to decide
             # (memoised best cost, preserved rows) and, in a sweep, the
@@ -331,6 +334,11 @@ class SweepEvaluator:
                 return False
             return self._check_rest(strategies, skip=mover)
         return self._check_rest(strategies, skip=None)
+
+    def _sync(self, profile: StrategyProfile, strategies: List[FrozenSet[Node]]) -> None:
+        self.engine.sync(profile)
+        self._strategies = self._synced = strategies
+        self._synced_version = self.engine.version
 
     def _check_rest(self, strategies: List[FrozenSet[Node]], skip: Optional[int]) -> bool:
         verdict = True

@@ -107,7 +107,12 @@ class SwitchWeights:
     gamma: float
 
     def satisfies_inequalities(self, penalty: float) -> bool:
-        """Return whether the paper's three switch inequalities hold."""
+        """Return whether the paper's three switch inequalities hold.
+
+        Kept for the tests: ``tests/test_gadgets.py`` checks with it that
+        the weights :meth:`from_penalty` derives satisfy the paper's gadget
+        conditions.
+        """
         return (
             self.alpha > self.gamma
             and self.alpha > self.beta

@@ -29,7 +29,6 @@ from .dijkstra import (
     dijkstra_path,
 )
 from .errors import (
-    EdgeNotFound,
     FlowError,
     GraphError,
     InfeasibleFlow,
@@ -122,7 +121,6 @@ __all__ = [
     "min_cost_unit_flow_cost",
     "GraphError",
     "NodeNotFound",
-    "EdgeNotFound",
     "NegativeEdgeLength",
     "FlowError",
     "InfeasibleFlow",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .errors import EdgeNotFound, NodeNotFound
+from .errors import NodeNotFound
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -53,17 +53,6 @@ class DiGraph:
         for node in nodes:
             self.add_node(node)
 
-    def remove_node(self, node: Node) -> None:
-        """Remove ``node`` and every incident edge."""
-        if node not in self._succ:
-            raise NodeNotFound(node)
-        for head in list(self._succ[node]):
-            del self._pred[head][node]
-        for tail in list(self._pred[node]):
-            del self._succ[tail][node]
-        del self._succ[node]
-        del self._pred[node]
-
     def has_node(self, node: Node) -> bool:
         """Return ``True`` if ``node`` is in the graph."""
         return node in self._succ
@@ -94,22 +83,9 @@ class DiGraph:
             self._pred[head][tail] = data
         data.update(attrs)
 
-    def remove_edge(self, tail: Node, head: Node) -> None:
-        """Remove the edge ``tail -> head``."""
-        if tail not in self._succ or head not in self._succ[tail]:
-            raise EdgeNotFound(tail, head)
-        del self._succ[tail][head]
-        del self._pred[head][tail]
-
     def has_edge(self, tail: Node, head: Node) -> bool:
         """Return ``True`` if ``tail -> head`` is an edge of the graph."""
         return tail in self._succ and head in self._succ[tail]
-
-    def edge_data(self, tail: Node, head: Node) -> Mapping[str, Any]:
-        """Return the attribute dictionary of edge ``tail -> head``."""
-        if not self.has_edge(tail, head):
-            raise EdgeNotFound(tail, head)
-        return self._succ[tail][head]
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges as ``(tail, head)`` pairs."""
@@ -154,12 +130,6 @@ class DiGraph:
             raise NodeNotFound(node)
         return len(self._succ[node])
 
-    def in_degree(self, node: Node) -> int:
-        """Return the number of edges entering ``node``."""
-        if node not in self._pred:
-            raise NodeNotFound(node)
-        return len(self._pred[node])
-
     # ------------------------------------------------------------------ #
     # Whole-graph helpers
     # ------------------------------------------------------------------ #
@@ -200,7 +170,11 @@ class DiGraph:
         return {node: tuple(heads) for node, heads in self._succ.items()}
 
     def to_networkx(self):  # pragma: no cover - thin convenience wrapper
-        """Return an equivalent :class:`networkx.DiGraph` (used by tests/examples)."""
+        """Return an equivalent :class:`networkx.DiGraph`.
+
+        Kept for the tests: it builds the networkx oracle that
+        ``tests/test_graphs_algorithms.py`` checks SCCs and paths against.
+        """
         import networkx as nx
 
         graph = nx.DiGraph()

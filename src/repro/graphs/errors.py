@@ -19,15 +19,6 @@ class NodeNotFound(GraphError):
         self.node = node
 
 
-class EdgeNotFound(GraphError):
-    """Raised when an operation references an edge that is not in the graph."""
-
-    def __init__(self, tail: object, head: object) -> None:
-        super().__init__(f"edge ({tail!r}, {head!r}) is not in the graph")
-        self.tail = tail
-        self.head = head
-
-
 class NegativeEdgeLength(GraphError):
     """Raised when Dijkstra-style algorithms encounter a negative length."""
 

@@ -79,43 +79,6 @@ class CNFFormula:
                 return False
         return True
 
-    def to_dimacs(self) -> str:
-        """Serialise to DIMACS CNF text."""
-        lines = [f"p cnf {self.num_variables} {self.num_clauses}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines)
-
-    @staticmethod
-    def from_dimacs(text: str) -> "CNFFormula":
-        """Parse DIMACS CNF text."""
-        num_variables = 0
-        clauses: List[Clause] = []
-        current: List[Literal] = []
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) < 4 or parts[1] != "cnf":
-                    raise ValueError(f"malformed DIMACS header: {line!r}")
-                num_variables = int(parts[2])
-                continue
-            for token in line.split():
-                literal = int(token)
-                if literal == 0:
-                    clauses.append(tuple(current))
-                    current = []
-                else:
-                    current.append(literal)
-        if current:
-            clauses.append(tuple(current))
-        formula = CNFFormula.from_clauses(clauses)
-        if num_variables > formula.num_variables:
-            formula = CNFFormula(num_variables=num_variables, clauses=formula.clauses)
-        return formula
-
 
 def clause_satisfied(clause: Clause, assignment: Assignment) -> bool:
     """Return ``True`` if some literal of ``clause`` is true under ``assignment``.

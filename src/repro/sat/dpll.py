@@ -10,7 +10,7 @@ admits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .cnf import Assignment, CNFFormula, Literal, literal_value
 
@@ -51,20 +51,6 @@ class DPLLSolver:
     def is_satisfiable(self) -> bool:
         """Return ``True`` when the formula has at least one model."""
         return self.solve() is not None
-
-    def enumerate_models(self, limit: Optional[int] = None) -> Iterator[Assignment]:
-        """Yield satisfying total assignments (up to ``limit`` of them).
-
-        Enumeration is by exhaustive search over the free variables of each
-        partial model found by DPLL, so it is only intended for the small
-        formulas used in the reduction experiments.
-        """
-        count = 0
-        for assignment in self._enumerate({}, self.formula.variables()):
-            yield assignment
-            count += 1
-            if limit is not None and count >= limit:
-                return
 
     # ------------------------------------------------------------------ #
     # DPLL search
@@ -148,34 +134,6 @@ class DPLLSolver:
             if variable not in assignment:
                 return None  # remaining variables are unconstrained
         return None
-
-    # ------------------------------------------------------------------ #
-    # Model enumeration
-    # ------------------------------------------------------------------ #
-    def _enumerate(self, assignment: Assignment, variables: List[int]) -> Iterator[Assignment]:
-        if not self.formula.evaluate({**assignment}) and all(
-            v in assignment for v in variables
-        ):
-            return
-        free = [v for v in variables if v not in assignment]
-        if not free:
-            if self.formula.evaluate(assignment):
-                yield dict(assignment)
-            return
-        variable = free[0]
-        for value in (False, True):
-            assignment[variable] = value
-            if self._consistent(assignment):
-                yield from self._enumerate(assignment, variables)
-            del assignment[variable]
-
-    def _consistent(self, assignment: Assignment) -> bool:
-        """Return ``False`` only when some clause is already falsified."""
-        for clause in self.formula.clauses:
-            values = [literal_value(lit, assignment) for lit in clause]
-            if values and all(value is False for value in values):
-                return False
-        return True
 
 
 def solve(formula: CNFFormula) -> Optional[Assignment]:

@@ -1,8 +1,8 @@
 """The always-on game service: a batched async API over warm engines.
 
-This is ROADMAP direction 2 made concrete — the first subsystem whose state
-*outlives a single entry-point call*.  It is built **on top of** the
-reliability runtime (PR 7), not beside it: warm engines keep answering after
+The service is the subsystem whose state *outlives a single entry-point
+call*.  It is built **on top of** the reliability runtime
+(:mod:`repro.reliability`), not beside it: warm engines keep answering after
 a corrupted cache row (``verify_every`` self-verification) or a solver
 hiccup (the LP retry-then-reference fallback), and every availability claim
 is CI-verified under seeded :class:`~repro.reliability.FaultPlan`\\ s.
@@ -14,10 +14,10 @@ The layer cake, bottom up:
   promoted to the serving boundary: every response is either bit-identical
   to its fault-free run or one of these errors.
 * :mod:`repro.service.metrics` — exact (never sampled) per-game counters:
-  query/error tallies, batch coalescing, cache-hit/repair/recompute deltas
-  absorbed from the engine's own stats, and a bounded latency reservoir for
-  p50/p99.  ``stats()`` snapshots are freshly built dicts — alias-free, the
-  RPR006 discipline applied to the metrics surface.
+  query/error tallies, batch coalescing, and a bounded latency reservoir
+  for p50/p99.  A ``stats()`` query adds a copy of the engine's own exact
+  ``stats`` counters.  Its payloads are freshly built dicts — alias-free,
+  the RPR006 discipline applied to the metrics surface.
 * :mod:`repro.service.catalog` — :class:`GameCatalog` /
   :class:`GameEntry`: named registration and eviction of live games
   (uniform, weighted, fractional) with their warm engines, plus the
@@ -29,8 +29,8 @@ The layer cake, bottom up:
   the coalescing executor: a run of concurrent reads against one game
   version stages its whole row working set through
   :meth:`~repro.engine.CostEngine.plan_report_prefetch` and drains it in
-  giant multi-source traversals (PR 6's substrate), bit-identical to
-  serving each query alone.
+  giant multi-source traversals, bit-identical to serving each query
+  alone.
 * :mod:`repro.service.service` — :class:`GameService`: one asyncio worker
   per game serializing batched reads and single-node updates (the
   incremental repair path) without locks.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.best_response import best_response
 from ..core.equilibrium import equilibrium_report
@@ -84,7 +84,6 @@ class Response:
     game: str
     kind: str
     version: int
-    engine_version: int
     payload: object = None
     error: Optional[str] = None
     error_message: Optional[str] = None
@@ -134,12 +133,17 @@ def _report_payload(report) -> Dict[str, object]:
 
 
 def _stats_payload(entry: GameEntry) -> Dict[str, object]:
-    entry.absorb_engine_stats()
     payload = entry.metrics.snapshot()
     payload["name"] = entry.name
     payload["kind"] = entry.kind
     payload["version"] = entry.version
-    payload["engine_version"] = entry.engine_version
+    # The engine's own exact counters, under its own names (no wall-clock
+    # gauges: snapshot_stats() would add traversal_seconds).
+    engine = dict(entry.engine.stats) if entry.engine is not None else {}
+    payload["engine"] = engine
+    hits = engine.get("rows_reused", 0)
+    touched = hits + engine.get("rows_repaired", 0) + engine.get("rows_computed", 0)
+    payload["cache_hit_rate"] = hits / touched if touched else 0.0
     cache_bytes = getattr(entry.engine, "cache_bytes", None)
     if callable(cache_bytes):
         payload["cache_bytes"] = cache_bytes()
@@ -214,58 +218,58 @@ def _execute_fractional(entry: GameEntry, query: Query):
     raise InvalidQueryError(f"unknown query kind {query.kind!r}")
 
 
-def execute_query(entry: GameEntry, query: Query) -> Response:
-    """Execute one query against ``entry``, mapping failures to typed errors."""
+def _respond(entry: GameEntry, kind: str, work: Callable[[], object]) -> Response:
+    """Run ``work`` behind the service's one typed-error boundary.
+
+    The payload ``work`` returns, a documented :class:`BBCError`, or any
+    other exception wrapped as :class:`QueryFailedError` becomes exactly one
+    :class:`Response` at the entry's version after the call; the latency
+    and any error are recorded in the entry's metrics either way.
+    """
     started = time.perf_counter()
     try:
-        if query.kind not in QUERY_KINDS:
-            raise InvalidQueryError(
-                f"unknown query kind {query.kind!r}; expected one of "
-                f"{', '.join(QUERY_KINDS)}"
-            )
-        entry.check_version(query.version)
-        # The service-level fault site: an armed rule here models a handler
-        # crash *inside* the serving layer (as opposed to the engine-level
-        # sites it composes with); the query gets a typed InjectedFault
-        # error response and the worker loop carries on.
-        fault_point("service.query", key=(entry.name, query.kind))
-        if query.kind == "stats":
-            payload = _stats_payload(entry)
-        elif entry.kind == KIND_FRACTIONAL:
-            payload = _execute_fractional(entry, query)
-        else:
-            payload = _execute_integral(entry, query)
+        payload = work()
     except BBCError as exc:
-        entry.metrics.record_query(query.kind, time.perf_counter() - started)
-        entry.metrics.record_error(type(exc).__name__)
-        return Response(
-            game=entry.name,
-            kind=query.kind,
-            version=entry.version,
-            engine_version=entry.engine_version,
-            error=type(exc).__name__,
-            error_message=str(exc),
-        )
+        error = exc
     except Exception as exc:  # noqa: BLE001 - terminal typed-error catch-all
-        wrapped = QueryFailedError(query.kind, exc)
-        entry.metrics.record_query(query.kind, time.perf_counter() - started)
-        entry.metrics.record_error(type(wrapped).__name__)
-        return Response(
-            game=entry.name,
-            kind=query.kind,
-            version=entry.version,
-            engine_version=entry.engine_version,
-            error=type(wrapped).__name__,
-            error_message=str(wrapped),
-        )
-    entry.metrics.record_query(query.kind, time.perf_counter() - started)
+        error = QueryFailedError(kind, exc)
+    else:
+        error = None
+    entry.metrics.record_query(kind, time.perf_counter() - started)
+    if error is None:
+        return Response(game=entry.name, kind=kind, version=entry.version, payload=payload)
+    entry.metrics.record_error(type(error).__name__)
     return Response(
         game=entry.name,
-        kind=query.kind,
+        kind=kind,
         version=entry.version,
-        engine_version=entry.engine_version,
-        payload=payload,
+        error=type(error).__name__,
+        error_message=str(error),
     )
+
+
+def _serve_query(entry: GameEntry, query: Query):
+    if query.kind not in QUERY_KINDS:
+        raise InvalidQueryError(
+            f"unknown query kind {query.kind!r}; expected one of "
+            f"{', '.join(QUERY_KINDS)}"
+        )
+    entry.check_version(query.version)
+    # The service-level fault site: an armed rule here models a handler
+    # crash *inside* the serving layer (as opposed to the engine-level
+    # sites it composes with); the query gets a typed InjectedFault
+    # error response and the worker loop carries on.
+    fault_point("service.query", key=(entry.name, query.kind))
+    if query.kind == "stats":
+        return _stats_payload(entry)
+    if entry.kind == KIND_FRACTIONAL:
+        return _execute_fractional(entry, query)
+    return _execute_integral(entry, query)
+
+
+def execute_query(entry: GameEntry, query: Query) -> Response:
+    """Execute one query against ``entry``, mapping failures to typed errors."""
+    return _respond(entry, query.kind, lambda: _serve_query(entry, query))
 
 
 def _plan_candidates(entry: GameEntry, queries: List[Query]):
@@ -334,7 +338,6 @@ def execute_batch(entry: GameEntry, queries: List[Query]) -> List[Response]:
     responses = [execute_query(entry, query) for query in queries]
     if row_queries:
         entry.metrics.record_batch(len(row_queries))
-    entry.absorb_engine_stats()
     return responses
 
 

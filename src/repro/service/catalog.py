@@ -7,16 +7,14 @@ objects, each holding a game, its **warm engine** (a dedicated
 path — for fractional games), the current profile, and a monotonically
 increasing **service version**.
 
-**The reader/writer contract** promotes the engine's version-stamp
-discipline (see the "Snapshot ownership and lifetime" section of
-:mod:`repro.engine`) to an explicit client-visible protocol:
+**The reader/writer contract** is carried by the service version alone,
+an explicit client-visible protocol:
 
 * Readers never observe a half-applied update.  A read executes against the
   exact ``(version, profile)`` pair published by the last committed write,
-  and for integral games the entry records which frozen
-  :class:`~repro.engine.EngineSnapshot` version backs each service version
-  (:attr:`GameEntry.engine_version`) — equal service versions therefore
-  guarantee bit-identical cost reads.
+  and every engine call syncs to that profile first — equal service
+  versions therefore guarantee bit-identical cost reads.  Integral entries
+  own a dedicated engine, so no other caller moves its caches.
 * Writers go through :meth:`GameEntry.apply_update`, which validates the
   strategy, syncs the engine (a single-node step rides the incremental
   repair path — the edit log and lazy row repair of the engine's repair
@@ -63,10 +61,6 @@ class GameEntry:
     engine: object  # CostEngine | FractionalEngine | None (fractional reference)
     profile: object  # StrategyProfile | FractionalProfile
     version: int = 1
-    #: The engine-snapshot version backing :attr:`version` (integral games
-    #: only; fractional engines stamp internally).  Responses carry it so a
-    #: client can correlate service versions with engine snapshots.
-    engine_version: int = 0
     metrics: GameMetrics = field(default_factory=GameMetrics)
 
     @property
@@ -116,17 +110,10 @@ class GameEntry:
             validated = self.game.validate_strategy(node, strategy)
             new_profile = self.profile.with_strategy(node, validated)
             self.engine.sync(new_profile)
-            self.engine_version = self.engine.snapshot().version
         self.profile = new_profile
         self.version += 1
         self.metrics.record_update()
         return self.version
-
-    def absorb_engine_stats(self) -> None:
-        """Fold the engine's exact counters into this entry's metrics."""
-        stats = getattr(self.engine, "stats", None)
-        if stats is not None:
-            self.metrics.absorb_engine_stats(stats)
 
 
 class GameCatalog:
@@ -210,7 +197,6 @@ class GameCatalog:
                 game=game,
                 engine=engine,
                 profile=profile,
-                engine_version=engine.snapshot().version,
             )
         else:
             raise InvalidStrategy(

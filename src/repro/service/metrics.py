@@ -1,13 +1,12 @@
 """Per-game service metrics: exact counters plus a latency reservoir.
 
 Every counter here is **exact**, not sampled: query counts, batch sizes, and
-error tallies are incremented by the worker loop itself, and the cache /
-repair / traversal counters are *deltas of the engine's own exact
-``stats`` dict*, absorbed after every batch (see :meth:`GameMetrics
-.absorb_engine_stats`).  A deterministic query script therefore produces
-bit-reproducible counter values — ``tests/test_service.py`` pins them — so a
-drifting hit rate in production is a real behaviour change, never sampling
-noise.
+error tallies are incremented by the worker loop itself.  The cache /
+repair / traversal counters are not copied here at all: a ``stats`` query
+reads the entry engine's own ``stats`` dict, under the engine's own names.
+A deterministic query script therefore produces bit-reproducible counter
+values — ``tests/test_service.py`` pins them — so a drifting hit rate in
+production is a real behaviour change, never sampling noise.
 
 Latency quantiles are the one deliberately non-deterministic reading (they
 measure wall clock).  They live in a bounded reservoir that keeps the most
@@ -22,26 +21,6 @@ rule RPR006 enforces on the engines' cached rows).
 from __future__ import annotations
 
 from typing import Dict, List, Optional
-
-#: Engine ``stats`` counters mirrored into a metrics snapshot, renamed to
-#: the service vocabulary.  ``cache_hits`` / ``repairs`` / ``recomputes``
-#: are the three ways an environment-distance row can be served (reused,
-#: patched in place, traversed fresh); the rest qualify them.
-ENGINE_COUNTER_MAP = {
-    "rows_reused": "cache_hits",
-    "rows_repaired": "repairs",
-    "rows_computed": "recomputes",
-    "rows_evicted": "rows_evicted",
-    "evicted_recomputes": "evicted_recomputes",
-    "giant_batch_traversals": "giant_traversals",
-    "giant_batch_rows": "giant_rows",
-    "local_syncs": "incremental_syncs",
-    "full_syncs": "full_syncs",
-    "row_verify_failures": "row_verify_failures",
-    "lp_retries": "lp_retries",
-    "lp_fallbacks": "lp_fallbacks",
-    "lp_skipped": "lp_skipped",
-}
 
 #: How many recent per-query latencies the quantile window retains.
 LATENCY_RESERVOIR_LIMIT = 8192
@@ -63,8 +42,6 @@ class GameMetrics:
         self.queries: Dict[str, int] = {}
         #: Error responses returned, by error class name.
         self.errors: Dict[str, int] = {}
-        #: Engine-derived counters (deltas of the engine's exact stats).
-        self.engine: Dict[str, int] = {}
         #: Committed strategy updates (version bumps).
         self.updates = 0
         #: Read batches executed, and how many queries rode in them.  A
@@ -76,9 +53,6 @@ class GameMetrics:
         self.batched_queries = 0
         self.coalesced_queries = 0
         self.max_batch = 0
-        # Last-seen absolute engine counter values, so absorb_engine_stats
-        # accumulates deltas even though the engine never resets its stats.
-        self._engine_seen: Dict[str, int] = {}
         self._latencies: List[float] = []
 
     # ------------------------------------------------------------------ #
@@ -107,17 +81,6 @@ class GameMetrics:
     def record_update(self) -> None:
         self.updates += 1
 
-    def absorb_engine_stats(self, stats: Dict[str, int]) -> None:
-        """Fold the engine's monotone counters in as deltas since last absorb."""
-        for raw, name in ENGINE_COUNTER_MAP.items():
-            value = stats.get(raw)
-            if value is None:
-                continue
-            delta = value - self._engine_seen.get(raw, 0)
-            self._engine_seen[raw] = value
-            if delta:
-                self.engine[name] = self.engine.get(name, 0) + delta
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
@@ -126,16 +89,6 @@ class GameMetrics:
         if not self.batches:
             return 0.0
         return self.batched_queries / self.batches
-
-    def cache_hit_rate(self) -> float:
-        """Served-from-cache fraction of all row touches (0.0 before traffic)."""
-        hits = self.engine.get("cache_hits", 0)
-        total = (
-            hits
-            + self.engine.get("repairs", 0)
-            + self.engine.get("recomputes", 0)
-        )
-        return hits / total if total else 0.0
 
     def snapshot(self) -> Dict[str, object]:
         """Return a freshly built, alias-free snapshot of every reading.
@@ -148,14 +101,12 @@ class GameMetrics:
         return {
             "queries": dict(self.queries),
             "errors": dict(self.errors),
-            "engine": dict(self.engine),
             "updates": self.updates,
             "batches": self.batches,
             "batched_queries": self.batched_queries,
             "coalesced_queries": self.coalesced_queries,
             "max_batch": self.max_batch,
             "coalescing_factor": self.coalescing_factor(),
-            "cache_hit_rate": self.cache_hit_rate(),
             "latency_count": len(ordered),
             "latency_p50_s": nearest_rank(ordered, 0.50),
             "latency_p99_s": nearest_rank(ordered, 0.99),
@@ -163,7 +114,6 @@ class GameMetrics:
 
 
 __all__ = [
-    "ENGINE_COUNTER_MAP",
     "GameMetrics",
     "LATENCY_RESERVOIR_LIMIT",
     "nearest_rank",

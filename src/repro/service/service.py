@@ -23,14 +23,12 @@ task never dies with a query in flight.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Dict, List, Optional, Sequence
 
-from ..core.errors import BBCError
 from ..reliability.faults import fault_point
-from .batching import Query, Response, execute_batch
+from .batching import Query, Response, _respond, execute_batch
 from .catalog import GameCatalog, GameEntry
-from .errors import QueryFailedError, ServiceClosedError, UnknownGameError
+from .errors import ServiceClosedError, UnknownGameError
 
 #: Queue sentinel that tells a worker to shut down after failing the
 #: remaining queued work with :class:`ServiceClosedError`.
@@ -60,44 +58,15 @@ class _QueuedUpdate:
 
 def _apply_update(entry: GameEntry, node, strategy) -> Response:
     """Commit one strategy update, mapping failures to typed error responses."""
-    started = time.perf_counter()
-    try:
+
+    def commit():
         # The write-side fault site: an armed rule fires *before* any state
         # changes, so a drilled update failure leaves the version and
         # profile exactly as the documented contract requires.
         fault_point("service.update", key=(entry.name, node))
-        version = entry.apply_update(node, strategy)
-    except BBCError as exc:
-        entry.metrics.record_query("update", time.perf_counter() - started)
-        entry.metrics.record_error(type(exc).__name__)
-        return Response(
-            game=entry.name,
-            kind="update",
-            version=entry.version,
-            engine_version=entry.engine_version,
-            error=type(exc).__name__,
-            error_message=str(exc),
-        )
-    except Exception as exc:  # noqa: BLE001 - terminal typed-error catch-all
-        wrapped = QueryFailedError("update", exc)
-        entry.metrics.record_query("update", time.perf_counter() - started)
-        entry.metrics.record_error(type(wrapped).__name__)
-        return Response(
-            game=entry.name,
-            kind="update",
-            version=entry.version,
-            engine_version=entry.engine_version,
-            error=type(wrapped).__name__,
-            error_message=str(wrapped),
-        )
-    entry.metrics.record_query("update", time.perf_counter() - started)
-    return Response(
-        game=entry.name,
-        kind="update",
-        version=version,
-        engine_version=entry.engine_version,
-        payload={"version": version, "node": node},
-    )
+        return {"version": entry.apply_update(node, strategy), "node": node}
+
+    return _respond(entry, "update", commit)
 
 
 class GameService:

@@ -552,6 +552,29 @@ def test_all_costs_matches_and_returns_plain_floats():
 
 
 @needs_numpy
+@pytest.mark.parametrize("integral", [True, False])
+def test_array_mirrors_match_list_space(integral):
+    # The numpy backend's CSR arrays describe exactly the list-space CSR,
+    # after the first (full) sync and after a single-node step.
+    game = _weighted_game(12, integral=integral)
+    engine = CostEngine(game, backend="numpy")
+    profile = random_initial_profile(game, seed=3)
+    for step in range(2):
+        if step:
+            profile = profile.with_strategy(0, {5, 7})
+        engine.sync(profile)
+        indptr, indices, lengths = engine._csr
+        indptr_np, indices_np, lengths_np, exact_np = engine._csr_np
+        assert indptr_np.tolist() == indptr
+        assert indices_np.tolist() == indices
+        assert lengths_np.tolist() == lengths
+        if integral:
+            assert exact_np.tolist() == [int(value) for value in lengths]
+        else:
+            assert exact_np is None
+
+
+@needs_numpy
 def test_sweep_evaluator_backend_kwarg_parity(small_uniform_game):
     from repro.core import random_profile
 

@@ -57,7 +57,6 @@ def test_ring_with_path_instance():
     assert instance.num_nodes == 12
     instance.game.validate_profile(instance.profile)
     assert not is_strongly_connected(instance.profile.graph())
-    assert instance.path_tail == 8
     assert instance.round_order[0] == 8
     assert len(instance.round_order) == 12
     with pytest.raises(Exception):

@@ -13,6 +13,7 @@ def test_profile_mapping_interface():
     assert len(profile) == 3
     assert profile.number_of_edges() == 3
     assert set(profile.edges()) == {(0, 1), (0, 2), (1, 2)}
+    assert StrategyProfile.empty([0, 1])[0] == frozenset()
 
 
 def test_profile_rejects_self_links():
@@ -33,16 +34,7 @@ def test_graph_and_from_graph_roundtrip():
     profile = StrategyProfile({0: {1}, 1: {2}, 2: {0}})
     graph = profile.graph()
     assert isinstance(graph, DiGraph)
-    assert StrategyProfile.from_graph(graph) == profile
-
-
-def test_from_pairs_and_empty():
-    profile = StrategyProfile.from_pairs([0, 1, 2], [(0, 1), (1, 2)])
-    assert profile[0] == frozenset({1})
-    assert profile[2] == frozenset()
-    with pytest.raises(InvalidProfile):
-        StrategyProfile.from_pairs([0, 1], [(5, 0)])
-    assert StrategyProfile.empty([0, 1])[0] == frozenset()
+    assert StrategyProfile({u: graph.successors(u) for u in graph.nodes()}) == profile
 
 
 def test_fingerprint_equality_and_hash():

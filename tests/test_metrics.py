@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.core import (
-    EfficiencyReport,
     FairnessReport,
     UniformBBCGame,
     fairness_report,
@@ -50,14 +49,6 @@ def test_poa_pos_with_explicit_equilibria(cycle_profile):
     assert price_of_stability(game, [cycle_profile]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         price_of_anarchy(game, [])
-
-
-def test_efficiency_report(cycle_profile):
-    game = UniformBBCGame(5, 1)
-    report = EfficiencyReport.from_equilibria(game, [cycle_profile])
-    row = report.as_row()
-    assert row["price_of_anarchy"] == pytest.approx(1.0)
-    assert row["best_equilibrium_cost"] == 50.0
 
 
 def test_lemma1_bounds_scale():

@@ -32,14 +32,6 @@ def test_evaluate_assignment():
     assert not formula.evaluate({1: True, 2: False})
 
 
-def test_dimacs_roundtrip():
-    formula = tiny_satisfiable_formula()
-    text = formula.to_dimacs()
-    parsed = CNFFormula.from_dimacs(text)
-    assert parsed.clauses == formula.clauses
-    assert parsed.num_variables == formula.num_variables
-
-
 def test_solver_on_fixed_formulas():
     sat_model = solve(tiny_satisfiable_formula())
     assert sat_model is not None
@@ -57,14 +49,6 @@ def test_solver_finds_planted_assignment():
 def test_pigeonhole_is_unsatisfiable():
     assert not is_satisfiable(pigeonhole_formula(2))
     assert not is_satisfiable(pigeonhole_formula(3))
-
-
-def test_model_enumeration_counts_small_formula():
-    formula = CNFFormula.from_clauses([(1, 2)])
-    solver = DPLLSolver(formula)
-    models = list(solver.enumerate_models())
-    assert len(models) == 3
-    assert all(formula.evaluate(model) for model in models)
 
 
 @settings(max_examples=20, deadline=None)

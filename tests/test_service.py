@@ -54,9 +54,8 @@ class TestCatalogLifecycle:
         assert entry.kind == KIND_INTEGRAL
         assert entry.version == 1
         assert entry.engine is not None
-        # The engine is synced before the entry is visible: the recorded
-        # engine snapshot version matches the live snapshot.
-        assert entry.engine_version == entry.engine.snapshot().version
+        # The engine is synced before the entry is visible.
+        assert entry.engine.version == 1
 
     def test_duplicate_name_rejected(self):
         catalog = GameCatalog()
@@ -89,10 +88,10 @@ class TestCatalogLifecycle:
     def test_committed_update_bumps_version_and_engine_snapshot(self):
         catalog = GameCatalog()
         entry = catalog.register("g", make_game(6, 2))
-        snap_before = entry.engine_version
+        engine_before = entry.engine.version
         assert entry.apply_update(0, (1, 2)) == 2
         assert entry.version == 2
-        assert entry.engine_version > snap_before
+        assert entry.engine.version > engine_before
         assert entry.profile.strategy(0) == frozenset({1, 2})
 
 
@@ -544,13 +543,9 @@ class TestMetrics:
         # The engine saw real row traffic, and every row was served one of
         # the three documented ways.
         engine = stats["engine"]
-        total_rows = (
-            engine.get("cache_hits", 0)
-            + engine.get("repairs", 0)
-            + engine.get("recomputes", 0)
-        )
+        total_rows = engine["rows_reused"] + engine["rows_repaired"] + engine["rows_computed"]
         assert total_rows > 0
-        assert 0.0 <= stats["cache_hit_rate"] <= 1.0
+        assert stats["cache_hit_rate"] == engine["rows_reused"] / total_rows
 
     def test_identical_scripts_produce_identical_counters(self):
         async def scenario():
@@ -581,7 +576,7 @@ class TestMetrics:
                 first = await svc.stats("g")
                 # Mutating a returned snapshot must not poison the registry.
                 first.payload["queries"]["cost"] = 10_000
-                first.payload["engine"]["cache_hits"] = -1
+                first.payload["engine"]["rows_reused"] = -1
                 first.payload["updates"] = 99
                 second = await svc.stats("g")
                 return second
@@ -589,14 +584,27 @@ class TestMetrics:
         second = run(scenario())
         assert second.payload["queries"]["cost"] == 1
         assert second.payload["updates"] == 0
-        assert second.payload["engine"].get("cache_hits", 0) >= 0
+        assert second.payload["engine"]["rows_reused"] >= 0
 
-    def test_absorb_engine_stats_accumulates_deltas(self):
-        metrics = GameMetrics()
-        metrics.absorb_engine_stats({"rows_reused": 5, "rows_computed": 2})
-        metrics.absorb_engine_stats({"rows_reused": 9, "rows_computed": 2})
-        assert metrics.engine == {"cache_hits": 9, "recomputes": 2}
-        assert metrics.cache_hit_rate() == pytest.approx(9 / 11)
+    def test_engine_counters_are_the_engines_own(self):
+        # The stats payload copies each entry engine's exact counters under
+        # their own names; a fractional entry without scipy has no engine.
+        async def scenario():
+            async with GameService() as svc:
+                svc.register("int", make_game())
+                svc.register("frac", FractionalBBCGame(UniformBBCGame(4, 1)))
+                for name in ("int", "frac"):
+                    await svc.gather(name, [Query(kind="cost", node=v) for v in range(3)])
+                    await svc.update(name, 0, (1,) if name == "int" else {1: 1.0})
+                    await svc.gather(name, [Query(kind="all_costs"), Query(kind="report")])
+                stats = {name: (await svc.stats(name)).payload for name in ("int", "frac")}
+                return stats, {name: svc.catalog.entry(name).engine for name in stats}
+
+        stats, engines = run(scenario())
+        for name, engine in engines.items():
+            want = dict(engine.stats) if engine is not None else {}
+            assert stats[name]["engine"] == want
+        assert stats["int"]["engine"]["local_syncs"] == 1
 
     def test_latency_reservoir_is_bounded(self):
         from repro.service.metrics import LATENCY_RESERVOIR_LIMIT

@@ -245,6 +245,22 @@ def test_sweep_evaluator_memo_reset_keeps_verdicts_correct(monkeypatch):
     assert evaluator.stats["memo_resets"] > 0
 
 
+@pytest.mark.parametrize(
+    "n, checks, equilibria, local, full",
+    [(4, 81, 69, 70, 4), (5, 7776, 636, 3585, 950)],
+)
+def test_gray_sweep_rejects_unstable_movers_without_a_sync(n, checks, equilibria, local, full):
+    # An unstable mover is probed against the engine's current profile and
+    # rejects its profile with no sync, so the engine version (one bump per
+    # real sync) stays well below the number of profiles checked.
+    game = UniformBBCGame(n, 2)
+    engine = CostEngine(game)
+    summary = exhaustive_equilibrium_search(game, stop_at_first=False, engine=engine)
+    assert (summary.profiles_examined, summary.equilibria_found) == (checks, equilibria)
+    assert (engine.stats["local_syncs"], engine.stats["full_syncs"]) == (local, full)
+    assert engine.version == local + full
+
+
 def test_sweep_evaluator_rejects_engine_false():
     game = UniformBBCGame(5, 2)
     with pytest.raises(ValueError):
