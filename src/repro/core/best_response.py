@@ -48,6 +48,11 @@ from .profile import StrategyProfile, Strategy
 
 Node = Hashable
 
+#: The epsilon of the chained ``cost < best - CHAIN_EPS`` update rule: a
+#: strategy replaces the best one only when it is cheaper by more than this,
+#: so ties (and float noise) keep the current strategy.
+CHAIN_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class BestResponseResult:
@@ -213,26 +218,10 @@ def _resolve_scorer(
     if engine is None:
         return DeviationOracle(game, profile, node, candidates).cost_of, None
     engine.sync(profile)
-    scorer = engine.scorer(node)
-    if engine.backend == "numpy":
-        # Every row this probe can touch — the candidate first hops plus the
-        # current strategy's — in one batched traversal up front, instead of
-        # trickling out of the scorer one (slow single-source) kernel call
-        # at a time.  Unknown labels are skipped; scoring surfaces them with
-        # the same errors as before.  (When a report staged a giant-batch
-        # plan covering this node — see CostEngine.plan_report_prefetch —
-        # the prefetch call runs the node's whole planned chunk and the
-        # per-node batch here becomes a mop-up of at most the stragglers;
-        # the python backend reaches the same plan through env_row.)
-        hops = candidates if candidates is not None else game.nodes
-        if scorer.identity_labels:
-            wanted = [a for a in hops if a != node]
-            wanted.extend(a for a in profile.strategy(node) if a != node)
-        else:
-            index = scorer.index
-            wanted = [index[a] for a in hops if a != node and a in index]
-            wanted.extend(index[a] for a in profile.strategy(node) if a != node)
-        engine.prefetch_env_rows(scorer.u, wanted)
+    # Every row this probe can read arrives in one engine call up front (one
+    # traversal for the missing ones, or the node's planned giant-batch
+    # chunk), instead of trickling out of the scorer a row at a time.
+    scorer = engine.probe_scorer(node, candidates)
     # With dense int labels `score` would just forward to `score_ints`; bind
     # the inner method directly and skip a call layer per candidate strategy.
     return (scorer.score_ints if scorer.identity_labels else scorer.score), scorer
@@ -250,16 +239,15 @@ def _make_scorer(
 
 
 def chained_best_from_vector(costs, best_cost: float):
-    """Replay the chained ``cost < best - 1e-9`` update rule over a cost vector.
+    """Replay the chained ``cost < best - CHAIN_EPS`` update rule over a cost vector.
 
     ``costs`` is a numpy vector in enumeration order; returns ``(best_cost,
     index_of_last_update)`` (index ``-1`` when nothing improved).  The
     comparisons are exactly the reference loop's, just driven by vectorised
-    scans between updates.  Shared with the sweep layer so the bit-identity
-    contract has a single implementation.
+    scans between updates.
     """
     best_index = -1
-    threshold = best_cost - 1e-9
+    threshold = best_cost - CHAIN_EPS
     position = 0
     total = len(costs)
     while position < total:
@@ -270,7 +258,7 @@ def chained_best_from_vector(costs, best_cost: float):
         position += step
         best_cost = float(costs[position])
         best_index = position
-        threshold = best_cost - 1e-9
+        threshold = best_cost - CHAIN_EPS
         position += 1
     return best_cost, best_index
 
@@ -284,7 +272,7 @@ def batched_combination_costs(game, scorer, node, candidates, limit):
     cannot be batch-scored.  Batch scoring needs an exact-sum fast-path
     scorer and an enumeration that :meth:`BBCGame.combination_plan` describes
     as a single combination size of 1 or 2 (the hot shapes); anything else
-    falls back to the per-strategy loop.  Shared with the sweep layer.
+    falls back to the per-strategy loop.
     """
     if scorer is None or not scorer.fast_batch:
         return None
@@ -301,6 +289,54 @@ def batched_combination_costs(game, scorer, node, candidates, limit):
         else [scorer.index[target] for target in plan_candidates]
     )
     return plan_candidates, size, scorer.score_combinations(ints, size)
+
+
+def deviation_scan(game, node, candidates, limit, score, scorer, current_cost):
+    """Scan every budget-maximal strategy of ``node`` once, in enumeration order.
+
+    Returns ``(chained, best_strategy, pure, evaluated)``: the chained best
+    cost (seeded at ``current_cost``, replaced only when ``cost < best -
+    CHAIN_EPS``), the strategy that set it (``None`` when nothing beat the
+    current one), the pure minimum over all strategies (``inf`` when there
+    are none), and how many strategies were scored.  Batch-scorable
+    enumerations (:func:`batched_combination_costs`) are scored as one
+    vector, the rest one ``score(strategy)`` at a time; both give the same
+    four values.  :func:`best_response` and the sweep layer's full probe
+    both scan through here.
+    """
+    best_strategy = None
+    chained = current_cost
+    pure = math.inf
+    batch = batched_combination_costs(game, scorer, node, candidates, limit)
+    if batch is not None:
+        plan_candidates, size, costs = batch
+        evaluated = len(costs)
+        if evaluated:
+            chained, best_index = chained_best_from_vector(costs, chained)
+            pure = float(costs.min())
+            if best_index >= 0:
+                best_strategy = frozenset(
+                    next(
+                        itertools.islice(
+                            itertools.combinations(plan_candidates, size),
+                            best_index,
+                            None,
+                        )
+                    )
+                )
+        return chained, best_strategy, pure, evaluated
+    evaluated = 0
+    for strategy in game.feasible_strategies(
+        node, candidates, maximal_only=True, limit=limit
+    ):
+        evaluated += 1
+        cost = score(strategy)
+        if cost < chained - CHAIN_EPS:
+            chained = cost
+            best_strategy = strategy
+        if cost < pure:
+            pure = cost
+    return chained, best_strategy, pure, evaluated
 
 
 def best_response(
@@ -324,43 +360,17 @@ def best_response(
     score, scorer = _resolve_scorer(game, profile, node, candidates, engine)
     current_strategy = profile.strategy(node)
     current_cost = score(current_strategy)
-
-    best_strategy = current_strategy
-    best_cost = current_cost
-    evaluated = 0
-    batch = batched_combination_costs(game, scorer, node, candidates, limit)
-    if batch is not None:
-        plan_candidates, size, costs = batch
-        evaluated = len(costs)
-        best_cost, best_index = chained_best_from_vector(costs, best_cost)
-        if best_index >= 0:
-            best_strategy = frozenset(
-                next(
-                    itertools.islice(
-                        itertools.combinations(plan_candidates, size),
-                        best_index,
-                        None,
-                    )
-                )
-            )
-    else:
-        for strategy in game.feasible_strategies(
-            node, candidates, maximal_only=True, limit=limit
-        ):
-            evaluated += 1
-            cost = score(strategy)
-            if cost < best_cost - 1e-9:
-                best_cost = cost
-                best_strategy = strategy
-    improved = best_cost < current_cost - 1e-9
+    best_cost, best_strategy, _, evaluated = deviation_scan(
+        game, node, candidates, limit, score, scorer, current_cost
+    )
     return BestResponseResult(
         node=node,
         current_strategy=current_strategy,
         current_cost=current_cost,
-        best_strategy=best_strategy,
+        best_strategy=best_strategy if best_strategy is not None else current_strategy,
         best_cost=best_cost,
         evaluated=evaluated,
-        improved=improved,
+        improved=best_cost < current_cost - CHAIN_EPS,
     )
 
 
@@ -418,7 +428,7 @@ def greedy_response(
                 continue
             evaluated += 1
             cost = score(chosen + [target])
-            if cost < best_cost - 1e-9:
+            if cost < best_cost - CHAIN_EPS:
                 best_cost = cost
                 best_addition = target
         if best_addition is None:
@@ -428,7 +438,7 @@ def greedy_response(
 
     greedy_strategy = frozenset(chosen)
     greedy_cost = best_cost
-    if greedy_cost < current_cost - 1e-9:
+    if greedy_cost < current_cost - CHAIN_EPS:
         return BestResponseResult(
             node=node,
             current_strategy=current_strategy,
@@ -484,10 +494,10 @@ def single_swap_response(
                 continue
             evaluated += 1
             cost = score(candidate)
-            if cost < best_cost - 1e-9:
+            if cost < best_cost - CHAIN_EPS:
                 best_cost = cost
                 best_strategy = candidate
-    improved = best_cost < current_cost - 1e-9
+    improved = best_cost < current_cost - CHAIN_EPS
     return BestResponseResult(
         node=node,
         current_strategy=current_strategy,

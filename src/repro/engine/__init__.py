@@ -40,8 +40,8 @@ matter) and *repairs* the row in place with the dynamic-SSSP kernels
 :func:`repro.graphs.int_kernels.repair_hops_csr` /
 :func:`repro.graphs.int_kernels.repair_dijkstra_csr` — bounded
 re-relaxation of only the region the arc changes can reach, seeded from the
-region's intact in-boundary (the engine maintains the reverse adjacency for
-this).  The engine caches exactly one row per ``(u, a)``, in the game's
+region's intact in-boundary (read off a reverse CSR the engine builds
+lazily, once per version, on both backends).  The engine caches exactly one row per ``(u, a)``, in the game's
 exact domain: on uniform-length games the BFS hop row (``UNREACHED`` = -1;
 int16 arrays on numpy up to n = 32767, int64 above, int lists on the list
 kernels), on weighted games the float distance row.  A hop row repairs in
@@ -81,14 +81,22 @@ the engine it is given; uniform-length games cross over at
 deque BFS is leaner than the heap Dijkstra).  Hop counts and integer-valued
 lengths traverse in exact int space; non-integer lengths traverse in IEEE
 float64, whose frontier relaxation converges to the heap Dijkstra's labels
-bit for bit.  Batched entry points (the probe prefetch in
-:func:`repro.core.best_response._resolve_scorer` and `score_combinations`,
-plus ``all_costs``) pull every row a probe can touch out of one multi-source
-traversal.  Inside the engine there is one dispatch and one fill path:
-``CostEngine._traverse`` is the only code that calls a traversal kernel
-(one source runs the single-source kernel, a batch the multi-source one),
-and ``CostEngine._fill`` stores, charges and counts the rows of every cache
-fill — single-row misses, per-node prefetch and giant plan chunks alike.
+bit for bit.  Every masked row is read or filled through one accessor,
+:meth:`CostEngine.env_rows`, the same on both backends: it runs the node's
+planned giant-batch chunk, repairs its stale rows, fills every missing row
+of the call in one traversal, and serves the rest from the cache (counted in
+``rows_reused``, sampled by ``verify_every``).  A best-response probe asks
+for all its rows at once through :meth:`CostEngine.probe_scorer` — the
+first hops a probe reads (its candidates plus its current arcs) are defined
+once, in ``CostEngine._probe_hops``, which the report plan shares — and the
+scorer's batched sub-row build and ``all_costs`` likewise pull their rows
+out of one multi-source traversal.  Inside the engine there is one dispatch
+and one fill path: ``CostEngine._traverse`` is the only code that calls a
+traversal kernel (one source runs the single-source kernel, a batch the
+multi-source one; on the python backend the multi-source kernel is a plain
+loop, so batching never changes the cost of a row), and ``CostEngine._fill``
+stores, charges and counts the rows of every cache fill — ``env_rows``
+misses and giant plan chunks alike.
 ``CostEngine.traversal_seconds`` is accumulated there, so it covers every
 traversal, single rows and self-verify recomputes included.  The numpy
 backend stores cached rows as arrays (the python backend keeps lists), but

@@ -40,7 +40,7 @@ import math
 import time
 import warnings
 import weakref
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import InvalidProfile
 from ..reliability.faults import InjectedFault, fault_fires, fault_point
@@ -54,6 +54,7 @@ from ..graphs.int_kernels import (
     dijkstra_csr_multi,
     repair_dijkstra_csr,
     repair_hops_csr,
+    reverse_csr,
     scaled_float_row,
 )
 from .indexed import IndexedGame
@@ -108,7 +109,8 @@ GIANT_CHUNK_TARGET_BYTES = 16 * 2**20
 
 #: A report plan larger than this many masked rows (an unrestricted report
 #: at n ≈ 1500+ wants all n·(n-1) of them) is not planned at all — the
-#: per-node prefetch path handles it and the cache budget bounds the rest.
+#: per-probe fetch (:meth:`CostEngine.probe_scorer`) handles it and the
+#: cache budget bounds the rest.
 PLAN_ROW_LIMIT = 2_000_000
 
 
@@ -190,7 +192,7 @@ class CostEngine:
     the size crossover (:data:`NUMPY_BACKEND_MIN_N`, or
     :data:`NUMPY_BACKEND_MIN_N_UNIFORM` for uniform-length games).  On the
     numpy backend cached rows are arrays instead of lists (on uniform games
-    int16/int64 hop rows, see :meth:`env_row`); every cost, regret, and
+    int16/int64 hop rows, see :meth:`env_rows`); every cost, regret, and
     trace stays bit-identical across backends, and results keep plain
     Python float types.
 
@@ -256,17 +258,15 @@ class CostEngine:
         # (``edge_lengths`` is None on uniform games) and, on the numpy
         # backend, ``(indptr, indices, lengths, exact_lengths)`` int64 /
         # float64 arrays (``exact_lengths`` is the int64 view when the
-        # integral-lengths licence holds).  The reverse CSR the repair
-        # kernels seed from is built lazily, once per version.
+        # integral-lengths licence holds).
         self._csr: Tuple[List[int], List[int], Optional[List[float]]] = (
             [0] * (n + 1), [], None
         )
         self._csr_np: Optional[tuple] = None
-        self._rev_csr_np = None
-        # In-neighbour sets of the current snapshot, maintained alongside the
-        # CSR; the repair kernels seed orphaned nodes from their intact
-        # in-boundary, which a forward-only CSR cannot answer.
-        self._rev_rows: List[set] = [set() for _ in range(self.indexed.n)]
+        # The reverse CSR ``(rev_indptr, rev_tails)`` the repair kernels seed
+        # orphaned nodes from (their intact in-boundary, which a forward-only
+        # CSR cannot answer); built lazily by _rev_csr, once per version.
+        self._rev = None
         # version -> (mover, mover's arcs *before* that step), for lazy
         # repair of rows that are several single-node steps behind.
         self._edits: Dict[int, Tuple[int, frozenset]] = {}
@@ -296,11 +296,6 @@ class CostEngine:
             if memory_budget_bytes is not None
             else default_memory_budget(self.indexed.n)
         )
-        # Self-verification sampling: every `verify_every`-th cache *hit*
-        # recomputes the served row from scratch and compares elementwise.
-        # A mismatch means the cached copy was corrupted after it was filled
-        # (a "poisoned" row); the engine warns, drops the node's caches, and
-        # rebuilds — it never silently serves the bad row again.
         if verify_every is not None and verify_every < 1:
             raise ValueError(
                 f"verify_every must be at least 1 (got {verify_every})"
@@ -420,10 +415,6 @@ class CostEngine:
                 self._synced_profile = profile
                 return ()
             changed = [u for u in range(indexed.n) if raw[u] != old_raw[u]]
-            if not changed:
-                self.stats["noop_syncs"] += 1
-                self._synced_profile = profile
-                return ()
         else:
             changed = None
 
@@ -452,16 +443,6 @@ class CostEngine:
         # Any real profile change invalidates an outstanding report plan:
         # its wanted rows were computed against the previous snapshot.
         self._clear_plan()
-        if changed is not None:
-            # Keep the in-neighbour view in lockstep with the CSR: only the
-            # changed nodes' arcs moved.
-            rev = self._rev_rows
-            for u, old in zip(changed, old_arcs):
-                new = self._strategies[u]
-                for a in old - new:
-                    rev[a].discard(u)
-                for a in new - old:
-                    rev[a].add(u)
         self._rebuild_csr(changed)
         self._all_costs_cache = None
         if changed is not None and len(changed) == 1:
@@ -495,11 +476,6 @@ class CostEngine:
         strategies = self._strategies
         if changed is None:
             self._sorted_rows = [sorted(strategies[u]) for u in range(indexed.n)]
-            rev: List[set] = [set() for _ in range(indexed.n)]
-            for u, row in enumerate(self._sorted_rows):
-                for v in row:
-                    rev[v].add(u)
-            self._rev_rows = rev
         else:
             for u in changed:
                 self._sorted_rows[u] = sorted(strategies[u])
@@ -513,6 +489,7 @@ class CostEngine:
                 lengths.extend(length_row[v] for v in row)
             edge_lengths = lengths
         self._csr = (indptr, indices, edge_lengths)
+        self._rev = None
         if self._np_traversal:
             indptr_np, indices_np = _npk.csr_arrays(indptr, indices)
             lengths_np = exact_np = None
@@ -524,18 +501,21 @@ class CostEngine:
                 if indexed.integral_lengths:
                     exact_np = lengths_np.astype(_np.int64)
             self._csr_np = (indptr_np, indices_np, lengths_np, exact_np)
-            self._rev_csr_np = None
 
     def _rev_csr(self):
-        """Return the current version's reverse CSR (numpy backend, lazy).
+        """Return the current version's reverse CSR ``(rev_indptr, rev_tails)``.
 
-        Built at most once per profile version and shared by every row repair
-        at that version; ``_rebuild_csr`` resets it on each sync.
+        Built lazily, at most once per profile version, in the backend's
+        array form, and shared by every row repair at that version;
+        ``_rebuild_csr`` resets it on each sync.
         """
-        if self._rev_csr_np is None:
-            indptr_np, indices_np, _, _ = self._csr_np
-            self._rev_csr_np = _npk.reverse_csr(indptr_np, indices_np, self.indexed.n)
-        return self._rev_csr_np
+        if self._rev is None:
+            n = self.indexed.n
+            if self._np_traversal:
+                self._rev = _npk.reverse_csr(self._csr_np[0], self._csr_np[1], n)
+            else:
+                self._rev = reverse_csr(self._csr[0], self._csr[1], n)
+        return self._rev
 
     def _require_sync(self) -> None:
         if self._strategies is None:
@@ -564,16 +544,20 @@ class CostEngine:
         quarter of the budget).  Evicted nodes are remembered so their next
         fill is surfaced as an eviction-forced recompute.
         """
-        ledger = self._ledger
-        budget = self.memory_budget_bytes
-        while ledger.bytes > budget:
-            victims = ledger.lru_nodes(exempt=keep)
-            if victims is None:
+        while self._ledger.bytes > self.memory_budget_bytes:
+            if not self._evict_lru_chunk(keep):
                 break
-            for node in victims:
-                self.stats["rows_evicted"] += self._drop_node(node)
-                self._evicted_nodes.add(node)
-            self.stats["chunks_evicted"] += 1
+
+    def _evict_lru_chunk(self, keep: Optional[Set[int]]) -> bool:
+        """Drop the least-recently-used chunk not holding ``keep``; False if none."""
+        victims = self._ledger.lru_nodes(exempt=keep)
+        if victims is None:
+            return False
+        for node in victims:
+            self.stats["rows_evicted"] += self._drop_node(node)
+            self._evicted_nodes.add(node)
+        self.stats["chunks_evicted"] += 1
+        return True
 
     def _repairable(self, entry_version: int) -> bool:
         edits = self._edits
@@ -651,40 +635,33 @@ class CostEngine:
         """
         rows = entry[1]
         if edits:
-            indexed = self.indexed
-            indptr, indices, edge_lengths = self._csr
-            rev = self._rev_rows
             uniform = self._unit is not None
             use_np = self._np_traversal
+            rev_indptr, rev_tails = self._rev_csr()
             if use_np:
-                indptr_np, indices_np, edge_lengths_np, _ = self._csr_np
-                rev_indptr, rev_tails = self._rev_csr()
-                length_matrix = None if uniform else indexed.length_matrix()
+                indptr, indices, edge_lengths, _ = self._csr_np
+                length_table = None if uniform else self.indexed.length_matrix()
+            else:
+                indptr, indices, edge_lengths = self._csr
+                length_table = self.indexed.length_rows
             for first_hop, row in rows.items():
                 if uniform and use_np:
                     _npk.repair_hops_csr_np(
-                        indptr_np, indices_np, row,
-                        first_hop, edits, rev_indptr, rev_tails, u,
+                        indptr, indices, row, first_hop, edits, rev_indptr, rev_tails, u
                     )
                 elif uniform:
-                    repair_hops_csr(indptr, indices, row, first_hop, edits, rev, u)
+                    repair_hops_csr(
+                        indptr, indices, row, first_hop, edits, rev_indptr, rev_tails, u
+                    )
                 elif use_np:
                     _npk.repair_dijkstra_csr_np(
-                        indptr_np, indices_np, edge_lengths_np,
-                        row, first_hop, edits, rev_indptr, rev_tails,
-                        length_matrix, u,
+                        indptr, indices, edge_lengths, row, first_hop, edits,
+                        rev_indptr, rev_tails, length_table, u,
                     )
                 else:
                     repair_dijkstra_csr(
-                        indptr,
-                        indices,
-                        edge_lengths,
-                        row,
-                        first_hop,
-                        edits,
-                        rev,
-                        indexed.length_rows,
-                        u,
+                        indptr, indices, edge_lengths, row, first_hop, edits,
+                        rev_indptr, rev_tails, length_table, u,
                     )
                 self.stats["rows_repaired"] += 1
         self._env_cache[u] = (self.version, rows)
@@ -703,12 +680,11 @@ class CostEngine:
         ``candidates`` mirrors :func:`repro.core.equilibrium
         .equilibrium_report`'s restriction dict ``{label: candidate
         labels}``; ``None`` (or a missing node) means every other node.  Per
-        node the wanted first hops are its candidates plus its current arcs
-        — exactly the set the per-node prefetch in ``_resolve_scorer`` would
-        request — grouped into byte-bounded chunks.  The first subsequent
-        probe of any planned node (via :meth:`env_row` or
-        :meth:`prefetch_env_rows`, on either backend) computes its entire
-        chunk in one multi-source per-row-masked traversal.
+        node the wanted first hops are those a probe of it reads
+        (:meth:`_probe_hops`), grouped into byte-bounded chunks.  The first
+        subsequent :meth:`env_rows` call for any planned node, on either
+        backend, computes its entire chunk in one multi-source per-row-masked
+        traversal.
 
         Returns the number of planned rows; 0 when the plan would exceed
         :data:`PLAN_ROW_LIMIT` or there is nothing to plan.  Rows, costs,
@@ -718,25 +694,12 @@ class CostEngine:
         """
         self.sync(profile)
         self._clear_plan()
-        indexed = self.indexed
-        index = indexed.index
-        n = indexed.n
-        strategies = self._strategies
         pairs: List[Tuple[int, List[int]]] = []
         total = 0
-        for u, label in enumerate(indexed.labels):
-            raw = candidates.get(label) if candidates is not None else None
-            if raw is None:
-                wanted = [a for a in range(n) if a != u]
-            else:
-                wanted = []
-                for target in raw:
-                    a = index.get(target)
-                    if a is not None and a != u:
-                        wanted.append(a)
-            for a in strategies[u]:
-                wanted.append(a)
-            hops = list(dict.fromkeys(wanted))
+        for u, label in enumerate(self.indexed.labels):
+            hops = self._probe_hops(
+                u, candidates.get(label) if candidates is not None else None
+            )
             if not hops:
                 continue
             total += len(hops)
@@ -746,6 +709,22 @@ class CostEngine:
             pairs.append((u, hops))
         self._install_plan(pairs)
         return total
+
+    def _probe_hops(self, u: int, candidates: Optional[Iterable[Node]]) -> List[int]:
+        """The first hops a probe of ``u`` reads: candidates plus current arcs, minus ``u``.
+
+        ``candidates`` are labels (``None``: every other node); labels
+        outside the game are skipped, so scoring surfaces them with its own
+        errors.  The one definition of a probe's working set, shared by
+        :meth:`plan_report_prefetch` and :meth:`probe_scorer`.
+        """
+        if candidates is None:
+            hops = [a for a in range(self.indexed.n) if a != u]
+        else:
+            index = self.indexed.index
+            hops = [a for a in map(index.get, candidates) if a is not None and a != u]
+        hops.extend(self._strategies[u])
+        return list(dict.fromkeys(hops))
 
     def _install_plan(self, pairs: List[Tuple[int, List[int]]]) -> None:
         """Group the planned ``(node, hops)`` pairs into byte-bounded chunks.
@@ -949,22 +928,23 @@ class CostEngine:
         self.stats["rows_computed"] += len(work)
         return rows
 
-    def env_row(self, u: int, first_hop: int) -> Row:
-        """Return the cached row of ``d_{G-u}(first_hop, ·)``, dense over all nodes.
+    def env_rows(self, u: int, first_hops: Sequence[int]) -> List[Row]:
+        """Return the rows ``d_{G-u}(a, ·)`` of the distinct ``first_hops``, in order.
 
-        The row is in the game's exact domain: on uniform games the BFS hop
+        The engine's one row accessor, the same on both backends: it runs
+        ``u``'s planned chunk (:meth:`plan_report_prefetch`), repairs ``u``'s
+        stale rows, fills every missing row in one :meth:`_fill` traversal,
+        evicts over budget sparing ``u``'s chunk, and serves the rest from
+        the cache, counting ``rows_reused`` and sampling ``verify_every``.
+
+        Rows are in the game's exact domain: on uniform games the BFS hop
         counts (``UNREACHED`` = -1; each distance is ``unit`` times its
         count), on weighted games the float distances (``inf`` =
-        unreachable).
-        Rows are cached per ``(version, u)``; within one version each first
-        hop costs at most one SSSP no matter how many strategies probe it,
-        and rows stranded at an older version by single-node syncs are
-        repaired in place before use.
-
-        The returned row is the *cached object itself* — shared read-only by
-        contract (lint rule RPR006).  Callers never mutate it: scorers copy
-        before patching (see :meth:`StrategyScorer._through_row`), and a
-        mutated return would corrupt every later read at this version.
+        unreachable).  Each returned row is the *cached object itself* —
+        shared read-only by contract (lint rule RPR006).  Callers never
+        mutate it: scorers derive new rows from it (see
+        :meth:`StrategyScorer._through_row`), and a mutated row would
+        corrupt every later read at this version.
         """
         self._require_sync()
         self._maybe_run_plan(u)
@@ -972,30 +952,36 @@ class CostEngine:
             # Adversarial-eviction fault site: drop the least-recently-used
             # chunk right under the probe (the probed node's own chunk is
             # exempt).  Costs stay bit-identical — evicted rows recompute.
-            self._force_evict_chunk(keep={u})
+            self._evict_lru_chunk(keep={u})
         self._ensure_current(u)
         # _ensure_current repaired or dropped anything stale, so an entry
         # here always carries the current version.
         entry = self._env_cache.get(u)
-        row = entry[1].get(first_hop) if entry is not None else None
-        if row is None:
-            row = self._fill([(u, first_hop)])[0]
-            if fault_fires("engine.row-poison", key=(u, first_hop)) is not None:
-                # Corruption fault site: cache a subtly-wrong copy while this
-                # call still returns the correct row — modelling a row that
-                # goes bad *after* it was filled.  Only verify_every sampling
-                # can catch it on a later cache hit.
-                self._env_cache[u][1][first_hop] = self._poisoned_copy(row)
+        cached = entry[1] if entry is not None else {}
+        missing = [a for a in dict.fromkeys(first_hops) if a not in cached]
+        filled: Dict[int, Row] = {}
+        if missing:
+            filled = dict(zip(missing, self._fill([(u, a) for a in missing])))
+            cached = self._env_cache[u][1]
+            for a, row in filled.items():
+                if fault_fires("engine.row-poison", key=(u, a)) is not None:
+                    # Corruption fault site: cache a subtly-wrong copy while
+                    # this call still returns the correct row — modelling a
+                    # row that goes bad *after* it was filled.  Only
+                    # verify_every sampling can catch it on a later hit.
+                    cached[a] = self._poisoned_copy(row)
             if self._ledger.bytes > self.memory_budget_bytes:
                 self._evict_over_budget(keep={u})
-        else:
-            self.stats["rows_reused"] += 1
-            if self.verify_every is not None:
-                self._verify_probes += 1
-                if self._verify_probes >= self.verify_every:
-                    self._verify_probes = 0
-                    row = self._verify_row(u, first_hop, row)
-        return row  # repro: readonly — the cached row itself, never mutated by callers
+        rows = [filled[a] if a in filled else cached[a] for a in first_hops]
+        self.stats["rows_reused"] += len(first_hops) - len(filled)
+        if self.verify_every is not None:
+            for i, a in enumerate(first_hops):
+                if a not in filled:
+                    self._verify_probes += 1
+                    if self._verify_probes >= self.verify_every:
+                        self._verify_probes = 0
+                        rows[i] = self._verify_row(u, a, rows[i])
+        return rows  # repro: readonly — the cached rows themselves, never mutated by callers
 
     def _poisoned_copy(self, row: Row) -> Row:
         """A copy of ``row`` with its first reachable entry nudged up by one.
@@ -1009,16 +995,6 @@ class CostEngine:
                 poisoned[i] += 1
                 break
         return poisoned
-
-    def _force_evict_chunk(self, keep: Optional[Set[int]] = None) -> None:
-        """Drop one least-recently-used chunk regardless of the byte budget."""
-        victims = self._ledger.lru_nodes(exempt=keep)
-        if victims is None:
-            return
-        for node in victims:
-            self.stats["rows_evicted"] += self._drop_node(node)
-            self._evicted_nodes.add(node)
-        self.stats["chunks_evicted"] += 1
 
     def _verify_row(self, u: int, first_hop: int, row: Row) -> Row:
         """Recompute a served cache hit from scratch and compare elementwise.
@@ -1051,36 +1027,6 @@ class CostEngine:
         self._all_costs_cache = None
         return fresh
 
-    def prefetch_env_rows(self, u: int, first_hops) -> None:
-        """Compute every missing ``d_{G-u}`` row of ``first_hops`` in one batch.
-
-        A no-op on the python backend and for fewer than two missing rows;
-        on the numpy backend the missing rows come from one multi-source
-        frontier traversal (:func:`~repro.graphs.int_kernels_np
-        .bfs_hops_csr_multi` / :func:`~repro.graphs.int_kernels_np
-        .dijkstra_csr_multi`), which amortises the per-round dispatch
-        overhead that makes single-source array traversals lose to the list
-        kernels on sparse graphs.  Cached rows are byte-identical to the
-        one-at-a-time path, so this only changes *when* rows are computed.
-
-        When a giant-batch report plan covers ``u``, the node's whole
-        planned chunk runs first (on either backend); the per-node batch
-        below then only mops up hops the plan did not cover.
-        """
-        self._require_sync()
-        self._maybe_run_plan(u)
-        if not self._np_traversal:
-            return
-        self._ensure_current(u)
-        entry = self._env_cache.get(u)
-        cached = entry[1] if entry is not None else ()
-        missing = [a for a in dict.fromkeys(first_hops) if a not in cached]
-        if len(missing) < 2:
-            return
-        self._fill([(u, a) for a in missing])
-        if self._ledger.bytes > self.memory_budget_bytes:
-            self._evict_over_budget(keep={u})
-
     # ------------------------------------------------------------------ #
     # Cost evaluation
     # ------------------------------------------------------------------ #
@@ -1093,10 +1039,25 @@ class CostEngine:
             raise InvalidProfile(f"node {node!r} is not part of this game") from None
         return StrategyScorer(self, u)
 
+    def probe_scorer(
+        self, node: Node, candidates: Optional[Iterable[Node]] = None
+    ) -> "StrategyScorer":
+        """Return ``node``'s scorer with every row a probe of it reads in hand.
+
+        The rows are those of :meth:`_probe_hops` — ``candidates`` (labels;
+        ``None`` = every other node) plus the node's current arcs — fetched
+        by one :meth:`env_rows` call, so a cold probe fills all of them in
+        one traversal on either backend.  Rows, costs, and traces are
+        bit-identical to fetching them one by one.
+        """
+        scorer = self.scorer(node)
+        hops = self._probe_hops(scorer.u, candidates)
+        scorer._env.update(zip(hops, self.env_rows(scorer.u, hops)))
+        return scorer
+
     def cost_of(self, node: Node, strategy: Iterable[Node]) -> float:
         """Return ``node``'s cost when it plays ``strategy`` (labels) against the synced profile."""
-        scorer = self.scorer(node)
-        return scorer.score(strategy)
+        return self.scorer(node).score(strategy)
 
     def all_costs(self, profile: StrategyProfile) -> Dict[Node, float]:
         """Return every node's cost under ``profile`` (cached per version)."""
@@ -1194,9 +1155,9 @@ class StrategyScorer:
         "fast_batch",
         "identity_labels",
         "_length_row",
+        "_env",
         "_through",
         "_sub",
-        "_target_idx",
         "_version",
     )
 
@@ -1227,20 +1188,29 @@ class StrategyScorer:
         self.fast_batch = self.fast_sum and indexed.exact_sums and _np is not None
         self.identity_labels = indexed.identity_labels
         self._length_row = indexed.length_rows[u]
-        # Derived rows live with the scorer (one probe), not the engine: they
-        # are O(n) rebuilds from the cached rows, which is all a later
-        # probe of the same node needs.
+        # The engine rows this scorer has read, and the rows derived from
+        # them.  Derived rows live with the scorer (one probe), not the
+        # engine: they are O(n) rebuilds from the cached rows, which is all
+        # a later probe of the same node needs.
+        self._env: Dict[int, Row] = {}
         self._through: Dict[int, Row] = {}
         self._sub: Optional[Dict[int, Row]] = {} if self.fast_sum else None
-        self._target_idx = None  # int64 target indices, built on first use
         self._version = engine.version
+
+    def _env_rows(self, hops: List[int]) -> List[Row]:
+        """The engine rows of ``hops``; each is read from the engine once per scorer."""
+        env = self._env
+        missing = [a for a in hops if a not in env]
+        if missing:
+            env.update(zip(missing, self.engine.env_rows(self.u, missing)))
+        return [env[a] for a in hops]
 
     def _through_row(self, first_hop: int) -> Row:
         row = self._through.get(first_hop)
         if row is None:
             hop_length = self._length_row[first_hop]
             engine = self.engine
-            env = engine._distances(engine.env_row(self.u, first_hop))
+            env = engine._distances(self._env_rows([first_hop])[0])
             if engine._np_traversal:
                 # Numpy-backend rows are float64 arrays; the vectorised sum
                 # is the same one IEEE addition per entry, and tolist() keeps
@@ -1251,22 +1221,6 @@ class StrategyScorer:
                 row = [hop_length + d for d in env]
             self._through[first_hop] = row
         return row
-
-    def _target_index(self) -> "_np.ndarray":
-        if self._target_idx is None:
-            targets = self.targets
-            if len(targets) == self.engine.indexed.n - 1:
-                # Complete target set: targets are exactly every node but
-                # u, in increasing id order (IndexedGame builds target
-                # rows sorted), so the index vector is an arange with a
-                # gap at u — O(n) with no per-element Python boxing,
-                # which matters when n is in the tens of thousands.
-                idx = _np.arange(len(targets), dtype=_np.int64)
-                idx[self.u:] += 1
-                self._target_idx = idx
-            else:
-                self._target_idx = _np.asarray(targets, dtype=_np.int64)
-        return self._target_idx
 
     def _build_sub_rows(self, missing: List[int]):
         """Build every ``missing`` sub row in one broadcast.
@@ -1281,41 +1235,19 @@ class StrategyScorer:
         (stored as views of the returned ``(len(missing), targets)`` batch)
         are bit-identical.
         """
-        engine = self.engine
         if not missing:
             return None
+        engine = self.engine
         u = self.u
-        targets = self.targets
-        # One sync/plan/version check for the whole batch; the prefetch that
-        # preceded this call left every row resident, so the per-row work is
-        # a dict hit (env_row stays the fallback for anything evicted in
-        # between, and serves every hit of a self-verifying engine so that
-        # verify_every samples it).
-        engine._require_sync()
-        engine._maybe_run_plan(u)
-        engine._ensure_current(u)
-        entry = engine._env_cache.get(u) if engine.verify_every is None else None
-        cached = entry[1] if entry is not None else {}
-        hits = 0
-
-        def env_for(a):
-            nonlocal hits
-            env = cached.get(a)
-            if env is None:
-                return engine.env_row(u, a)
-            hits += 1
-            return env
-
-        envs = _np.array([env_for(a) for a in missing])
-        if len(targets) == engine.indexed.n - 1:
+        envs = _np.array(self._env_rows(missing))
+        if len(self.targets) == engine.indexed.n - 1:
             # Complete target set: dropping column u is two contiguous
             # block copies, far cheaper than a fancy-index gather of
             # 99.9% of the matrix.
             gathered = _np.concatenate((envs[:, :u], envs[:, u + 1:]), axis=1)
         else:
-            gathered = envs[:, self._target_index()]
+            gathered = envs[:, self.targets]
         batch = engine._distances(gathered)
-        engine.stats["rows_reused"] += hits
         hop_lengths = _np.array(
             [self._length_row[a] for a in missing], dtype=_np.float64
         )
@@ -1358,7 +1290,6 @@ class StrategyScorer:
             raise InvalidProfile("scorer is stale: the engine synced to a new profile")
         sub = self._sub
         missing = [a for a in candidates if a not in sub]
-        engine.prefetch_env_rows(self.u, iter(missing))
         batch = self._build_sub_rows(missing)
         if batch is not None and len(missing) == len(candidates):
             # Every candidate was missing, so the batch rows are already the
@@ -1393,11 +1324,9 @@ class StrategyScorer:
             sub = self._sub
             strategy = list(strategy)
             if self.fast_batch:
-                missing = list(
-                    dict.fromkeys(a for a in strategy if a not in sub)
+                self._build_sub_rows(
+                    list(dict.fromkeys(a for a in strategy if a not in sub))
                 )
-                self.engine.prefetch_env_rows(self.u, iter(missing))
-                self._build_sub_rows(missing)
             rows = []
             for a in strategy:
                 row = sub.get(a)

@@ -39,19 +39,15 @@ tracks the speedup.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, FrozenSet, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.best_response import CHAIN_EPS, deviation_scan
 from ..core.errors import SearchSpaceTooLarge
 from ..core.game import BBCGame, DEFAULT_ENUMERATION_LIMIT
 from ..core.profile import StrategyProfile, Strategy
 from .cost_engine import CostEngine
 
 Node = Hashable
-
-#: The epsilon of ``best_response``'s chained ``cost < best - eps`` update;
-#: the memoised shortcut must replicate it exactly to stay bit-identical.
-_CHAIN_EPS = 1e-9
 
 #: Default cap on the number of profiles a Gray sweep may range over
 #: (mirrors :data:`repro.core.search.DEFAULT_PROFILE_LIMIT`).
@@ -371,14 +367,14 @@ class SweepEvaluator:
             self.stats["verdict_hits"] += 1
             return cached
         # Environment unchanged since `pure` was memoised.  The reference's
-        # chained best lands within _CHAIN_EPS above the pure minimum, so the
+        # chained best lands within CHAIN_EPS above the pure minimum, so the
         # margin decides everywhere except inside that one-epsilon window.
         current = self._scorer(u)(strategy)
         margin = current - pure
         if margin <= self.tolerance:
             verdict = True
             self.stats["memoised_probes"] += 1
-        elif margin > self.tolerance + _CHAIN_EPS:
+        elif margin > self.tolerance + CHAIN_EPS:
             verdict = False
             self.stats["memoised_probes"] += 1
         else:
@@ -402,39 +398,17 @@ class SweepEvaluator:
     def _full_probe(self, u: int, strategy: FrozenSet[Node]) -> Tuple[bool, float]:
         """Probe node ``u`` exactly like the reference, harvesting the memo.
 
-        One enumeration pass tracks both the *chained* best (seeded at the
-        current cost, updated only when ``cost < best - 1e-9`` — the exact
-        :func:`~repro.core.best_response` semantics the verdict needs) and the
-        *pure* minimum (what later profiles with the same environment compare
-        against).  On exact-sum games the pass is batch-scored through
-        :meth:`~repro.engine.cost_engine.StrategyScorer.score_combinations`,
-        which is bit-identical to the loop.
+        One :func:`~repro.core.best_response.deviation_scan` pass gives both
+        the *chained* best (the exact :func:`~repro.core.best_response`
+        semantics the verdict needs) and the *pure* minimum (what later
+        profiles with the same environment compare against).
         """
-        from ..core.best_response import batched_combination_costs, chained_best_from_vector
-
-        label = self.labels[u]
         scorer = self._scorer_obj(u)
         score = self._score_callable(scorer)
         current = score(strategy)
-        chained = current
-        pure = math.inf
-        batch = batched_combination_costs(
-            self.game, scorer, label, None, self.deviation_limit
+        chained, _, pure, _ = deviation_scan(
+            self.game, self.labels[u], None, self.deviation_limit, score, scorer, current
         )
-        if batch is not None:
-            _, _, costs = batch
-            if len(costs):
-                chained, _ = chained_best_from_vector(costs, chained)
-                pure = float(costs.min())
-        else:
-            for candidate in self.game.feasible_strategies(
-                label, maximal_only=True, limit=self.deviation_limit
-            ):
-                cost = score(candidate)
-                if cost < chained - _CHAIN_EPS:
-                    chained = cost
-                if cost < pure:
-                    pure = cost
         verdict = (current - chained) <= self.tolerance
         return verdict, pure
 

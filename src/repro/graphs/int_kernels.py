@@ -8,7 +8,8 @@ kernels here assume nodes have already been mapped to dense ints ``0..n-1``
 and the graph packed into CSR arrays, so the inner loops touch nothing but
 flat lists:
 
-* ``build_csr`` packs per-node successor lists into ``(indptr, indices)``;
+* ``build_csr`` packs per-node successor lists into ``(indptr, indices)``,
+  and ``reverse_csr`` turns a CSR into its reverse ``(rev_indptr, rev_tails)``;
 * ``bfs_hops_csr`` returns hop counts as a dense list (``-1`` = unreachable);
 * ``dijkstra_csr`` returns weighted distances (``inf`` = unreachable) using a
   heap of plain ``(dist, node)`` pairs — ints always compare, so no tiebreak
@@ -61,6 +62,22 @@ def build_csr(successor_rows: Sequence[Sequence[int]]) -> Tuple[List[int], List[
         indices.extend(successors)
         indptr.append(len(indices))
     return indptr, indices
+
+
+def reverse_csr(
+    indptr: Sequence[int], indices: Sequence[int], n: int
+) -> Tuple[List[int], List[int]]:
+    """Return the reverse graph as CSR ``(rev_indptr, rev_tails)`` lists.
+
+    ``rev_tails[rev_indptr[v]:rev_indptr[v + 1]]`` lists the in-neighbours of
+    ``v``, which the repair kernels seed orphaned nodes from.  The list twin
+    of :func:`repro.graphs.int_kernels_np.reverse_csr`.
+    """
+    in_rows: List[List[int]] = [[] for _ in range(n)]
+    for tail in range(n):
+        for head in indices[indptr[tail] : indptr[tail + 1]]:
+            in_rows[head].append(tail)
+    return build_csr(in_rows)
 
 
 def bfs_hops_csr(
@@ -128,9 +145,10 @@ def bfs_hops_csr_multi(
     ``forbidden`` is a shared int or a per-row sequence (row ``i`` masks
     ``forbidden[i]``); see :func:`per_source_forbidden`.  This is the
     bit-identical reference for the vectorised
-    :func:`repro.graphs.int_kernels_np.bfs_hops_csr_multi`, and what the cost
-    engine's giant-batch report prefetch runs on the python backend — a plain
-    loop, so batching changes *when* rows are computed, never their values.
+    :func:`repro.graphs.int_kernels_np.bfs_hops_csr_multi`, and what every
+    batched fill of the cost engine (a probe's rows, a giant-batch report
+    chunk) runs on the python backend — a plain loop, so batching changes
+    *when* rows are computed, never their values or their cost per row.
     """
     masks = per_source_forbidden(sources, forbidden)
     return [
@@ -246,18 +264,18 @@ def repair_hops_csr(
     hops: List[int],
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
-    rev_rows: Sequence[Iterable[int]],
+    rev_indptr: Sequence[int],
+    rev_tails: Sequence[int],
     forbidden: int = -1,
-) -> List[int]:
+) -> None:
     """Repair a BFS hop row in place after the arcs in ``edits`` changed.
 
     ``hops`` must be a valid hop row from ``source`` (:data:`UNREACHED` for
     unreachable, ``forbidden`` masked) for the *old* graph; ``indptr`` /
     ``indices`` describe the **new** graph.  Each edit is ``(mover,
     removed_heads, added_heads)``: the out-arcs ``mover`` lost and gained
-    between the two graphs.  ``rev_rows[v]`` lists the in-neighbours of ``v``
-    in the new graph.  Returns the node ids whose entry may have changed
-    (a superset of the actual changes), for patching derived rows.
+    between the two graphs.  ``rev_indptr`` / ``rev_tails`` are the new
+    graph's reverse CSR (:func:`reverse_csr`).
 
     The repaired row is exactly what :func:`bfs_hops_csr` would return on the
     new graph — hop counts are ints, so equality is literal.
@@ -275,9 +293,8 @@ def repair_hops_csr(
             if a != source and a != forbidden and hops[a] == dm + 1:
                 tight_seeds.append(a)
     if not edit_map:
-        return []
+        return
 
-    touched: List[int] = []
     heap: List[Tuple[int, int]] = []
     if tight_seeds:
         affected = _phase1_affected(
@@ -286,12 +303,11 @@ def repair_hops_csr(
         )
         for v in affected:
             hops[v] = UNREACHED
-            touched.append(v)
         # Seed each orphaned node from its intact boundary: every in-arc from
         # a node that kept a (finite) distance.
         for v in affected:
             best = -1
-            for p in rev_rows[v]:
+            for p in rev_tails[rev_indptr[v] : rev_indptr[v + 1]]:
                 if p == forbidden or p in affected:
                     continue
                 hp = hops[p]
@@ -324,7 +340,6 @@ def repair_hops_csr(
             if hv >= 0 and d >= hv:
                 continue
             hops[v] = d
-            touched.append(v)
             nd = d + 1
             for y in indices[indptr[v] : indptr[v + 1]]:
                 if y == forbidden:
@@ -332,7 +347,6 @@ def repair_hops_csr(
                 hy = hops[y]
                 if hy < 0 or nd < hy:
                     heappush(heap, (nd, y))
-    return touched
 
 
 def repair_dijkstra_csr(
@@ -342,18 +356,18 @@ def repair_dijkstra_csr(
     dist: List[float],
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
-    rev_rows: Sequence[Iterable[int]],
+    rev_indptr: Sequence[int],
+    rev_tails: Sequence[int],
     length_rows: Sequence[Sequence[float]],
     forbidden: int = -1,
-) -> List[int]:
+) -> None:
     """Repair a weighted distance row in place after the arcs in ``edits`` changed.
 
     The weighted counterpart of :func:`repair_hops_csr`: ``dist`` is a valid
     :func:`dijkstra_csr` row for the old graph, ``lengths`` is aligned with
     the new ``indices``, and ``length_rows[p][v]`` gives the (strategy-
     independent) length of arc ``(p, v)`` for boundary in-edges and for the
-    reconstructed old out-rows of edited nodes.  Returns the node ids whose
-    entry may have changed.
+    reconstructed old out-rows of edited nodes.
 
     Repaired values are bit-identical to a fresh run: every label is a
     left-associated float sum along one path — the same form Dijkstra
@@ -376,9 +390,8 @@ def repair_dijkstra_csr(
             if a != source and a != forbidden and dist[a] == dm + mover_lengths[a]:
                 tight_seeds.append(a)
     if not edit_map:
-        return []
+        return
 
-    touched: List[int] = []
     heap: List[Tuple[float, int]] = []
     if tight_seeds:
         affected = _phase1_affected(
@@ -387,10 +400,9 @@ def repair_dijkstra_csr(
         )
         for v in affected:
             dist[v] = inf
-            touched.append(v)
         for v in affected:
             best = inf
-            for p in rev_rows[v]:
+            for p in rev_tails[rev_indptr[v] : rev_indptr[v + 1]]:
                 if p == forbidden or p in affected:
                     continue
                 dp = dist[p]
@@ -422,7 +434,6 @@ def repair_dijkstra_csr(
             if d >= dist[v]:
                 continue
             dist[v] = d
-            touched.append(v)
             for offset in range(indptr[v], indptr[v + 1]):
                 y = indices[offset]
                 if y == forbidden:
@@ -430,7 +441,6 @@ def repair_dijkstra_csr(
                 cand = d + lengths[offset]
                 if cand < dist[y]:
                     heappush(heap, (cand, y))
-    return touched
 
 
 def scaled_float_row(hops: Sequence[int], unit: float) -> List[float]:

@@ -714,14 +714,13 @@ def repair_hops_csr_np(
     rev_indptr: np.ndarray,
     rev_tails: np.ndarray,
     forbidden: int = -1,
-) -> List[int]:
+) -> None:
     """Vectorised ``repair_hops_csr``: repair a BFS hop row in place.
 
     Same contract as the list kernel — ``hops`` is a valid hop row of the old
-    graph, ``indptr``/``indices`` (and the reverse CSR) describe the new one,
-    and the returned ids are a superset of the entries that changed — but the
-    affected-region marking and the seeded continuation run as array sweeps.
-    ``hops`` is the engine's cached array (int16 or int64, see
+    graph, ``indptr``/``indices`` (and the reverse CSR) describe the new one —
+    but the affected-region marking and the seeded continuation run as array
+    sweeps.  ``hops`` is the engine's cached array (int16 or int64, see
     :func:`hop_dtype`); the touched entries are written back into it in one
     scatter, keeping its dtype.
     """
@@ -734,7 +733,7 @@ def repair_hops_csr_np(
 
     edit_map, seeds = _prepare_edits(edits, forbidden, tight_of)
     if not edit_map:
-        return []
+        return
 
     def unit_weight(positions):
         return 1
@@ -769,7 +768,6 @@ def repair_hops_csr_np(
     labels = work[touched]
     labels[labels >= INT_UNREACHED] = UNREACHED
     hops[touched] = labels
-    return touched.tolist()
 
 
 def repair_dijkstra_csr_np(
@@ -783,7 +781,7 @@ def repair_dijkstra_csr_np(
     rev_tails: np.ndarray,
     length_matrix: np.ndarray,
     forbidden: int = -1,
-) -> List[int]:
+) -> None:
     """Vectorised ``repair_dijkstra_csr``: repair a weighted row in place.
 
     ``lengths`` must be the float64 per-edge lengths of the new CSR and
@@ -804,7 +802,7 @@ def repair_dijkstra_csr_np(
 
     edit_map, seeds = _prepare_edits(edits, forbidden, tight_of)
     if not edit_map:
-        return []
+        return
 
     def edge_w(positions):
         return lengths[positions]
@@ -837,7 +835,6 @@ def repair_dijkstra_csr_np(
     touched = np.flatnonzero(affected | changed)
     for v in touched.tolist():
         dist_row[v] = float(work[v])
-    return touched.tolist()
 
 
 __all__ = [

@@ -33,7 +33,7 @@ REGISTERED_FAULT_SITES: Dict[str, str] = {
         "fills (stats['chunk_build_failures'])"
     ),
     "engine.forced-evict": (
-        "CostEngine.env_row probe; fires an adversarial LRU chunk eviction "
+        "CostEngine.env_rows call; fires an adversarial LRU chunk eviction "
         "under the probe (the probed node's chunk is exempt)"
     ),
     "engine.numpy-import": (
@@ -41,7 +41,7 @@ REGISTERED_FAULT_SITES: Dict[str, str] = {
         "or broken at engine-construction time (auto -> python)"
     ),
     "engine.row-poison": (
-        "CostEngine row-cache fill; caches a subtly wrong copy so only "
+        "CostEngine.env_rows fill, once per row; caches a subtly wrong copy so only "
         "verify_every sampling can catch it on a later hit"
     ),
     "fractional.lp-solve": (

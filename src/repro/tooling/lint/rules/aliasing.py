@@ -8,7 +8,7 @@ return an object reachable from a ``self.*cache*`` attribute unless the
 return materialises a copy (``dict()``/``list()``/``.copy()``/scalar
 conversion/...) or the method is explicitly annotated shared-read-only with
 ``# repro: readonly`` on the ``def`` or ``return`` line — the documented
-escape for the hot-path ``env_row``, whose callers are all in-package and
+escape for the hot-path ``env_rows``, whose callers are all in-package and
 read-only by contract.
 
 Detection is a conservative intra-method taint pass: any ``self.<attr>``

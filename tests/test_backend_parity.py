@@ -349,19 +349,11 @@ def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
             # Hop rows repair in exact int64 space on the array the engine
             # caches (the single-source kernel's output).
             hops = npk.bfs_hops_csr_np(indptr0_np, indices0_np, n, source, forbidden)
-            touched = npk.repair_hops_csr_np(
+            npk.repair_hops_csr_np(
                 indptr1_np, indices1_np, hops, source, edits,
                 rev_indptr, rev_tails, forbidden,
             )
-            fresh = bfs_hops_csr(indptr1, indices1, n, source, forbidden)
-            assert hops.tolist() == fresh
-            assert set(touched) >= {
-                v
-                for v, (old, new) in enumerate(
-                    zip(bfs_hops_csr(indptr0, indices0, n, source, forbidden), fresh)
-                )
-                if old != new
-            }
+            assert hops.tolist() == bfs_hops_csr(indptr1, indices1, n, source, forbidden)
             dist = np.asarray(
                 dijkstra_csr(indptr0, indices0, lengths0, n, source, forbidden),
                 dtype=np.float64,
@@ -595,20 +587,46 @@ def test_sweep_evaluator_backend_kwarg_parity(small_uniform_game):
 
 @needs_numpy
 def test_prefetch_is_invisible_to_results():
-    """Prefetched rows serve later probes; a cold scorer path agrees exactly."""
+    """Rows fetched in one batch serve later probes; a cold scorer path agrees
+    exactly, on both backends."""
     game = UniformBBCGame(24, 2)
     profile = random_initial_profile(game, seed=2)
-    engine = CostEngine(game, backend="numpy")
-    engine.sync(profile)
-    engine.prefetch_env_rows(3, [v for v in range(24) if v != 3])
-    prefetched = engine.scorer(3)
-    cold_engine = CostEngine(game, backend="numpy")
-    cold_engine.sync(profile)
-    cold = cold_engine.scorer(3)
-    for seed in range(10):
-        rng = random.Random(seed)
-        strategy = rng.sample([v for v in range(24) if v != 3], 2)
-        assert prefetched.score_ints(list(strategy)) == cold.score_ints(list(strategy))
+    for backend in ("python", "numpy"):
+        engine = CostEngine(game, backend=backend)
+        engine.sync(profile)
+        engine.env_rows(3, [v for v in range(24) if v != 3])
+        prefetched = engine.scorer(3)
+        cold_engine = CostEngine(game, backend=backend)
+        cold_engine.sync(profile)
+        cold = cold_engine.scorer(3)
+        for seed in range(10):
+            rng = random.Random(seed)
+            strategy = rng.sample([v for v in range(24) if v != 3], 2)
+            assert prefetched.score_ints(list(strategy)) == cold.score_ints(list(strategy))
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("n", [12, 24])
+def test_cold_probe_fills_its_rows_in_one_traversal(backend, n, monkeypatch):
+    """A cold best-response probe fills every row it reads (its candidates
+    plus its current arcs) in one traversal on either backend: n = 12 scores
+    through list rows, n = 24 through the batched sub rows."""
+    if backend == "numpy" and np is None:
+        pytest.skip("numpy is not installed")
+    game = UniformBBCGame(n, 2)
+    profile = random_initial_profile(game, seed=4)
+    engine = CostEngine(game, backend=backend)
+    calls = []
+    traverse = engine._traverse
+
+    def counting(sources, masks):
+        calls.append(len(sources))
+        return traverse(sources, masks)
+
+    monkeypatch.setattr(engine, "_traverse", counting)
+    result = best_response(game, profile, 0, engine=engine)
+    assert calls == [n - 1]
+    assert result == best_response(game, profile, 0, engine=False)
 
 
 @needs_numpy

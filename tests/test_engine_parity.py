@@ -42,6 +42,7 @@ from repro.graphs import (
     repair_dijkstra_csr,
     repair_hops_csr,
 )
+from repro.graphs.int_kernels import reverse_csr
 
 
 def random_weighted_game(seed, n=6, objective=Objective.SUM):
@@ -183,39 +184,37 @@ def test_repair_kernels_match_fresh_traversals(seed, n, steps):
     indptr0, indices0, lengths0 = _csr_with_lengths(rows, length_rows)
     new_rows, edits = _random_edit_sequence(rng, rows, steps)
     indptr1, indices1, lengths1 = _csr_with_lengths(new_rows, length_rows)
-    rev = [set() for _ in range(n)]
-    for u, row in enumerate(new_rows):
-        for v in row:
-            rev[v].add(u)
+    rev_indptr, rev_tails = reverse_csr(indptr1, indices1, n)
     for forbidden in (-1, rng.randrange(n)):
         for source in range(n):
             if source == forbidden:
                 continue
             hops = bfs_hops_csr(indptr0, indices0, n, source, forbidden)
-            repair_hops_csr(indptr1, indices1, hops, source, edits, rev, forbidden)
+            repair_hops_csr(
+                indptr1, indices1, hops, source, edits, rev_indptr, rev_tails, forbidden
+            )
             assert hops == bfs_hops_csr(indptr1, indices1, n, source, forbidden)
             dist = dijkstra_csr(indptr0, indices0, lengths0, n, source, forbidden)
             repair_dijkstra_csr(
                 indptr1, indices1, lengths1, dist, source, edits,
-                rev, length_rows, forbidden,
+                rev_indptr, rev_tails, length_rows, forbidden,
             )
             assert dist == dijkstra_csr(indptr1, indices1, lengths1, n, source, forbidden)
 
 
 def _warm_all_env_rows(engine, game):
+    index = engine.indexed.index
     for node in game.nodes:
-        for hop in game.nodes:
-            if hop != node:
-                engine.env_row(engine.indexed.index[node], engine.indexed.index[hop])
+        engine.env_rows(index[node], [index[hop] for hop in game.nodes if hop != node])
 
 
 def _assert_rows_match_cold(engine, game, profile):
     cold = CostEngine(game)
     cold.sync(profile)
-    for node in range(engine.indexed.n):
-        for hop in range(engine.indexed.n):
-            if hop != node:
-                assert engine.env_row(node, hop) == cold.env_row(node, hop)
+    n = engine.indexed.n
+    for node in range(n):
+        hops = [hop for hop in range(n) if hop != node]
+        assert engine.env_rows(node, hops) == cold.env_rows(node, hops)
 
 
 @settings(max_examples=8, deadline=None)
@@ -667,7 +666,7 @@ def test_single_row_traversals_are_timed():
     game = UniformBBCGame(6, 2)
     engine = CostEngine(game, backend="python")
     engine.sync(random_profile(game, seed=3))
-    engine.env_row(0, 1)
+    engine.env_rows(0, [1])
     assert engine.traversal_seconds > 0
 
 

@@ -499,21 +499,21 @@ class TestCostEngineDegradation:
         profile = ring_profile(game)
         reference = CostEngine(game)
         reference.sync(profile)
-        clean = [float(x) for x in reference.env_row(0, 1)]
+        clean = [float(x) for x in reference.env_rows(0, [1])[0]]
 
         plan = FaultPlan(rules=(FaultRule(site="engine.row-poison", times=1),))
         with active_faults(plan):
             engine = CostEngine(game, verify_every=1)
             engine.sync(profile)
-            first = engine.env_row(0, 1)  # fill: the cached copy is poisoned
+            first = engine.env_rows(0, [1])[0]  # fill: the cached copy is poisoned
             assert [float(x) for x in first] == clean
             with pytest.warns(RuntimeWarning, match="self-verification"):
-                second = engine.env_row(0, 1)  # hit: verification catches it
+                second = engine.env_rows(0, [1])[0]  # hit: verification catches it
         assert [float(x) for x in second] == clean
         assert engine.stats["row_verify_failures"] == 1
         assert engine.stats["rows_verified"] == 1
         # The rebuilt row stays clean on later hits.
-        assert [float(x) for x in engine.env_row(0, 1)] == clean
+        assert [float(x) for x in engine.env_rows(0, [1])[0]] == clean
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_verify_failure_leaves_no_row_without_its_hop_row(self, backend):
@@ -528,16 +528,44 @@ class TestCostEngineDegradation:
         engine = CostEngine(game, backend=backend, verify_every=1)
         engine.sync(profile)
         with active_faults(plan):
-            engine.env_row(0, 1)  # fill: the cached copy is poisoned
+            engine.env_rows(0, [1])  # fill: the cached copy is poisoned
         with pytest.warns(RuntimeWarning, match="self-verification"):
-            engine.env_row(0, 1)  # hit: verification catches it
+            engine.env_rows(0, [1])  # hit: verification catches it
         moved = profile.with_strategy(5, frozenset({7, 9}))
         engine.sync(moved)  # a single-node step: node 0's rows go stale
         fresh = CostEngine(game, backend=backend)
         fresh.sync(moved)
-        row = engine.env_row(0, 1)
-        assert [float(x) for x in row] == [float(x) for x in fresh.env_row(0, 1)]
+        row = engine.env_rows(0, [1])[0]
+        assert [float(x) for x in row] == [float(x) for x in fresh.env_rows(0, [1])[0]]
         assert engine.stats["rows_repaired"] == 0
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_verify_every_catches_a_poisoned_row_in_a_batched_sub_row_build(
+        self, backend
+    ):
+        # The batched sub-row build reads its rows through env_rows like
+        # every other reader, so a poisoned cache hit is verified there too.
+        if not HAVE_NUMPY:
+            pytest.skip("batched sub rows need numpy")
+        game = UniformBBCGame(24, 2)
+        profile = ring_profile(game)
+        candidates = [v for v in range(24) if v != 3]
+        reference = CostEngine(game, backend=backend)
+        reference.sync(profile)
+        clean = reference.scorer(3).score_combinations(candidates, 2).tolist()
+        plan = FaultPlan(
+            rules=(FaultRule(site="engine.row-poison", keys=frozenset({(3, 5)})),)
+        )
+        engine = CostEngine(game, backend=backend, verify_every=1)
+        engine.sync(profile)
+        with active_faults(plan):
+            engine.env_rows(3, candidates)  # fill: row (3, 5) is cached poisoned
+        scorer = engine.scorer(3)
+        assert scorer.fast_batch
+        with pytest.warns(RuntimeWarning, match="self-verification"):
+            costs = scorer.score_combinations(candidates, 2).tolist()
+        assert costs == clean
+        assert engine.stats["row_verify_failures"] == 1
 
     def test_without_verification_the_poisoned_row_is_served(self):
         # Documents why verify_every exists: an unverified engine serves the
@@ -546,13 +574,13 @@ class TestCostEngineDegradation:
         profile = ring_profile(game)
         reference = CostEngine(game)
         reference.sync(profile)
-        clean = [float(x) for x in reference.env_row(0, 1)]
+        clean = [float(x) for x in reference.env_rows(0, [1])[0]]
         plan = FaultPlan(rules=(FaultRule(site="engine.row-poison", times=1),))
         with active_faults(plan):
             engine = CostEngine(game)
             engine.sync(profile)
-            engine.env_row(0, 1)
-            served = engine.env_row(0, 1)
+            engine.env_rows(0, [1])
+            served = engine.env_rows(0, [1])[0]
         assert [float(x) for x in served] != clean
 
     def test_verify_every_validates_its_argument(self):
@@ -582,13 +610,13 @@ class TestCostEngineDegradation:
         baseline = CostEngine(game)
         baseline.sync(profile)
         baseline.plan_report_prefetch(profile)
-        clean = [float(x) for x in baseline.env_row(0, 1)]
+        clean = [float(x) for x in baseline.env_rows(0, [1])[0]]
         plan = FaultPlan(rules=(FaultRule(site="engine.chunk-build", times=None),))
         with active_faults(plan):
             engine = CostEngine(game)
             engine.sync(profile)
             engine.plan_report_prefetch(profile)
-            got = [float(x) for x in engine.env_row(0, 1)]
+            got = [float(x) for x in engine.env_rows(0, [1])[0]]
         assert got == clean
         if engine.stats["chunk_build_failures"] == 0:
             pytest.skip("game too small for a giant-batch plan")
