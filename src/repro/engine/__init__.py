@@ -47,7 +47,27 @@ int16 arrays on numpy up to n = 32767, int64 above, int lists on the list
 kernels), on weighted games the float distance row.  A hop row repairs in
 exact int space, and a float is made from it only where a cost is read
 (``float(h) * unit``, one helper, ``CostEngine._distances``), so repaired
-rows are **bit-identical** to recomputation.  Rows derived while scoring
+rows are **bit-identical** to recomputation.
+
+**The derivation contract** (list kernels, n >= 16).  There a missing
+masked row is never traversed: ``d_{G-u}(a, ·)`` is *derived* from the
+unmasked *base row* ``d_G(a, ·)`` by
+:func:`repro.graphs.int_kernels.mask_repair_hops` /
+:func:`repro.graphs.int_kernels.mask_repair_dijkstra`, which reset only the
+nodes whose every shortest path from ``a`` ran through ``u`` and re-settle
+them from their intact in-boundary, returning a new row bit-identical to the
+masked traversal.  Base rows are one per source, cached in the same store
+under their own key: stamped with the version, repaired across the edit log
+like any node's rows (counted in ``stats["base_rows_repaired"]``) and
+filled, when missing, by one unmasked traversal
+(``stats["base_rows_computed"]``); ``rows_computed``, ``rows_repaired`` and
+``rows_reused`` keep counting masked rows only.  A round-robin walk, whose
+masked rows are stale again by the time a node is re-probed, thus pays one
+small repair per base row and sync instead of ``n - 1`` fresh masked
+traversals per probe.  Self-verification still recomputes with a fresh
+masked traversal.  The numpy backend keeps its masked giant batch (it is
+vectorised across rows, which one derivation per row cannot beat), and
+below n = 16 a fresh traversal is as cheap as the derivation.  Rows derived while scoring
 (through rows, penalty-substituted slices, batched combination cost
 vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
 that built them and die with it.  When repair would not pay — more pending net
@@ -98,7 +118,8 @@ loop, so batching never changes the cost of a row), and ``CostEngine._fill``
 stores, charges and counts the rows of every cache fill — ``env_rows``
 misses and giant plan chunks alike.
 ``CostEngine.traversal_seconds`` is accumulated there, so it covers every
-traversal, single rows and self-verify recomputes included.  The numpy
+traversal, single rows and self-verify recomputes included; masked-row
+derivations (the derivation contract above) are charged to it too.  The numpy
 backend stores cached rows as arrays (the python backend keeps lists), but
 derived results — through rows, costs, regrets — stay plain Python floats, so every scorer fast path, cache contract, and result
 type above the kernels is shared;
@@ -128,8 +149,9 @@ the per-node path and to the dict reference, pinned by
 **The memory-budget contract** (new in PR 6, replacing the PR 5 row-count
 cap).  ``CostEngine(game, memory_budget_bytes=...)`` bounds the byte
 footprint of the cached rows (one per ``(u, a)``: ``2 n`` bytes for a
-uniform game's int16 hop row, ``8 n`` for a list row or a float row;
-scorer-local derived rows are never charged), defaulting to
+uniform game's int16 hop row, ``8 n`` for a list row or a float row, plus
+one ``8 n`` base row per source on the derivation path; scorer-local
+derived rows are never charged), defaulting to
 :func:`~repro.engine.cost_engine.default_memory_budget` — 16 MiB floored,
 256 MiB capped.  A
 :class:`~repro.engine.row_store.ChunkLedger` accounts bytes per node and
@@ -137,7 +159,10 @@ groups the nodes filled by one giant traversal into one LRU *chunk* (rows
 from one sweep are views into one allocation, so only dropping the whole
 group actually releases memory).  Eviction is node-granular within the
 evicted chunk — a node's rows share one version stamp and leave together,
-so the repair contract above always repairs a node's whole set — and never
+so the repair contract above always repairs a node's whole set.  The base
+rows are one more ledger entry; the probe that just derived from them
+exempts them, like its own rows, from the eviction its fill triggers, so
+they overshoot the budget by at most ``n`` rows.  Eviction is never
 silent: ``stats["rows_evicted"]`` /
 ``stats["chunks_evicted"]`` count it, ``stats["evicted_recomputes"]`` counts
 rows that re-entered by recomputation, and :meth:`CostEngine.cache_bytes` /

@@ -23,6 +23,16 @@ re-relaxation of only the region the arc changes could have reached, instead
 of a fresh traversal.  A multi-node change, or a row that has fallen behind
 the edit log, resets to a full recompute.
 
+On the list kernels (at n >= 16) a missing masked row is not traversed at
+all: it is **derived** from the unmasked *base row* ``d_G(a, ·)`` of its
+source by :func:`~repro.graphs.int_kernels.mask_repair_hops` /
+:func:`~repro.graphs.int_kernels.mask_repair_dijkstra`, which re-settle only
+the nodes whose every shortest path ran through ``u``.  The base rows are
+cached like any other rows, one per source under the ``_BASE`` key, so the
+same stamp, ledger and edit-log repair keep them current across single-node
+steps: a round-robin walk pays one small repair per base row and sync
+instead of ``n - 1`` fresh masked traversals per probe.
+
 Memory is bounded in *bytes*, not rows: every cached row is charged to a
 :class:`~repro.engine.row_store.ChunkLedger` and whole LRU chunks are
 evicted once ``memory_budget_bytes`` is exceeded (see
@@ -52,6 +62,8 @@ from ..graphs.int_kernels import (
     build_csr,
     dijkstra_csr,
     dijkstra_csr_multi,
+    mask_repair_dijkstra,
+    mask_repair_hops,
     repair_dijkstra_csr,
     repair_hops_csr,
     reverse_csr,
@@ -112,6 +124,10 @@ GIANT_CHUNK_TARGET_BYTES = 16 * 2**20
 #: per-probe fetch (:meth:`CostEngine.probe_scorer`) handles it and the
 #: cache budget bounds the rest.
 PLAN_ROW_LIMIT = 2_000_000
+
+#: The ``_env_cache`` and ledger key of the unmasked base rows ``d_G(a, ·)``
+#: that masked rows are derived from (a node id would be ``>= 0``).
+_BASE = -1
 
 
 def default_memory_budget(n: int) -> int:
@@ -241,6 +257,11 @@ class CostEngine:
         # so stale rows always drop and recompute.
         n = self.indexed.n
         self._repair_edit_limit = n // 8 if n >= 16 else 0
+        # Derive masked rows from cached base rows instead of traversing
+        # them (see _derived_rows).  Not on numpy, whose masked giant batch
+        # is vectorised across rows, which one derivation per row cannot
+        # beat; and not below n=16, for the reason the repair limit is 0.
+        self._derive = not self._np_traversal and n >= 16
         #: Bumped on every observed profile change; all caches key on it.
         self.version = 0
         # The exact profile object of the last successful sync (profiles are
@@ -274,7 +295,8 @@ class CostEngine:
         # row per (u, a), in the game's exact domain: on uniform games the
         # BFS hop row (UNREACHED = -1), which repair patches in exact int
         # space and _distances scales to floats only where a cost is read;
-        # on weighted games the float distance row.
+        # on weighted games the float distance row.  Key _BASE holds the
+        # unmasked base rows {source a -> d_G(a, ·)} of the derivation path.
         self._env_cache: Dict[int, Tuple[int, Dict[int, Row]]] = {}
         # The float unit every hop count is scaled by (None: weighted game),
         # and the bytes one cached row costs, which sizes batched traversals.
@@ -316,13 +338,16 @@ class CostEngine:
         self._plan_chunk_of: Dict[int, int] = {}
         # (version, {label: cost}) for the whole profile
         self._all_costs_cache: Optional[Tuple[int, Dict[Node, float]]] = None
-        #: Cache observability: how many environment rows were computed,
-        #: served from cache, or repaired in place, and how each sync
-        #: classified its diff.
+        #: Cache observability: how many masked environment rows were
+        #: computed, served from cache, or repaired in place, how many base
+        #: rows were traversed or repaired for the derivation path, and how
+        #: each sync classified its diff.
         self.stats: Dict[str, int] = {
             "rows_computed": 0,
             "rows_reused": 0,
             "rows_repaired": 0,
+            "base_rows_computed": 0,
+            "base_rows_repaired": 0,
             "rows_evicted": 0,
             "chunks_evicted": 0,
             "giant_batch_traversals": 0,
@@ -336,8 +361,9 @@ class CostEngine:
             "chunk_build_failures": 0,
         }
         #: Wall-clock seconds spent inside traversal kernels — every
-        #: :meth:`_traverse` call, single rows and verify recomputes included;
-        #: the bench profile's traversal-vs-scoring split reads this.
+        #: :meth:`_traverse` call, single rows and verify recomputes included,
+        #: plus every masked-row derivation; the bench profile's
+        #: traversal-vs-scoring split reads this.
         self.traversal_seconds = 0.0
 
     def cache_bytes(self) -> int:
@@ -632,8 +658,10 @@ class CostEngine:
 
         Uniform games repair the exact hop row, weighted games the float
         distance row; either way the cached row object itself is patched.
+        ``u == _BASE`` repairs the unmasked base rows, counted apart.
         """
         rows = entry[1]
+        counter = "base_rows_repaired" if u == _BASE else "rows_repaired"
         if edits:
             uniform = self._unit is not None
             use_np = self._np_traversal
@@ -663,7 +691,7 @@ class CostEngine:
                         indptr, indices, edge_lengths, row, first_hop, edits,
                         rev_indptr, rev_tails, length_table, u,
                     )
-                self.stats["rows_repaired"] += 1
+                self.stats[counter] += 1
         self._env_cache[u] = (self.version, rows)
 
     # ------------------------------------------------------------------ #
@@ -819,11 +847,11 @@ class CostEngine:
             self._fill(work)
             self.stats["giant_batch_traversals"] += 1
             self.stats["giant_batch_rows"] += len(work)
-        # One ledger chunk for the whole batch, exempt from the eviction its
-        # own bytes may trigger.
+        # One ledger chunk for the whole batch, exempt (with the base rows it
+        # was derived from) from the eviction its own bytes may trigger.
         self._ledger.group(members)
         if self._ledger.bytes > self.memory_budget_bytes:
-            self._evict_over_budget(keep=set(members))
+            self._evict_over_budget(keep={_BASE, *members})
 
     # ------------------------------------------------------------------ #
     # Distance rows: one kernel dispatch, one fill path
@@ -898,13 +926,17 @@ class CostEngine:
     def _fill(self, work: List[Tuple[int, int]]) -> list:
         """Compute and cache every ``(u, first_hop)`` row of ``work`` in one traversal.
 
-        Stores one row per entry, charges each node's bytes to the ledger,
+        On the derivation path (list kernels, n >= 16) the rows are derived
+        from the base rows instead (:meth:`_derived_rows`).  Stores one row
+        per entry, charges each node's bytes to the ledger,
         and counts ``rows_computed`` plus the ``evicted_recomputes`` of
         nodes budget eviction had emptied.  Returns the rows in ``work``
         order.  Eviction, and the ``keep`` set it spares, stays with the
         caller.
         """
-        if len(work) == 1:
+        if self._derive:
+            rows = self._derived_rows(work)
+        elif len(work) == 1:
             u, a = work[0]
             rows = self._traverse([a], u)
         else:
@@ -926,6 +958,57 @@ class CostEngine:
                 self._evicted_nodes.discard(u)
                 self.stats["evicted_recomputes"] += len(filled)
         self.stats["rows_computed"] += len(work)
+        return rows
+
+    def _base_rows(self, sources: List[int]) -> Dict[int, Row]:
+        """The current unmasked base rows ``{a: d_G(a, ·)}``, covering ``sources``.
+
+        Brings the ``_BASE`` entry current (repairing it across the edit log
+        like any node's rows), then fills every missing source in one
+        unmasked :meth:`_traverse`, charged to the ledger under ``_BASE``
+        and counted in ``base_rows_computed``.
+        """
+        self._ensure_current(_BASE)
+        entry = self._env_cache.get(_BASE)
+        cached = entry[1] if entry is not None else {}
+        missing = [a for a in dict.fromkeys(sources) if a not in cached]
+        if missing:
+            rows = self._traverse(missing, -1)
+            cached = self._env_cache.setdefault(_BASE, (self.version, {}))[1]
+            cached.update(zip(missing, rows))
+            self._ledger.add(_BASE, _payload_nbytes(rows[0]) * len(rows))
+            self._evicted_nodes.discard(_BASE)
+            self.stats["base_rows_computed"] += len(rows)
+        return cached
+
+    def _derived_rows(self, work: List[Tuple[int, int]]) -> List[Row]:
+        """Derive every masked row ``(u, a)`` of ``work`` from base row ``a``, in order.
+
+        The list-kernel fill at n >= 16: each ``d_{G-u}(a, ·)`` is a new row
+        re-settled from ``d_G(a, ·)`` by the mask-repair kernels, which
+        leave the base row untouched; bit-identical to the masked
+        traversal, which :meth:`_verify_row` still runs.  Charged to
+        :attr:`traversal_seconds` like a traversal.
+        """
+        bases = self._base_rows([a for _, a in work])
+        start = time.perf_counter()
+        indptr, indices, lengths = self._csr
+        rev_indptr, rev_tails = self._rev_csr()
+        if self._unit is not None:
+            rows = [
+                mask_repair_hops(indptr, indices, bases[a], a, u, rev_indptr, rev_tails)
+                for u, a in work
+            ]
+        else:
+            length_rows = self.indexed.length_rows
+            rows = [
+                mask_repair_dijkstra(
+                    indptr, indices, lengths, bases[a], a, u,
+                    rev_indptr, rev_tails, length_rows,
+                )
+                for u, a in work
+            ]
+        self.traversal_seconds += time.perf_counter() - start
         return rows
 
     def env_rows(self, u: int, first_hops: Sequence[int]) -> List[Row]:
@@ -971,7 +1054,7 @@ class CostEngine:
                     # verify_every sampling can catch it on a later hit.
                     cached[a] = self._poisoned_copy(row)
             if self._ledger.bytes > self.memory_budget_bytes:
-                self._evict_over_budget(keep={u})
+                self._evict_over_budget(keep={u, _BASE})
         rows = [filled[a] if a in filled else cached[a] for a in first_hops]
         self.stats["rows_reused"] += len(first_hops) - len(filled)
         if self.verify_every is not None:
@@ -1222,24 +1305,26 @@ class StrategyScorer:
             self._through[first_hop] = row
         return row
 
-    def _build_sub_rows(self, missing: List[int]):
-        """Build every ``missing`` sub row in one broadcast.
+    def _build_sub_rows(self, hops: List[int]):
+        """Build the sub rows of ``hops`` in one broadcast, in ``hops`` order.
 
         The one sub-row builder of ``fast_batch`` scorers (its callers gate
-        on that), on both backends; returns ``None`` when nothing is
-        missing.  The cached rows (int16 arrays or int lists of hops on
+        on that), on both backends; returns ``None`` when ``hops`` is empty.
+        A sub row the scorer already holds is rebuilt, to an equal row, so
+        that the returned batch can serve as a combination matrix as it
+        stands.  The cached rows (int16 arrays or int lists of hops on
         uniform games, float arrays or lists on weighted ones) become one
         matrix, its target columns are gathered first, then scaled and
         summed; each entry is the same ``l(u, a) + float(h) * unit`` and the
         same penalty test as :meth:`_sub_row`'s list path, so the rows
-        (stored as views of the returned ``(len(missing), targets)`` batch)
+        (stored as views of the returned ``(len(hops), targets)`` batch)
         are bit-identical.
         """
-        if not missing:
+        if not hops:
             return None
         engine = self.engine
         u = self.u
-        envs = _np.array(self._env_rows(missing))
+        envs = _np.array(self._env_rows(hops))
         if len(self.targets) == engine.indexed.n - 1:
             # Complete target set: dropping column u is two contiguous
             # block copies, far cheaper than a fancy-index gather of
@@ -1249,12 +1334,12 @@ class StrategyScorer:
             gathered = envs[:, self.targets]
         batch = engine._distances(gathered)
         hop_lengths = _np.array(
-            [self._length_row[a] for a in missing], dtype=_np.float64
+            [self._length_row[a] for a in hops], dtype=_np.float64
         )
         batch += hop_lengths[:, None]
         batch[_np.isinf(batch)] = self.penalty
         sub = self._sub
-        for j, a in enumerate(missing):
+        for j, a in enumerate(hops):
             sub[a] = batch[j]
         return batch
 
@@ -1288,17 +1373,12 @@ class StrategyScorer:
         engine = self.engine
         if self._version != engine.version:
             raise InvalidProfile("scorer is stale: the engine synced to a new profile")
-        sub = self._sub
-        missing = [a for a in candidates if a not in sub]
-        batch = self._build_sub_rows(missing)
-        if batch is not None and len(missing) == len(candidates):
-            # Every candidate was missing, so the batch rows are already the
-            # combination matrix in candidate order — no re-stack.
-            matrix = batch
-        elif not candidates:
+        if not candidates:
             return _np.empty(0)
-        else:
-            matrix = _np.stack([sub[a] for a in candidates])
+        # One batch over every candidate is the combination matrix, in
+        # candidate order; rebuilding the few sub rows a probe already
+        # holds (its current arcs) is far cheaper than re-stacking it.
+        matrix = self._build_sub_rows(candidates)
         if size == 1:
             return matrix.sum(axis=1)
         count = len(candidates)

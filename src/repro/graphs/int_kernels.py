@@ -26,13 +26,18 @@ flat lists:
   Ramalingam–Reps style: find the region whose old distance lost support,
   reset it, then run a Dijkstra continuation seeded from the region's intact
   boundary and from the added arcs).  Repaired rows are bit-identical to
-  recomputing from scratch; ``tests/test_engine_parity.py`` pins it.
+  recomputing from scratch; ``tests/test_engine_parity.py`` pins it;
+* ``mask_repair_hops`` / ``mask_repair_dijkstra`` *derive* a masked row
+  ``d_{G-u}(a, ·)`` from the unmasked ``d_G(a, ·)``: the same reset-and-
+  re-settle, for the one edit "``u`` is deleted", returned as a new row.
 
 Both traversals accept a ``forbidden`` node that is never entered, which lets
 :class:`repro.engine.CostEngine` compute ``d_{G-u}`` distances by masking
 ``u`` out of the *shared* profile snapshot instead of rebuilding a per-oracle
 environment graph.  The repair kernels honour the same mask, so masked
-``d_{G-u}`` rows repair exactly like unmasked ones.
+``d_{G-u}`` rows repair exactly like unmasked ones.  On the list kernels the
+engine traverses only unmasked rows at n >= 16 and derives every masked row
+with the mask-repair kernels.
 
 Edge lengths are assumed non-negative; game construction validates this
 (:meth:`repro.core.game.BBCGame._validate_tables`), so the kernels skip the
@@ -212,28 +217,42 @@ def dijkstra_csr(
     return dist
 
 
+def _old_out(indptr, indices, edit_map, v):
+    """``v``'s out-row in the *old* graph: the new CSR row with ``v``'s edit
+    (if any) undone — its added arcs dropped, its removed arcs appended."""
+    edit = edit_map.get(v)
+    if edit is None:
+        return indices[indptr[v] : indptr[v + 1]]
+    removed, added = edit
+    old_out = [y for y in indices[indptr[v] : indptr[v + 1]] if y not in added]
+    old_out.extend(removed)
+    return old_out
+
+
 def _phase1_affected(
     dist,
     tight_seeds,
     edit_map,
     indptr,
     indices,
-    weight_of,
+    length_rows,
     source: int,
     forbidden: int,
 ) -> set:
     """Return the (over-approximate) set of nodes whose old distance lost support.
 
     Starting from the heads of removed *tight* arcs, follow old-graph tight
-    edges forward: a tight edge ``(v, y)`` (``dist[v] + w(v, y) == dist[y]``)
+    edges forward: a tight edge ``(v, y)`` (``dist[v] + l(v, y) == dist[y]``,
+    with ``l(v, y) = length_rows[v][y]``)
     means ``y``'s old distance may have been supported through ``v``.  Nodes
     with alternative support get swept in too — that is safe, merely wasteful,
     because phase 2 recomputes every marked node exactly.  The ``source``
     (distance 0 by definition, not by in-edges) and ``forbidden`` (never
     entered) can never lose support and are excluded.
 
-    Old-graph out-edges of an edited node are reconstructed from the new CSR
-    row by dropping its added arcs and appending its removed arcs.
+    Old-graph out-edges of an edited node are reconstructed by
+    :func:`_old_out`.  Hop rows use the exact level test of
+    :func:`_lost_hops` instead.
     """
     affected: set = set()
     stack = list(tight_seeds)
@@ -243,19 +262,113 @@ def _phase1_affected(
             continue
         affected.add(v)
         dv = dist[v]
-        edit = edit_map.get(v)
-        if edit is None:
-            old_out = indices[indptr[v] : indptr[v + 1]]
-        else:
-            removed, added = edit
-            old_out = [y for y in indices[indptr[v] : indptr[v + 1]] if y not in added]
-            old_out.extend(removed)
-        for y in old_out:
+        v_lengths = length_rows[v]
+        for y in _old_out(indptr, indices, edit_map, v):
             if y == source or y == forbidden or y in affected:
                 continue
-            if dist[y] == dv + weight_of(v, y):
+            if dist[y] == dv + v_lengths[y]:
                 stack.append(y)
     return affected
+
+
+def _lost_hops(hops, seeds, edit_map, indptr, indices, rev_indptr, rev_tails) -> List[int]:
+    """Mark, in level order, every hop-row node that lost all support; return them.
+
+    ``seeds`` are the nodes that lost a tight in-arc.  A node at old level
+    ``L`` keeps its level iff some in-neighbour in the *new* graph (the
+    reverse CSR) still holds level ``L - 1``; otherwise it is lost, set to
+    :data:`UNREACHED` at once (so the test reads the row alone), and its
+    old-graph tight successors become candidates one level down.  Levels
+    are settled in increasing order, so every loss one level up is known
+    before a node is tested.  The masked node (and any node already
+    unreached) reads :data:`UNREACHED` and never counts as support.  Exact
+    for hop rows, where every arc has length 1; weighted rows use the
+    over-approximation of :func:`_phase1_affected`.
+    """
+    pending: dict = {}
+    for y in seeds:
+        pending.setdefault(hops[y], []).append(y)
+    lost: List[int] = []
+    while pending:
+        level = min(pending)
+        up, below = level - 1, level + 1
+        for y in pending.pop(level):
+            if hops[y] != level:
+                continue  # already lost through another seed
+            for p in rev_tails[rev_indptr[y] : rev_indptr[y + 1]]:
+                if hops[p] == up:
+                    break
+            else:
+                hops[y] = UNREACHED
+                lost.append(y)
+                for z in _old_out(indptr, indices, edit_map, y):
+                    if hops[z] == below:
+                        pending.setdefault(below, []).append(z)
+    return lost
+
+
+def _resettle_hops(hops, lost, heap, indptr, indices, rev_indptr, rev_tails, forbidden) -> None:
+    """Seed each ``lost`` node from its intact in-boundary, then settle.
+
+    ``heap`` carries any further ``(hops, node)`` seeds.  The continuation
+    never enters ``forbidden``; ``forbidden`` and lost nodes read
+    :data:`UNREACHED`, so they never seed a boundary.
+    """
+    for y in lost:
+        best = -1
+        for p in rev_tails[rev_indptr[y] : rev_indptr[y + 1]]:
+            hp = hops[p]
+            if hp >= 0 and (best < 0 or hp < best):
+                best = hp
+        if best >= 0:
+            heap.append((best + 1, y))
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        hv = hops[v]
+        if hv >= 0 and d >= hv:
+            continue
+        hops[v] = d
+        nd = d + 1
+        for y in indices[indptr[v] : indptr[v + 1]]:
+            if y == forbidden:
+                continue
+            hy = hops[y]
+            if hy < 0 or nd < hy:
+                heappush(heap, (nd, y))
+
+
+def _resettle_dist(
+    dist, affected, heap, indptr, indices, lengths, rev_indptr, rev_tails,
+    length_rows, forbidden,
+) -> None:
+    """The weighted twin of :func:`_resettle_hops`: ``affected`` nodes (and
+    ``forbidden``) already read ``inf``; ``lengths`` is aligned with
+    ``indices`` and ``length_rows[p][v]`` prices the boundary in-arcs."""
+    inf = math.inf
+    for v in affected:
+        best = inf
+        for p in rev_tails[rev_indptr[v] : rev_indptr[v + 1]]:
+            dp = dist[p]
+            if dp < inf:
+                cand = dp + length_rows[p][v]
+                if cand < best:
+                    best = cand
+        if best < inf:
+            heap.append((best, v))
+    heapify(heap)
+    while heap:
+        d, v = heappop(heap)
+        if d >= dist[v]:
+            continue
+        dist[v] = d
+        for offset in range(indptr[v], indptr[v + 1]):
+            y = indices[offset]
+            if y == forbidden:
+                continue
+            cand = d + lengths[offset]
+            if cand < dist[y]:
+                heappush(heap, (cand, y))
 
 
 def repair_hops_csr(
@@ -277,6 +390,7 @@ def repair_hops_csr(
     between the two graphs.  ``rev_indptr`` / ``rev_tails`` are the new
     graph's reverse CSR (:func:`reverse_csr`).
 
+    Only the nodes that lost all support (:func:`_lost_hops`) are reset.
     The repaired row is exactly what :func:`bfs_hops_csr` would return on the
     new graph — hop counts are ints, so equality is literal.
     """
@@ -294,59 +408,24 @@ def repair_hops_csr(
                 tight_seeds.append(a)
     if not edit_map:
         return
-
-    heap: List[Tuple[int, int]] = []
-    if tight_seeds:
-        affected = _phase1_affected(
-            hops, tight_seeds, edit_map, indptr, indices,
-            lambda v, y: 1, source, forbidden,
-        )
-        for v in affected:
-            hops[v] = UNREACHED
-        # Seed each orphaned node from its intact boundary: every in-arc from
-        # a node that kept a (finite) distance.
-        for v in affected:
-            best = -1
-            for p in rev_tails[rev_indptr[v] : rev_indptr[v + 1]]:
-                if p == forbidden or p in affected:
-                    continue
-                hp = hops[p]
-                if hp >= 0 and (best < 0 or hp + 1 < best):
-                    best = hp + 1
-            if best >= 0:
-                heap.append((best, v))
-    else:
-        affected = set()
-
+    lost = _lost_hops(
+        hops, tight_seeds, edit_map, indptr, indices, rev_indptr, rev_tails
+    )
     # Added arcs from still-reachable movers may shorten distances; movers
-    # that are themselves orphaned relax their new arcs when they pop.
+    # that are themselves lost relax their new arcs when they pop.
+    heap: List[Tuple[int, int]] = []
     for mover, (_removed, added) in edit_map.items():
         dm = hops[mover]
         if dm < 0:
             continue
         cand = dm + 1
         for a in added:
-            if a == forbidden or a in affected:
+            if a == forbidden:
                 continue
             ha = hops[a]
             if ha < 0 or cand < ha:
                 heap.append((cand, a))
-
-    if heap:
-        heapify(heap)
-        while heap:
-            d, v = heappop(heap)
-            hv = hops[v]
-            if hv >= 0 and d >= hv:
-                continue
-            hops[v] = d
-            nd = d + 1
-            for y in indices[indptr[v] : indptr[v + 1]]:
-                if y == forbidden:
-                    continue
-                hy = hops[y]
-                if hy < 0 or nd < hy:
-                    heappush(heap, (nd, y))
+    _resettle_hops(hops, lost, heap, indptr, indices, rev_indptr, rev_tails, forbidden)
 
 
 def repair_dijkstra_csr(
@@ -392,29 +471,12 @@ def repair_dijkstra_csr(
     if not edit_map:
         return
 
+    affected = _phase1_affected(
+        dist, tight_seeds, edit_map, indptr, indices, length_rows, source, forbidden
+    )
+    for v in affected:
+        dist[v] = inf
     heap: List[Tuple[float, int]] = []
-    if tight_seeds:
-        affected = _phase1_affected(
-            dist, tight_seeds, edit_map, indptr, indices,
-            lambda v, y: length_rows[v][y], source, forbidden,
-        )
-        for v in affected:
-            dist[v] = inf
-        for v in affected:
-            best = inf
-            for p in rev_tails[rev_indptr[v] : rev_indptr[v + 1]]:
-                if p == forbidden or p in affected:
-                    continue
-                dp = dist[p]
-                if dp < inf:
-                    cand = dp + length_rows[p][v]
-                    if cand < best:
-                        best = cand
-            if best < inf:
-                heap.append((best, v))
-    else:
-        affected = set()
-
     for mover, (_removed, added) in edit_map.items():
         dm = dist[mover]
         if dm == inf:
@@ -426,21 +488,94 @@ def repair_dijkstra_csr(
             cand = dm + mover_lengths[a]
             if cand < dist[a]:
                 heap.append((cand, a))
+    _resettle_dist(
+        dist, affected, heap, indptr, indices, lengths, rev_indptr, rev_tails,
+        length_rows, forbidden,
+    )
 
-    if heap:
-        heapify(heap)
-        while heap:
-            d, v = heappop(heap)
-            if d >= dist[v]:
-                continue
-            dist[v] = d
-            for offset in range(indptr[v], indptr[v + 1]):
-                y = indices[offset]
-                if y == forbidden:
-                    continue
-                cand = d + lengths[offset]
-                if cand < dist[y]:
-                    heappush(heap, (cand, y))
+
+def mask_repair_hops(
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    base: Sequence[int],
+    source: int,
+    u: int,
+    rev_indptr: Sequence[int],
+    rev_tails: Sequence[int],
+) -> List[int]:
+    """Derive the masked hop row ``d_{G-u}(source, ·)`` from the unmasked one.
+
+    ``base`` is :func:`bfs_hops_csr`'s row from ``source`` on the graph
+    ``indptr`` / ``indices`` (reverse CSR ``rev_indptr`` / ``rev_tails``);
+    it is left untouched and a new row is returned, equal to
+    ``bfs_hops_csr(indptr, indices, n, source, forbidden=u)``.
+
+    Deleting ``u`` can only lengthen distances, and only of the nodes whose
+    every shortest path runs through ``u``.  Those are found in level order
+    below ``u``: a node at level ``L`` is lost iff each of its in-neighbours
+    at level ``L - 1`` is ``u`` or lost.  Lost nodes are reset, seeded from
+    their intact in-boundary, and re-settled by a continuation that never
+    enters ``u``.
+    """
+    if u == source:
+        raise ValueError("the BFS source cannot be the forbidden node")
+    hops = list(base)
+    level = hops[u]
+    if level < 0:
+        return hops  # u is unreachable: deleting it changes nothing
+    hops[u] = UNREACHED
+    seeds = [y for y in indices[indptr[u] : indptr[u + 1]] if hops[y] == level + 1]
+    lost = _lost_hops(hops, seeds, {}, indptr, indices, rev_indptr, rev_tails)
+    if lost:
+        _resettle_hops(hops, lost, [], indptr, indices, rev_indptr, rev_tails, u)
+    return hops
+
+
+def mask_repair_dijkstra(
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    lengths: Sequence[float],
+    base: Sequence[float],
+    source: int,
+    u: int,
+    rev_indptr: Sequence[int],
+    rev_tails: Sequence[int],
+    length_rows: Sequence[Sequence[float]],
+) -> List[float]:
+    """Derive the masked distance row ``d_{G-u}(source, ·)`` from the unmasked one.
+
+    The weighted twin of :func:`mask_repair_hops`, with
+    :func:`repair_dijkstra_csr`'s argument conventions; the returned row
+    equals ``dijkstra_csr(..., forbidden=u)`` bit for bit and ``base`` is
+    left untouched.  The level test does not hold with zero-length arcs (a
+    node can be supported by a same-distance neighbour that is itself lost),
+    so the region reset here is the safe over-approximation: every node
+    reachable from ``u`` along tight arcs (:func:`_phase1_affected`).
+    """
+    if u == source:
+        raise ValueError("the Dijkstra source cannot be the forbidden node")
+    inf = math.inf
+    dist = list(base)
+    du = dist[u]
+    if du == inf:
+        return dist
+    dist[u] = inf
+    u_lengths = length_rows[u]
+    seeds = [
+        y for y in indices[indptr[u] : indptr[u + 1]]
+        if y != source and dist[y] == du + u_lengths[y]
+    ]
+    if seeds:
+        affected = _phase1_affected(
+            dist, seeds, {}, indptr, indices, length_rows, source, u
+        )
+        for v in affected:
+            dist[v] = inf
+        _resettle_dist(
+            dist, affected, [], indptr, indices, lengths, rev_indptr, rev_tails,
+            length_rows, u,
+        )
+    return dist
 
 
 def scaled_float_row(hops: Sequence[int], unit: float) -> List[float]:

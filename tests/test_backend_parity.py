@@ -630,6 +630,55 @@ def test_cold_probe_fills_its_rows_in_one_traversal(backend, n, monkeypatch):
 
 
 @needs_numpy
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_fast_batch_best_response_never_restacks_its_pair_matrix(backend, monkeypatch):
+    """The batched sub-row build returns the combination matrix in candidate
+    order, so a fast-batch probe copies no matrix with ``np.stack``."""
+    game = UniformBBCGame(24, 2)
+    profile = random_initial_profile(game, seed=4)
+    engine = CostEngine(game, backend=backend)
+    stacks = []
+    stack = np.stack
+
+    def counting(*args, **kwargs):
+        stacks.append(1)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting)
+    result = best_response(game, profile, 0, engine=engine)
+    assert engine.scorer(0).fast_batch
+    assert stacks == []
+    assert result == best_response(game, profile, 0, engine=False)
+
+
+def test_list_kernel_walk_derives_every_masked_row(monkeypatch):
+    """On the list kernels at n >= 16 only unmasked base rows are traversed:
+    a walk's masked rows are all derived from them, and the base rows are
+    repaired across syncs instead of refilled.  The walk is unchanged."""
+    game = UniformBBCGame(32, 2)
+    profile = random_initial_profile(game, seed=6)
+    engine = CostEngine(game, backend="python")
+    masks = []
+    traverse = engine._traverse
+
+    def recording(sources, mask):
+        masks.append(mask)
+        return traverse(sources, mask)
+
+    monkeypatch.setattr(engine, "_traverse", recording)
+    walk = run_best_response_walk(
+        game, profile, max_rounds=2, record_steps=True, engine=engine
+    )
+    assert masks and all(mask == -1 for mask in masks)
+    assert engine.stats["base_rows_repaired"] > 0
+    assert engine.stats["rows_computed"] > 0
+    reference = run_best_response_walk(
+        game, profile, max_rounds=2, record_steps=True, engine=False
+    )
+    assert walk == reference
+
+
+@needs_numpy
 @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
 @pytest.mark.parametrize("n", [16, 17])
 def test_sub_rows_bit_identical_across_backends(n, weighted):

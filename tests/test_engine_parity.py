@@ -42,7 +42,7 @@ from repro.graphs import (
     repair_dijkstra_csr,
     repair_hops_csr,
 )
-from repro.graphs.int_kernels import reverse_csr
+from repro.graphs.int_kernels import mask_repair_dijkstra, mask_repair_hops, reverse_csr
 
 
 def random_weighted_game(seed, n=6, objective=Objective.SUM):
@@ -200,6 +200,62 @@ def test_repair_kernels_match_fresh_traversals(seed, n, steps):
                 rev_indptr, rev_tails, length_rows, forbidden,
             )
             assert dist == dijkstra_csr(indptr1, indices1, lengths1, n, source, forbidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 40),
+    shape=st.sampled_from(
+        ["random", "u-unreachable", "u-only-out-neighbour", "u-no-out-arcs",
+         "source-no-out-arcs"]
+    ),
+)
+def test_mask_repair_kernels_match_masked_traversals(seed, n, shape):
+    """Deriving ``d_{G-u}(s, ·)`` from ``d_G(s, ·)`` equals the masked
+    traversal element for element, and leaves the base row untouched;
+    lengths include zero."""
+    rng = random.Random(seed)
+    rows = [
+        sorted(rng.sample([v for v in range(n) if v != x], rng.randint(0, min(3, n - 1))))
+        for x in range(n)
+    ]
+    source, u = rng.sample(range(n), 2)
+    if shape == "u-unreachable":
+        rows = [[v for v in row if v != u] for row in rows]
+    elif shape == "u-only-out-neighbour":
+        rows[source] = [u]
+    elif shape == "u-no-out-arcs":
+        rows[u] = []
+    elif shape == "source-no-out-arcs":
+        rows[source] = []
+    length_rows = [[float(rng.choice([0, 0, 1, 2, 3, 5, 9])) for _ in range(n)] for _ in range(n)]
+    indptr, indices, lengths = _csr_with_lengths(rows, length_rows)
+    rev_indptr, rev_tails = reverse_csr(indptr, indices, n)
+    hops = bfs_hops_csr(indptr, indices, n, source)
+    dist = dijkstra_csr(indptr, indices, lengths, n, source)
+    for masked in [u] + [v for v in range(n) if v not in (source, u)]:
+        assert mask_repair_hops(
+            indptr, indices, hops, source, masked, rev_indptr, rev_tails
+        ) == bfs_hops_csr(indptr, indices, n, source, forbidden=masked)
+        assert mask_repair_dijkstra(
+            indptr, indices, lengths, dist, source, masked,
+            rev_indptr, rev_tails, length_rows,
+        ) == dijkstra_csr(indptr, indices, lengths, n, source, forbidden=masked)
+    assert hops == bfs_hops_csr(indptr, indices, n, source)
+    assert dist == dijkstra_csr(indptr, indices, lengths, n, source)
+
+
+def test_mask_repair_kernels_reject_the_source_as_mask():
+    indptr, indices = build_csr([[1], [0]])
+    rev_indptr, rev_tails = reverse_csr(indptr, indices, 2)
+    with pytest.raises(ValueError, match="source"):
+        mask_repair_hops(indptr, indices, [0, 1], 0, 0, rev_indptr, rev_tails)
+    with pytest.raises(ValueError, match="source"):
+        mask_repair_dijkstra(
+            indptr, indices, [1.0, 1.0], [0.0, 1.0], 0, 0, rev_indptr, rev_tails,
+            [[0.0, 1.0], [1.0, 0.0]],
+        )
 
 
 def _warm_all_env_rows(engine, game):
@@ -684,6 +740,8 @@ def _kernel_references(source):
         "dijkstra_csr_multi",
         "repair_hops_csr",
         "repair_dijkstra_csr",
+        "mask_repair_hops",
+        "mask_repair_dijkstra",
     }
     scopes = []
     for statement in ast.parse(source).body:
@@ -714,13 +772,16 @@ def _kernel_references(source):
 
 def test_traversal_kernels_are_called_only_from_the_dispatch():
     """``CostEngine._traverse`` is the engine's one traversal dispatch: no
-    other code in ``cost_engine.py`` touches a traversal kernel, and the
-    repair kernels are touched only by ``_repair_node``."""
+    other code in ``cost_engine.py`` touches a traversal kernel, the repair
+    kernels are touched only by ``_repair_node`` and the mask-repair kernels
+    only by ``_derived_rows``."""
     from repro.engine import cost_engine
 
     def home(name):
         if name.startswith("repair_"):
             return "CostEngine._repair_node"
+        if name.startswith("mask_repair_"):
+            return "CostEngine._derived_rows"
         return "CostEngine._traverse"
 
     references = _kernel_references(inspect.getsource(cost_engine))

@@ -8,7 +8,9 @@ model is the simplest one there is: a fresh engine synced to the same
 profile (and, at n <= 8, the ``engine=False`` dict reference).  Every probe
 must match it exactly, and after every step the engine's bookkeeping must
 agree with its caches: ``cache_bytes()`` is the sum of the cached payloads,
-and every cached row of a uniform game is an exact integer hop row.
+every cached row of a uniform game is an exact integer hop row, and every
+current base row (the unmasked rows the list kernels derive masked rows
+from, at n >= 16) equals a fresh unmasked traversal.
 
 Both traversal backends run the same machine; the numpy one is skipped when
 numpy is not installed.
@@ -30,7 +32,7 @@ from hypothesis.stateful import (
 from repro.core import BBCGame, StrategyProfile, UniformBBCGame, best_response
 from repro.core.best_response import DeviationOracle
 from repro.engine import CostEngine
-from repro.engine.cost_engine import _payload_nbytes, default_memory_budget
+from repro.engine.cost_engine import _BASE, _payload_nbytes, default_memory_budget
 from repro.reliability import FaultPlan, FaultRule, active_faults
 
 try:
@@ -56,7 +58,8 @@ def _weighted_game(n, seed):
 
 
 # n = 8 keeps the dict reference affordable; n = 20 crosses the 16-target
-# gate of the vectorised scoring paths and allows real repairs (limit n // 8).
+# gate of the vectorised scoring paths, allows real repairs (limit n // 8)
+# and, on the list kernels, derives masked rows from cached base rows.
 GAMES = (
     UniformBBCGame(8, 2),
     UniformBBCGame(20, 2),
@@ -86,6 +89,9 @@ class CostEngineMachine(RuleBasedStateMachine):
             self.engine._repair_edit_limit = len(self.nodes)
         self.profile = self._random_profile(random.Random(seed))
         self.engine.sync(self.profile)
+        assert self.engine._derive == (
+            self.backend == "python" and len(self.nodes) >= 16
+        )
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -225,6 +231,8 @@ class CostEngineMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     @invariant()
     def ledger_matches_cached_payloads(self):
+        # The base rows live in the same store, under the _BASE key, so the
+        # sum covers them too.
         engine = self.engine
         cached = sum(
             _payload_nbytes(row)
@@ -235,9 +243,10 @@ class CostEngineMachine(RuleBasedStateMachine):
 
     @invariant()
     def uniform_rows_are_integer_hop_rows(self):
-        # A uniform game caches one row per (u, a): the exact BFS hop row,
-        # entries in {-1} (unreached) or [0, n), which repair patches in
-        # place and costs scale by the unit only when read.
+        # A uniform game caches one row per (u, a), and one base row per
+        # source under the _BASE key: the exact BFS hop row, entries in
+        # {-1} (unreached) or [0, n), which repair patches in place and
+        # costs scale by the unit only when read.
         engine = self.engine
         if not engine.indexed.uniform_lengths:
             return
@@ -250,6 +259,15 @@ class CostEngineMachine(RuleBasedStateMachine):
                     assert row.dtype.kind == "i"
                 assert len(row) == n
                 assert all(h == -1 or 0 <= h < n for h in row)
+
+    @invariant()
+    def current_base_rows_are_fresh_traversals(self):
+        entry = self.engine._env_cache.get(_BASE)
+        if entry is None or entry[0] != self.engine.version:
+            return
+        fresh = self._fresh()
+        for source, row in entry[1].items():
+            assert row == fresh._traverse([source], -1)[0]
 
 
 MACHINE_SETTINGS = settings(
