@@ -65,11 +65,12 @@ filled, when missing, by one unmasked traversal
 masked rows are stale again by the time a node is re-probed, thus pays one
 small repair per base row and sync instead of ``n - 1`` fresh masked
 traversals per probe.  Self-verification still recomputes with a fresh
-masked traversal.  The numpy backend keeps its masked giant batch (it is
-vectorised across rows, which one derivation per row cannot beat), and
-below n = 16 a fresh traversal is as cheap as the derivation.  Rows derived while scoring
-(through rows, penalty-substituted slices, batched combination cost
-vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
+masked traversal.  The numpy backend keeps its masked giant batch
+(derivation on numpy rows is untimed; a weighted n = 1024 report took 2.6 s
+with derived rows on the list kernels and 3.0 s on numpy), and below
+n = 16 a fresh traversal is as cheap as the derivation.  Rows derived
+while scoring (through rows, penalty-substituted slices, batched
+combination cost vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
 that built them and die with it.  When repair would not pay — more pending net
 movers than ``_repair_edit_limit`` (the affected region would approach the
 whole row), a row older than the ``REPAIR_LOG_LIMIT``-entry log, or tiny
@@ -89,10 +90,10 @@ refuses to run stale.
 interchangeable implementations: the list kernels of
 :mod:`repro.graphs.int_kernels` (the reference — plain deques and binary
 heaps over list CSR) and the array kernels of
-:mod:`repro.graphs.int_kernels_np` (level-synchronous frontier BFS,
-frontier-relaxation Dijkstra, and vectorised repair sweeps over int64 numpy
-CSR views of the same snapshot).  ``CostEngine(game, backend=...)`` selects
-between them with the usual tri-state idiom: ``None``/``"auto"`` picks numpy
+:mod:`repro.graphs.int_kernels_np` (level-synchronous frontier BFS and
+frontier-relaxation Dijkstra over int64 numpy CSR views of the same
+snapshot; their rows repair through the list repair kernels).
+``CostEngine(game, backend=...)`` selects between them with the usual tri-state idiom: ``None``/``"auto"`` picks numpy
 when it is importable and the game has at least
 :data:`~repro.engine.cost_engine.NUMPY_BACKEND_MIN_N` nodes, ``"python"`` or
 ``"numpy"`` pin a side (a :class:`SweepEvaluator` takes its backend from

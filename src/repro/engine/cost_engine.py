@@ -96,9 +96,11 @@ REPAIR_LOG_LIMIT = 128
 #: Auto backend selection thresholds: below these node counts the list
 #: kernels' lower fixed overhead beats the vectorised traversals (each numpy
 #: frontier round costs a handful of array dispatches regardless of size);
-#: above them the per-edge Python bytecode dominates and the array sweeps
-#: win, growing past 3x/5x at n=1024 (the ``report-bfs`` / ``report-dijkstra``
-#: scenarios of ``scripts/bench_speed.py``).
+#: above them auto picks numpy.  One report per backend, timed once each on
+#: a 2-CPU x86 host with the list kernels deriving their masked rows (the
+#: ``report-dijkstra`` / ``report-bfs`` scenarios of
+#: ``scripts/bench_speed.py``): weighted n=1024 took 2.6 s on the list
+#: kernels and 3.0 s on numpy, uniform n=4096 took 18.6 s and 5.0 s.
 #: Uniform-length games cross over later because the deque BFS is leaner
 #: than the binary-heap Dijkstra the weighted games are up against.
 NUMPY_BACKEND_MIN_N = 128
@@ -258,9 +260,10 @@ class CostEngine:
         n = self.indexed.n
         self._repair_edit_limit = n // 8 if n >= 16 else 0
         # Derive masked rows from cached base rows instead of traversing
-        # them (see _derived_rows).  Not on numpy, whose masked giant batch
-        # is vectorised across rows, which one derivation per row cannot
-        # beat; and not below n=16, for the reason the repair limit is 0.
+        # them (see _derived_rows).  Not on numpy, which keeps its masked
+        # giant batch: derivation there is untimed, and on a weighted n=1024
+        # report the derived list arm (2.6 s) and the numpy arm (3.0 s) were
+        # close; and not below n=16, for the reason the repair limit is 0.
         self._derive = not self._np_traversal and n >= 16
         #: Bumped on every observed profile change; all caches key on it.
         self.version = 0
@@ -275,11 +278,12 @@ class CostEngine:
         self._label_strategies: Optional[List[frozenset]] = None
         self._sorted_rows: List[List[int]] = []
         # The bought graph of the current version, as _rebuild_csr leaves
-        # it: ``(indptr, indices, edge_lengths)`` for the list kernels
-        # (``edge_lengths`` is None on uniform games) and, on the numpy
-        # backend, ``(indptr, indices, lengths, exact_lengths)`` int64 /
-        # float64 arrays (``exact_lengths`` is the int64 view when the
-        # integral-lengths licence holds).
+        # it: ``(indptr, indices, edge_lengths)`` for the list kernels, which
+        # repair rows on both backends (``edge_lengths`` is None on uniform
+        # games) and, on the numpy backend, ``(indptr, indices, lengths,
+        # exact_lengths)`` int64 / float64 arrays for its traversals
+        # (``exact_lengths`` is the int64 view when the integral-lengths
+        # licence holds).
         self._csr: Tuple[List[int], List[int], Optional[List[float]]] = (
             [0] * (n + 1), [], None
         )
@@ -529,18 +533,14 @@ class CostEngine:
             self._csr_np = (indptr_np, indices_np, lengths_np, exact_np)
 
     def _rev_csr(self):
-        """Return the current version's reverse CSR ``(rev_indptr, rev_tails)``.
+        """Return the current version's list reverse CSR ``(rev_indptr, rev_tails)``.
 
-        Built lazily, at most once per profile version, in the backend's
-        array form, and shared by every row repair at that version;
+        Built lazily, at most once per profile version, and shared by every
+        row repair and derivation at that version on either backend;
         ``_rebuild_csr`` resets it on each sync.
         """
         if self._rev is None:
-            n = self.indexed.n
-            if self._np_traversal:
-                self._rev = _npk.reverse_csr(self._csr_np[0], self._csr_np[1], n)
-            else:
-                self._rev = reverse_csr(self._csr[0], self._csr[1], n)
+            self._rev = reverse_csr(self._csr[0], self._csr[1], self.indexed.n)
         return self._rev
 
     def _require_sync(self) -> None:
@@ -658,40 +658,30 @@ class CostEngine:
 
         Uniform games repair the exact hop row, weighted games the float
         distance row; either way the cached row object itself is patched.
-        ``u == _BASE`` repairs the unmasked base rows, counted apart.
+        Both backends repair with the list kernels over the list CSR, numpy
+        rows through the ``_npk`` adapters.  ``u == _BASE`` repairs the
+        unmasked base rows, counted apart.
         """
         rows = entry[1]
         counter = "base_rows_repaired" if u == _BASE else "rows_repaired"
         if edits:
-            uniform = self._unit is not None
-            use_np = self._np_traversal
+            indptr, indices, edge_lengths = self._csr
             rev_indptr, rev_tails = self._rev_csr()
-            if use_np:
-                indptr, indices, edge_lengths, _ = self._csr_np
-                length_table = None if uniform else self.indexed.length_matrix()
+            if self._unit is not None:
+                repair = _npk.repair_hops_csr_np if self._np_traversal else repair_hops_csr
+                for first_hop, row in rows.items():
+                    repair(indptr, indices, row, first_hop, edits, rev_indptr, rev_tails, u)
             else:
-                indptr, indices, edge_lengths = self._csr
-                length_table = self.indexed.length_rows
-            for first_hop, row in rows.items():
-                if uniform and use_np:
-                    _npk.repair_hops_csr_np(
-                        indptr, indices, row, first_hop, edits, rev_indptr, rev_tails, u
-                    )
-                elif uniform:
-                    repair_hops_csr(
-                        indptr, indices, row, first_hop, edits, rev_indptr, rev_tails, u
-                    )
-                elif use_np:
-                    _npk.repair_dijkstra_csr_np(
+                repair = (
+                    _npk.repair_dijkstra_csr_np if self._np_traversal else repair_dijkstra_csr
+                )
+                length_rows = self.indexed.length_rows
+                for first_hop, row in rows.items():
+                    repair(
                         indptr, indices, edge_lengths, row, first_hop, edits,
-                        rev_indptr, rev_tails, length_table, u,
+                        rev_indptr, rev_tails, length_rows, u,
                     )
-                else:
-                    repair_dijkstra_csr(
-                        indptr, indices, edge_lengths, row, first_hop, edits,
-                        rev_indptr, rev_tails, length_table, u,
-                    )
-                self.stats[counter] += 1
+            self.stats[counter] += len(rows)
         self._env_cache[u] = (self.version, rows)
 
     # ------------------------------------------------------------------ #

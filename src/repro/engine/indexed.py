@@ -21,11 +21,6 @@ from typing import Dict, Hashable, List, Tuple
 from ..core.game import BBCGame
 from ..core.objectives import Objective
 
-try:  # Optional array backend; list materialisations below never need it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the minimal CI leg
-    _np = None
-
 Node = Hashable
 
 
@@ -48,7 +43,6 @@ class IndexedGame:
         "integral_lengths",
         "identity_labels",
         "unit_weight_nodes",
-        "_length_matrix",
     )
 
     def __init__(self, game: BBCGame) -> None:
@@ -141,24 +135,6 @@ class IndexedGame:
             and self.n * max(self.penalty, (self.n - 1) * self.unit_length) <= 2.0**53
             and lengths_integral
         )
-        # Dense float64 view of `length_rows`, materialised on first use by
-        # the numpy repair kernels (old-row reconstruction and boundary
-        # in-edges index it as `matrix[p, v]`).
-        self._length_matrix = None
-
-    def length_matrix(self):
-        """Return the dense ``n x n`` float64 link-length matrix (lazy, cached).
-
-        The numpy traversal backend's repair kernels read static arc lengths
-        by fancy indexing; the matrix is one ``np.asarray`` over the list
-        rows, built at most once per game.  Raises ``RuntimeError`` without
-        numpy — callers gate on the backend, which already requires it.
-        """
-        if _np is None:  # pragma: no cover - numpy-backend callers only
-            raise RuntimeError("IndexedGame.length_matrix requires numpy")
-        if self._length_matrix is None:
-            self._length_matrix = _np.asarray(self.length_rows, dtype=_np.float64)
-        return self._length_matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedGame(n={self.n}, objective={self.objective.value})"

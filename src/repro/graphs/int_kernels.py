@@ -75,8 +75,8 @@ def reverse_csr(
     """Return the reverse graph as CSR ``(rev_indptr, rev_tails)`` lists.
 
     ``rev_tails[rev_indptr[v]:rev_indptr[v + 1]]`` lists the in-neighbours of
-    ``v``, which the repair kernels seed orphaned nodes from.  The list twin
-    of :func:`repro.graphs.int_kernels_np.reverse_csr`.
+    ``v``, which the repair kernels seed orphaned nodes from, on either
+    backend.  The list twin of :func:`repro.graphs.int_kernels_np.reverse_csr`.
     """
     in_rows: List[List[int]] = [[] for _ in range(n)]
     for tail in range(n):

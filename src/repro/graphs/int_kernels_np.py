@@ -23,14 +23,12 @@ per-edge work happens inside numpy's C loops:
   first-hop row of one masked node at once; ``all_costs`` wants all ``n``
   unmasked rows; a whole equilibrium report wants the rows of *every*
   probed node in one giant sweep);
-* :func:`repair_hops_csr_np` / :func:`repair_dijkstra_csr_np` — the dynamic
-  repair kernels of PR 4 with both phases vectorised: the affected region
-  (old distances that lost support) is marked by frontier sweeps over tight
-  edges, and the continuation is the same frontier relaxation seeded from
-  the region's intact in-boundary (one reverse-CSR gather) plus the added
-  arcs.  They repair the engine's cached array row in place (a
-  :func:`hop_dtype` hop row, or a float64 distance row), writing only the
-  touched entries.
+* :func:`repair_hops_csr_np` / :func:`repair_dijkstra_csr_np` — not array
+  sweeps but adapters: they run the list repair kernels
+  (``repair_hops_csr`` / ``repair_dijkstra_csr``) on a cached array row's
+  ``tolist()`` and write the result back in place.  A repair touches a
+  small region of one row, where the list kernels' per-node work beats an
+  array sweep's per-round dispatch, so the repair algorithm exists once.
 
 **Bit-identity.**  Hop counts and integer lengths are computed in exact
 ``int64`` space, so equality with the list kernels is literal, and the
@@ -41,9 +39,10 @@ left-associated float sum along P`` — the same value the binary-heap
 Dijkstra produces, because IEEE addition of non-negative doubles is
 monotone (``fl(a + w) >= a``), so a node finalised later can never supply a
 smaller float label, and every relaxation candidate is itself a
-left-associated path sum.  ``tests/test_backend_parity.py`` pins all four
-kernels against the list kernels under hypothesis (masked and unmasked,
-zero-length edges, disconnected nodes, randomized edit sequences).
+left-associated path sum.  ``tests/test_backend_parity.py`` pins the
+traversals and the repair adapters against the list kernels under
+hypothesis (masked and unmasked, zero-length edges, disconnected nodes,
+randomized edit sequences).
 
 All kernels honour the same ``forbidden`` mask as the list kernels (the
 masked node is never entered and reports unreachable), which is what lets
@@ -54,11 +53,11 @@ profile snapshot.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .int_kernels import UNREACHED
+from .int_kernels import UNREACHED, repair_dijkstra_csr, repair_hops_csr
 
 #: Bitset decoding views uint64 frontier words as bytes; on big-endian hosts
 #: the words must be byteswapped first so bit ``s`` lands at unpacked
@@ -88,8 +87,8 @@ def reverse_csr(
     """Return the reverse graph as CSR ``(rev_indptr, rev_tails)`` arrays.
 
     ``rev_tails[rev_indptr[v]:rev_indptr[v + 1]]`` lists the in-neighbours of
-    ``v``.  The repair kernels seed orphaned nodes from their intact
-    in-boundary, which the forward CSR cannot answer.
+    ``v``.  The dense rounds of :func:`bfs_hops_csr_multi` group each head's
+    in-edges with it, which the forward CSR cannot answer.
     """
     rev_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=n), out=rev_indptr[1:])
@@ -555,286 +554,53 @@ def scaled_float_rows(hops: np.ndarray, unit: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# Repair kernels
+# Repair adapters
 # --------------------------------------------------------------------- #
-def _prepare_edits(edits, forbidden, tight_of):
-    """Normalise ``edits`` and collect phase-1 tight seeds.
-
-    Returns ``(edit_map, seeds)`` like the list kernels' preamble:
-    ``edit_map`` maps each mover (the masked node's edits dropped) to its
-    ``(removed, added)`` frozensets, and ``seeds`` lists the heads of removed
-    arcs that were *tight* under the old row (``tight_of(mover, head)``).
-    """
-    edit_map = {}
-    seeds: List[int] = []
-    for mover, removed, added in edits:
-        if mover == forbidden:
-            continue  # the masked graph never contained this node's arcs
-        edit_map[mover] = (frozenset(removed), frozenset(added))
-        for head in removed:
-            if head != forbidden and tight_of(mover, head):
-                seeds.append(head)
-    return edit_map, seeds
-
-
-def _affected_mask(
-    dist: np.ndarray,
-    seeds: List[int],
-    edit_map,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_weights,
-    pair_weights,
-    source: int,
-    forbidden: int,
-    n: int,
-) -> np.ndarray:
-    """Vectorised phase 1: mark the region whose old distance lost support.
-
-    The frontier sweep follows old-graph tight edges (``dist[y] == dist[v] +
-    w(v, y)``) exactly like ``_phase1_affected``; unedited nodes' out-rows
-    come from one CSR gather per round, and the handful of edited movers
-    reconstruct their old rows (new row minus added arcs plus removed arcs)
-    in a scalar loop.  ``edge_weights(positions)`` returns per-CSR-edge
-    weights and ``pair_weights(v, heads)`` static arc weights for the
-    reconstructed rows.
-    """
-    affected = np.zeros(n, dtype=bool)
-    edited = np.zeros(n, dtype=bool)
-    if edit_map:
-        edited[list(edit_map)] = True
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    while frontier.size:
-        affected[frontier] = True
-        plain = frontier[~edited[frontier]]
-        positions, tails = _gather_edges(indptr, plain)
-        heads = indices[positions]
-        keep = (
-            (heads != source)
-            & ~affected[heads]
-            & (dist[heads] == dist[tails] + edge_weights(positions))
-        )
-        if forbidden >= 0:
-            keep &= heads != forbidden
-        batches = [heads[keep]]
-        for mover in frontier[edited[frontier]]:
-            v = int(mover)
-            removed, added = edit_map[v]
-            old_out = [
-                y for y in indices[indptr[v] : indptr[v + 1]].tolist() if y not in added
-            ]
-            old_out.extend(removed)
-            if not old_out:
-                continue
-            ys = np.asarray(old_out, dtype=np.int64)
-            keep_y = (
-                (ys != source)
-                & ~affected[ys]
-                & (dist[ys] == dist[v] + pair_weights(v, ys))
-            )
-            if forbidden >= 0:
-                keep_y &= ys != forbidden
-            batches.append(ys[keep_y])
-        frontier = np.unique(np.concatenate(batches)) if len(batches) > 1 else np.unique(batches[0])
-        frontier = frontier[~affected[frontier]]
-    return affected
-
-
-def _boundary_seeds(
-    work: np.ndarray,
-    affected: np.ndarray,
-    rev_indptr: np.ndarray,
-    rev_tails: np.ndarray,
-    in_weights,
-    forbidden: int,
-    unreached,
-) -> np.ndarray:
-    """Vectorised phase-2 seeding from the intact in-boundary.
-
-    For every affected node ``v``, the best label reachable in one hop from a
-    non-affected in-neighbour ``p`` with a finite label: ``min over p of
-    work[p] + w(p, v)``.  One reverse-CSR gather replaces the per-node
-    in-neighbour loops of the list kernels; ``np.minimum.at`` takes the
-    per-head minimum, which is exact (no rounding happens in a min).
-    """
-    pending = np.full(work.shape[0], unreached, dtype=work.dtype)
-    aff_nodes = np.flatnonzero(affected)
-    positions, heads = _gather_edges(rev_indptr, aff_nodes)
-    if positions.size:
-        tails = rev_tails[positions]
-        keep = ~affected[tails] & (work[tails] < unreached)
-        if forbidden >= 0:
-            keep &= tails != forbidden
-        if keep.any():
-            tails, heads = tails[keep], heads[keep]
-            np.minimum.at(pending, heads, work[tails] + in_weights(tails, heads))
-    return pending
-
-
-def _continue_relax(
-    work: np.ndarray,
-    pending: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_weights,
-    forbidden: int,
-) -> np.ndarray:
-    """Frontier continuation: apply seeded labels, relax until fixed point.
-
-    ``pending`` holds per-node candidate labels (boundary seeds plus added
-    arcs); each round applies the candidates that improve ``work`` and
-    relaxes the out-edges of the improved nodes, exactly the seeded-heap
-    continuation of the list kernels expressed as array sweeps.  Returns the
-    boolean mask of nodes whose label was (re)assigned.
-    """
-    changed = np.zeros(work.shape[0], dtype=bool)
-    while True:
-        frontier = np.flatnonzero(pending < work)
-        if frontier.size == 0:
-            return changed
-        work[frontier] = pending[frontier]
-        changed[frontier] = True
-        positions, tails = _gather_edges(indptr, frontier)
-        if positions.size == 0:
-            continue
-        heads = indices[positions]
-        candidates = work[tails] + edge_weights(positions)
-        if forbidden >= 0:
-            keep = heads != forbidden
-            heads, candidates = heads[keep], candidates[keep]
-        np.minimum.at(pending, heads, candidates)
-
-
 def repair_hops_csr_np(
-    indptr: np.ndarray,
-    indices: np.ndarray,
+    indptr: Sequence[int],
+    indices: Sequence[int],
     hops: np.ndarray,
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
-    rev_indptr: np.ndarray,
-    rev_tails: np.ndarray,
+    rev_indptr: Sequence[int],
+    rev_tails: Sequence[int],
     forbidden: int = -1,
 ) -> None:
-    """Vectorised ``repair_hops_csr``: repair a BFS hop row in place.
+    """Repair an array hop row in place with the list kernel ``repair_hops_csr``.
 
-    Same contract as the list kernel — ``hops`` is a valid hop row of the old
-    graph, ``indptr``/``indices`` (and the reverse CSR) describe the new one —
-    but the affected-region marking and the seeded continuation run as array
-    sweeps.  ``hops`` is the engine's cached array (int16 or int64, see
-    :func:`hop_dtype`); the touched entries are written back into it in one
-    scatter, keeping its dtype.
+    The arguments are the list kernel's (list CSR and list reverse CSR);
+    only ``hops`` is the engine's cached array.  It is written back through
+    ``hops[:]``, keeping its dtype and its identity: the row may be a view
+    into a giant-batch chunk.
     """
-    n = len(hops)
-    dist = np.asarray(hops, dtype=np.int64)
-
-    def tight_of(mover: int, head: int) -> bool:
-        dm = hops[mover]
-        return dm >= 0 and head != source and hops[head] == dm + 1
-
-    edit_map, seeds = _prepare_edits(edits, forbidden, tight_of)
-    if not edit_map:
-        return
-
-    def unit_weight(positions):
-        return 1
-
-    def unit_pair_weight(tails, heads):
-        return 1
-
-    if seeds:
-        affected = _affected_mask(
-            dist, seeds, edit_map, indptr, indices,
-            unit_weight, lambda v, ys: 1, source, forbidden, n,
-        )
-    else:
-        affected = np.zeros(n, dtype=bool)
-
-    work = np.where(dist < 0, INT_UNREACHED, dist)
-    work[affected] = INT_UNREACHED
-    pending = _boundary_seeds(
-        work, affected, rev_indptr, rev_tails,
-        unit_pair_weight, forbidden, INT_UNREACHED,
-    )
-    for mover, (_removed, added) in edit_map.items():
-        dm = hops[mover]
-        if dm < 0 or affected[mover]:
-            continue
-        for head in added:
-            if head != forbidden and not affected[head]:
-                pending[head] = min(pending[head], dm + 1)
-    changed = _continue_relax(work, pending, indptr, indices, unit_weight, forbidden)
-
-    touched = np.flatnonzero(affected | changed)
-    labels = work[touched]
-    labels[labels >= INT_UNREACHED] = UNREACHED
-    hops[touched] = labels
+    row = hops.tolist()
+    repair_hops_csr(indptr, indices, row, source, edits, rev_indptr, rev_tails, forbidden)
+    hops[:] = row
 
 
 def repair_dijkstra_csr_np(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    lengths: np.ndarray,
-    dist_row: List[float],
+    indptr: Sequence[int],
+    indices: Sequence[int],
+    lengths: Sequence[float],
+    dist: np.ndarray,
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
-    rev_indptr: np.ndarray,
-    rev_tails: np.ndarray,
-    length_matrix: np.ndarray,
+    rev_indptr: Sequence[int],
+    rev_tails: Sequence[int],
+    length_rows: Sequence[Sequence[float]],
     forbidden: int = -1,
 ) -> None:
-    """Vectorised ``repair_dijkstra_csr``: repair a weighted row in place.
+    """Repair a float64 distance row in place with ``repair_dijkstra_csr``.
 
-    ``lengths`` must be the float64 per-edge lengths of the new CSR and
-    ``length_matrix`` the dense float64 ``length_matrix[p, v]`` table (for
-    old-row reconstruction and boundary in-edges).  The float arithmetic is
-    the same single-sum-per-arc the list kernel performs, so repaired labels
-    are bit-identical; on integer-valued lengths every label remains an
-    exact integer in float form.
+    The arguments are the list kernel's; ``dist`` is written back through
+    ``dist[:]`` like :func:`repair_hops_csr_np` writes its row.
     """
-    n = len(dist_row)
-    dist = np.asarray(dist_row, dtype=np.float64)
-
-    def tight_of(mover: int, head: int) -> bool:
-        dm = dist_row[mover]
-        if dm == float("inf"):
-            return False
-        return head != source and dist_row[head] == dm + length_matrix[mover, head]
-
-    edit_map, seeds = _prepare_edits(edits, forbidden, tight_of)
-    if not edit_map:
-        return
-
-    def edge_w(positions):
-        return lengths[positions]
-
-    if seeds:
-        affected = _affected_mask(
-            dist, seeds, edit_map, indptr, indices,
-            edge_w, lambda v, ys: length_matrix[v, ys], source, forbidden, n,
-        )
-    else:
-        affected = np.zeros(n, dtype=bool)
-
-    work = dist.copy()
-    work[affected] = np.inf
-    pending = _boundary_seeds(
-        work, affected, rev_indptr, rev_tails,
-        lambda tails, heads: length_matrix[tails, heads], forbidden, np.inf,
+    row = dist.tolist()
+    repair_dijkstra_csr(
+        indptr, indices, lengths, row, source, edits,
+        rev_indptr, rev_tails, length_rows, forbidden,
     )
-    for mover, (_removed, added) in edit_map.items():
-        dm = dist_row[mover]
-        if dm == float("inf") or affected[mover]:
-            continue
-        for head in added:
-            if head != forbidden and not affected[head]:
-                candidate = dm + float(length_matrix[mover, head])
-                if candidate < pending[head]:
-                    pending[head] = candidate
-    changed = _continue_relax(work, pending, indptr, indices, edge_w, forbidden)
-
-    touched = np.flatnonzero(affected | changed)
-    for v in touched.tolist():
-        dist_row[v] = float(work[v])
+    dist[:] = row
 
 
 __all__ = [

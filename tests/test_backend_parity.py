@@ -38,6 +38,7 @@ from repro.graphs.int_kernels import (
     build_csr,
     dijkstra_csr,
     dijkstra_csr_multi,
+    reverse_csr,
 )
 from repro.experiments.workloads import random_initial_profile
 
@@ -327,7 +328,10 @@ def test_per_row_masks_reject_collisions_and_misalignment():
     integral=st.booleans(),
 )
 def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
-    """Array-repaired rows are bit-identical to fresh traversals of the new graph."""
+    """Array rows repaired through the list-kernel adapters are bit-identical
+    to fresh traversals of the new graph, and a repaired row that is a view
+    into a batch matrix is written in place: its dtype and the other rows
+    stay as they were."""
     rng = random.Random(seed)
     rows = _random_adjacency(rng, n)
     length_rows = [
@@ -338,19 +342,15 @@ def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
     new_rows, edits = _random_edit_sequence(rng, rows, steps)
     indptr1, indices1, lengths1 = _csr_with_lengths(new_rows, length_rows)
     indptr0_np, indices0_np = npk.csr_arrays(indptr0, indices0)
-    indptr1_np, indices1_np = npk.csr_arrays(indptr1, indices1)
-    rev_indptr, rev_tails = npk.reverse_csr(indptr1_np, indices1_np, n)
-    lengths1_np = np.asarray(lengths1, dtype=np.float64)
-    length_matrix = np.asarray(length_rows, dtype=np.float64)
+    rev_indptr, rev_tails = reverse_csr(indptr1, indices1, n)
     for forbidden in (-1, rng.randrange(n)):
-        for source in range(n):
-            if source == forbidden:
-                continue
-            # Hop rows repair in exact int64 space on the array the engine
-            # caches (the single-source kernel's output).
+        sources = [source for source in range(n) if source != forbidden]
+        for source in sources:
+            # Hop rows repair the array the engine caches (the single-source
+            # kernel's output).
             hops = npk.bfs_hops_csr_np(indptr0_np, indices0_np, n, source, forbidden)
             npk.repair_hops_csr_np(
-                indptr1_np, indices1_np, hops, source, edits,
+                indptr1, indices1, hops, source, edits,
                 rev_indptr, rev_tails, forbidden,
             )
             assert hops.tolist() == bfs_hops_csr(indptr1, indices1, n, source, forbidden)
@@ -359,12 +359,25 @@ def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
                 dtype=np.float64,
             )
             npk.repair_dijkstra_csr_np(
-                indptr1_np, indices1_np, lengths1_np, dist, source, edits,
-                rev_indptr, rev_tails, length_matrix, forbidden,
+                indptr1, indices1, lengths1, dist, source, edits,
+                rev_indptr, rev_tails, length_rows, forbidden,
             )
             _float_rows_equal(
                 dijkstra_csr(indptr1, indices1, lengths1, n, source, forbidden), dist
             )
+        # Row 0 of a two-row batch matrix, repaired through its view.
+        pair = [sources[0], sources[-1]]
+        matrix = npk.bfs_hops_csr_multi(indptr0_np, indices0_np, n, pair, forbidden)
+        untouched = matrix[1].copy()
+        npk.repair_hops_csr_np(
+            indptr1, indices1, matrix[0], pair[0], edits,
+            rev_indptr, rev_tails, forbidden,
+        )
+        assert matrix.dtype == np.int16
+        assert np.array_equal(matrix[1], untouched)
+        assert matrix[0].tolist() == bfs_hops_csr(
+            indptr1, indices1, n, pair[0], forbidden
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -774,8 +774,13 @@ def test_traversal_kernels_are_called_only_from_the_dispatch():
     """``CostEngine._traverse`` is the engine's one traversal dispatch: no
     other code in ``cost_engine.py`` touches a traversal kernel, the repair
     kernels are touched only by ``_repair_node`` and the mask-repair kernels
-    only by ``_derived_rows``."""
+    only by ``_derived_rows``.  The repair algorithm exists once: in
+    ``int_kernels_np`` each ``repair_*_np`` only wraps its list repair
+    kernel, and the module defines no other repair code."""
+    import pathlib
+
     from repro.engine import cost_engine
+    from repro.graphs import int_kernels
 
     def home(name):
         if name.startswith("repair_"):
@@ -795,6 +800,34 @@ def test_traversal_kernels_are_called_only_from_the_dispatch():
         "dijkstra_csr_np",
     }
     assert [(owner, name) for owner, name in references if owner != home(name)] == []
+
+    # Read as text, so the guard also runs where numpy is not installed.
+    np_source = pathlib.Path(int_kernels.__file__).with_name("int_kernels_np.py").read_text()
+    assert {
+        (owner, name) for owner, name in _kernel_references(np_source) if "repair_" in name
+    } == {
+        ("repair_hops_csr_np", "repair_hops_csr"),
+        ("repair_dijkstra_csr_np", "repair_dijkstra_csr"),
+    }
+    assert {
+        statement.name
+        for statement in ast.parse(np_source).body
+        if isinstance(statement, ast.FunctionDef)
+    } == {
+        "csr_arrays",
+        "reverse_csr",
+        "_gather_edges",
+        "hop_dtype",
+        "bfs_hops_csr_np",
+        "dijkstra_csr_np",
+        "_per_row_masks",
+        "bfs_hops_csr_multi",
+        "dijkstra_csr_multi",
+        "int_to_float_rows",
+        "scaled_float_rows",
+        "repair_hops_csr_np",
+        "repair_dijkstra_csr_np",
+    }
 
 
 def _private_engine_reads(source):
