@@ -25,8 +25,8 @@ def _report_engine(game, profile, candidates, engine):
     Reports probe *every* node against the same profile, so the whole row
     working set is known up front; handing it to
     :meth:`~repro.engine.cost_engine.CostEngine.plan_report_prefetch` lets
-    the engine fill it chunk by chunk with giant multi-source, per-row-masked
-    traversals instead of one small batch per node.  Returns the resolved
+    the engine fill it chunk by chunk, one giant batch per chunk, instead
+    of one small batch per node.  Returns the resolved
     engine to thread into the per-node probes (or ``engine`` unchanged when
     the reference path was requested or the engine subsystem resolves to
     none).  Planning never changes a computed value, only the batching.

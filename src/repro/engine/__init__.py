@@ -49,9 +49,9 @@ exact int space, and a float is made from it only where a cost is read
 (``float(h) * unit``, one helper, ``CostEngine._distances``), so repaired
 rows are **bit-identical** to recomputation.
 
-**The derivation contract** (list kernels, n >= 16).  There a missing
-masked row is never traversed: ``d_{G-u}(a, ·)`` is *derived* from the
-unmasked *base row* ``d_G(a, ·)`` by
+**The derivation contract** (list kernels at n >= 16; numpy weighted
+games at every n).  There a missing masked row is never traversed:
+``d_{G-u}(a, ·)`` is *derived* from the unmasked *base row* ``d_G(a, ·)`` by
 :func:`repro.graphs.int_kernels.mask_repair_hops` /
 :func:`repro.graphs.int_kernels.mask_repair_dijkstra`, which reset only the
 nodes whose every shortest path from ``a`` ran through ``u`` and re-settle
@@ -59,16 +59,18 @@ them from their intact in-boundary, returning a new row bit-identical to the
 masked traversal.  Base rows are one per source, cached in the same store
 under their own key: stamped with the version, repaired across the edit log
 like any node's rows (counted in ``stats["base_rows_repaired"]``) and
-filled, when missing, by one unmasked traversal
+filled, when missing, by one unmasked traversal of the backend
 (``stats["base_rows_computed"]``); ``rows_computed``, ``rows_repaired`` and
 ``rows_reused`` keep counting masked rows only.  A round-robin walk, whose
 masked rows are stale again by the time a node is re-probed, thus pays one
 small repair per base row and sync instead of ``n - 1`` fresh masked
 traversals per probe.  Self-verification still recomputes with a fresh
-masked traversal.  The numpy backend keeps its masked giant batch
-(derivation on numpy rows is untimed; a weighted n = 1024 report took 2.6 s
-with derived rows on the list kernels and 3.0 s on numpy), and below
-n = 16 a fresh traversal is as cheap as the derivation.  Rows derived
+masked traversal.  On numpy the list kernel reads each base row's
+``tolist()``, converted once per fill, and the derived rows are float64
+views into one matrix per fill, like a traversal's.  Numpy's uniform games
+keep the masked giant BFS batch (a uniform n = 1024 report took 0.29-0.42 s
+on it and 0.49-0.72 s derived), and on the list kernels below n = 16 a fresh
+traversal is as cheap as the derivation.  Rows derived
 while scoring (through rows, penalty-substituted slices, batched
 combination cost vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
 that built them and die with it.  When repair would not pay — more pending net

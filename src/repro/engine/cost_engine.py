@@ -23,15 +23,18 @@ re-relaxation of only the region the arc changes could have reached, instead
 of a fresh traversal.  A multi-node change, or a row that has fallen behind
 the edit log, resets to a full recompute.
 
-On the list kernels (at n >= 16) a missing masked row is not traversed at
-all: it is **derived** from the unmasked *base row* ``d_G(a, ·)`` of its
-source by :func:`~repro.graphs.int_kernels.mask_repair_hops` /
+On the list kernels (at n >= 16), and on numpy for weighted games, a
+missing masked row is not traversed at all: it is **derived** from the
+unmasked *base row* ``d_G(a, ·)`` of its source by
+:func:`~repro.graphs.int_kernels.mask_repair_hops` /
 :func:`~repro.graphs.int_kernels.mask_repair_dijkstra`, which re-settle only
-the nodes whose every shortest path ran through ``u``.  The base rows are
-cached like any other rows, one per source under the ``_BASE`` key, so the
-same stamp, ledger and edit-log repair keep them current across single-node
-steps: a round-robin walk pays one small repair per base row and sync
-instead of ``n - 1`` fresh masked traversals per probe.
+the nodes whose every shortest path ran through ``u``.  The base rows come
+from the backend's unmasked traversal and are cached like any other rows,
+one per source under the ``_BASE`` key, so the same stamp, ledger and
+edit-log repair keep them current across single-node steps: a round-robin
+walk pays one small repair per base row and sync instead of ``n - 1`` fresh
+masked traversals per probe.  Numpy's uniform games keep the masked BFS
+batch, whose bit-parallel frontiers are cheaper than derivation.
 
 Memory is bounded in *bytes*, not rows: every cached row is charged to a
 :class:`~repro.engine.row_store.ChunkLedger` and whole LRU chunks are
@@ -41,7 +44,8 @@ evicted once ``memory_budget_bytes`` is exceeded (see
 whole working set of an equilibrium report up front, and the first probe of
 any planned node materialises its entire chunk — potentially hundreds of
 masked rows for dozens of nodes — in **one** multi-source, per-row-masked
-traversal instead of one small batch per node.
+traversal (on the derivation path, one unmasked traversal of the chunk's
+missing base rows) instead of one small batch per node.
 """
 
 from __future__ import annotations
@@ -94,15 +98,15 @@ Row = List[float]
 REPAIR_LOG_LIMIT = 128
 
 #: Auto backend selection thresholds: below these node counts the list
-#: kernels' lower fixed overhead beats the vectorised traversals (each numpy
-#: frontier round costs a handful of array dispatches regardless of size);
-#: above them auto picks numpy.  One report per backend, timed once each on
-#: a 2-CPU x86 host with the list kernels deriving their masked rows (the
-#: ``report-dijkstra`` / ``report-bfs`` scenarios of
-#: ``scripts/bench_speed.py``): weighted n=1024 took 2.6 s on the list
-#: kernels and 3.0 s on numpy, uniform n=4096 took 18.6 s and 5.0 s.
-#: Uniform-length games cross over later because the deque BFS is leaner
-#: than the binary-heap Dijkstra the weighted games are up against.
+#: kernels' lower fixed overhead is no worse than the vectorised traversals
+#: (each numpy frontier round costs a handful of array dispatches regardless
+#: of size); from them on auto picks numpy.  Weighted reports with both
+#: backends deriving their masked rows (the ``report-dijkstra`` workload of
+#: ``scripts/bench_speed.py``, best of five per backend, two passes, 2-CPU
+#: x86 host): numpy was 3-5% ahead at n=96, 0-2% at n=128 (a tie, within
+#: this host's noise), 11-15% at n=192 and 1.6-1.8x at n=1024.  The
+#: uniform threshold also governs walks, whose rows are repaired and probed
+#: one node at a time.
 NUMPY_BACKEND_MIN_N = 128
 NUMPY_BACKEND_MIN_N_UNIFORM = 256
 
@@ -260,11 +264,14 @@ class CostEngine:
         n = self.indexed.n
         self._repair_edit_limit = n // 8 if n >= 16 else 0
         # Derive masked rows from cached base rows instead of traversing
-        # them (see _derived_rows).  Not on numpy, which keeps its masked
-        # giant batch: derivation there is untimed, and on a weighted n=1024
-        # report the derived list arm (2.6 s) and the numpy arm (3.0 s) were
-        # close; and not below n=16, for the reason the repair limit is 0.
-        self._derive = not self._np_traversal and n >= 16
+        # them (see _derived_rows): on the list kernels from n=16 (below
+        # it, for the reason the repair limit is 0), and on numpy for every
+        # weighted game.  Numpy's masked giant BFS batch stays on uniform
+        # games: their n=1024 six-candidate report took 0.29-0.42 s on it
+        # and 0.49-0.72 s derived (best of three, two passes).
+        self._derive = (
+            not self.indexed.uniform_lengths if self._np_traversal else n >= 16
+        )
         #: Bumped on every observed profile change; all caches key on it.
         self.version = 0
         # The exact profile object of the last successful sync (profiles are
@@ -280,10 +287,10 @@ class CostEngine:
         # The bought graph of the current version, as _rebuild_csr leaves
         # it: ``(indptr, indices, edge_lengths)`` for the list kernels, which
         # repair rows on both backends (``edge_lengths`` is None on uniform
-        # games) and, on the numpy backend, ``(indptr, indices, lengths,
-        # exact_lengths)`` int64 / float64 arrays for its traversals
-        # (``exact_lengths`` is the int64 view when the integral-lengths
-        # licence holds).
+        # games) and, on the numpy backend, the ``(indptr, indices,
+        # lengths)`` arrays its traversals read (``lengths`` is int64 when
+        # the integral-lengths licence holds, float64 otherwise, None on
+        # uniform games).
         self._csr: Tuple[List[int], List[int], Optional[List[float]]] = (
             [0] * (n + 1), [], None
         )
@@ -522,15 +529,12 @@ class CostEngine:
         self._rev = None
         if self._np_traversal:
             indptr_np, indices_np = _npk.csr_arrays(indptr, indices)
-            lengths_np = exact_np = None
-            if not indexed.uniform_lengths:
-                lengths_np = _np.asarray(edge_lengths, dtype=_np.float64)
-                # Integer-valued lengths run the fresh traversals in exact
-                # int64 space; repairs patch the float rows directly (their
-                # entries are those same integers in float form).
-                if indexed.integral_lengths:
-                    exact_np = lengths_np.astype(_np.int64)
-            self._csr_np = (indptr_np, indices_np, lengths_np, exact_np)
+            lengths_np = None
+            if edge_lengths is not None:
+                # Integer-valued lengths traverse in exact int64 space.
+                dtype = _np.int64 if indexed.integral_lengths else _np.float64
+                lengths_np = _np.asarray(edge_lengths, dtype=dtype)
+            self._csr_np = (indptr_np, indices_np, lengths_np)
 
     def _rev_csr(self):
         """Return the current version's list reverse CSR ``(rev_indptr, rev_tails)``.
@@ -701,8 +705,7 @@ class CostEngine:
         node the wanted first hops are those a probe of it reads
         (:meth:`_probe_hops`), grouped into byte-bounded chunks.  The first
         subsequent :meth:`env_rows` call for any planned node, on either
-        backend, computes its entire chunk in one multi-source per-row-masked
-        traversal.
+        backend, computes its entire chunk in one :meth:`_fill`.
 
         Returns the number of planned rows; 0 when the plan would exceed
         :data:`PLAN_ROW_LIMIT` or there is nothing to plan.  Rows, costs,
@@ -769,6 +772,10 @@ class CostEngine:
             # overhead.  Measured on 2-out-degree games at n in {1k, 4k},
             # 32-48 rows per traversal is the sweet spot (at or below the
             # per-node batch cost); scale down as the edge count grows.
+            # On the derivation path the cap bounds the chunk's unmasked
+            # base-row batch and its derived matrix: without it perfbench's
+            # report-weighted (n=1024, numpy) peaked at 250 MB resident
+            # instead of 209 MB, and ran no faster.
             edges = max(1, len(self._csr[1]))
             row_cap = max(12, min(48, (1 << 19) // edges))
         chunks: List[List[Tuple[int, List[int]]]] = []
@@ -816,10 +823,10 @@ class CostEngine:
             self.stats["chunk_build_failures"] += 1
 
     def _run_plan_chunk(self, u: int, chunk: List[Tuple[int, List[int]]]) -> None:
-        """Fill every missing planned row of ``chunk`` in one giant traversal.
+        """Fill every missing planned row of ``chunk`` in one giant batch.
 
         All members' missing ``(mask, source)`` pairs go through one
-        per-row-masked :meth:`_fill` traversal; the members are then
+        :meth:`_fill`; the members are then
         grouped into one ledger chunk so they age and evict together.  Rows
         already cached (or repaired current by :meth:`_ensure_current`) are
         left untouched, which keeps the fill bit-identical to the per-row
@@ -866,14 +873,12 @@ class CostEngine:
         single = len(sources) == 1
         start = time.perf_counter()
         if self._np_traversal:
-            indptr, indices, lengths, exact = self._csr_np
+            indptr, indices, lengths = self._csr_np
             if uniform and single:
                 rows = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks)[None]
             elif uniform:
                 rows = _npk.bfs_hops_csr_multi(indptr, indices, n, sources, masks)
             else:
-                if exact is not None:
-                    lengths = exact
                 if single:
                     rows = _npk.dijkstra_csr_np(
                         indptr, indices, lengths, n, sources[0], masks
@@ -882,7 +887,7 @@ class CostEngine:
                     rows = _npk.dijkstra_csr_multi(
                         indptr, indices, lengths, n, sources, masks
                     )
-                if exact is not None:
+                if lengths.dtype.kind == "i":
                     rows = _npk.int_to_float_rows(rows)
         else:
             indptr, indices, lengths = self._csr
@@ -916,8 +921,9 @@ class CostEngine:
     def _fill(self, work: List[Tuple[int, int]]) -> list:
         """Compute and cache every ``(u, first_hop)`` row of ``work`` in one traversal.
 
-        On the derivation path (list kernels, n >= 16) the rows are derived
-        from the base rows instead (:meth:`_derived_rows`).  Stores one row
+        On the derivation path (list kernels at n >= 16, numpy weighted
+        games) the rows are derived from the base rows instead
+        (:meth:`_derived_rows`).  Stores one row
         per entry, charges each node's bytes to the ledger,
         and counts ``rows_computed`` plus the ``evicted_recomputes`` of
         nodes budget eviction had emptied.  Returns the rows in ``work``
@@ -974,11 +980,14 @@ class CostEngine:
     def _derived_rows(self, work: List[Tuple[int, int]]) -> List[Row]:
         """Derive every masked row ``(u, a)`` of ``work`` from base row ``a``, in order.
 
-        The list-kernel fill at n >= 16: each ``d_{G-u}(a, ·)`` is a new row
-        re-settled from ``d_G(a, ·)`` by the mask-repair kernels, which
-        leave the base row untouched; bit-identical to the masked
-        traversal, which :meth:`_verify_row` still runs.  Charged to
-        :attr:`traversal_seconds` like a traversal.
+        The fill of the derivation path (list kernels at n >= 16, numpy
+        weighted games): each ``d_{G-u}(a, ·)`` is a new row re-settled from
+        ``d_G(a, ·)`` by the list mask-repair kernels, which leave the base
+        row untouched; bit-identical to the masked traversal, which
+        :meth:`_verify_row` still runs.  On numpy each distinct base row is
+        read through its ``tolist()`` once per call, and the rows come back
+        as views into one float64 ``(len(work), n)`` matrix, like a
+        traversal's.  Charged to :attr:`traversal_seconds` like a traversal.
         """
         bases = self._base_rows([a for _, a in work])
         start = time.perf_counter()
@@ -990,14 +999,17 @@ class CostEngine:
                 for u, a in work
             ]
         else:
+            if self._np_traversal:
+                bases = {a: bases[a].tolist() for a in {a for _, a in work}}
+                rows = _np.empty((len(work), self.indexed.n))
+            else:
+                rows = [None] * len(work)
             length_rows = self.indexed.length_rows
-            rows = [
-                mask_repair_dijkstra(
+            for i, (u, a) in enumerate(work):
+                rows[i] = mask_repair_dijkstra(
                     indptr, indices, lengths, bases[a], a, u,
                     rev_indptr, rev_tails, length_rows,
                 )
-                for u, a in work
-            ]
         self.traversal_seconds += time.perf_counter() - start
         return rows
 

@@ -16,13 +16,15 @@ per-edge work happens inside numpy's C loops:
   ``int64`` dtype) keep every label in exact int space; float lengths
   converge to the same fixed point as the heap Dijkstra (see below);
 * :func:`bfs_hops_csr_multi` / :func:`dijkstra_csr_multi` — the batched
-  forms: one traversal computes the rows of many sources, under one shared
-  mask or under **per-row masks** (row ``i`` computes ``d_{G-u_i}`` from
-  ``sources[i]``), amortising the per-round dispatch overhead that otherwise
+  forms: one traversal computes the rows of many sources under one shared
+  mask, amortising the per-round dispatch overhead that otherwise
   dominates on sparse graphs (a deviation probe wants every candidate
-  first-hop row of one masked node at once; ``all_costs`` wants all ``n``
-  unmasked rows; a whole equilibrium report wants the rows of *every*
-  probed node in one giant sweep);
+  first-hop row of one masked node at once; ``all_costs`` and the
+  engine's base rows want unmasked rows).  The BFS also takes **per-row
+  masks** (row ``i`` computes ``d_{G-u_i}`` from ``sources[i]``), so a
+  whole uniform equilibrium report gets the rows of *every* probed node in
+  one giant sweep; weighted masked rows are derived from unmasked ones by
+  the list mask-repair kernels instead;
 * :func:`repair_hops_csr_np` / :func:`repair_dijkstra_csr_np` — not array
   sweeps but adapters: they run the list repair kernels
   (``repair_hops_csr`` / ``repair_dijkstra_csr``) on a cached array row's
@@ -437,45 +439,26 @@ def dijkstra_csr_multi(
     cannot beat the standing label), so sharing the gather across sources
     never changes any label — only the round count shrinks.
 
-    ``forbidden`` is a shared int or a sequence aligned with ``sources``
-    (row ``i`` masks ``forbidden[i]``).  With per-row masks, a node that is
-    forbidden for row ``i`` can still enter the *shared* frontier through
-    another row, so besides the barrier entry (which keeps relaxations into
-    the mask from sticking) every round must also kill row ``i``'s
-    relaxations *out of* its own forbidden tail — otherwise the barrier
-    label would propagate outward for that row.  With both guards the
-    relaxations applied to row ``i`` are exactly the single-mask kernel's,
-    so labels (float bits included) are unchanged.
+    ``forbidden`` is one mask shared by every row; a sequence aligned with
+    ``sources`` is accepted only when its entries agree, and distinct
+    per-row masks raise ``ValueError`` (the engine derives weighted masked
+    rows from unmasked ones instead).
     """
     sources = np.asarray(sources, dtype=np.int64)
     num = int(sources.shape[0])
     forbidden, forb_rows = _per_row_masks(sources, n, forbidden, "Dijkstra")
+    if forb_rows is not None:
+        raise ValueError("the batched numpy Dijkstra takes one shared mask")
     integral = lengths.dtype.kind in "iu"
     if integral:
         dist = np.full((num, n), INT_UNREACHED, dtype=np.int64)
         barrier = -1
-        unreached = INT_UNREACHED
     else:
         dist = np.full((num, n), np.inf, dtype=np.float64)
         barrier = -np.inf
-        unreached = np.inf
     masked = 0 <= forbidden < n
     if masked:
         dist[:, forbidden] = barrier
-    forb_counts = forb_sorted_rows = forb_starts = None
-    if forb_rows is not None:
-        rows_masked = np.flatnonzero((forb_rows >= 0) & (forb_rows < n))
-        dist[rows_masked, forb_rows[rows_masked]] = barrier
-        # Group masking rows by forbidden node once, so each round's kill is
-        # a ragged scatter over only the (row, edge) pairs whose tail is that
-        # row's own forbidden node — O(E_round + matches) instead of the
-        # (S, E_round) comparison matrix that dominates giant chunks.
-        forb_counts = np.zeros(n, dtype=np.int64)
-        np.add.at(forb_counts, forb_rows[rows_masked], 1)
-        order = np.argsort(forb_rows[rows_masked], kind="stable")
-        forb_sorted_rows = rows_masked[order]
-        forb_starts = np.zeros(n, dtype=np.int64)
-        forb_starts[1:] = np.cumsum(forb_counts)[:-1]
     dist[np.arange(num), sources] = 0
     flat = dist.reshape(-1)
     offsets = np.arange(num, dtype=np.int64) * n
@@ -492,18 +475,6 @@ def dijkstra_csr_multi(
             break
         heads = indices[positions]
         candidates = dist[:, tails] + lengths[positions]
-        if forb_rows is not None:
-            # Kill each row's relaxations out of its own forbidden tail: its
-            # barrier label must never leave the masked node.
-            cols = np.flatnonzero(forb_counts[tails] > 0)
-            if cols.size:
-                counts = forb_counts[tails[cols]]
-                ends = np.cumsum(counts)
-                within = np.arange(int(ends[-1]), dtype=np.int64)
-                within -= np.repeat(ends - counts, counts)
-                starts = np.repeat(forb_starts[tails[cols]], counts)
-                kill_rows = forb_sorted_rows[starts + within]
-                candidates[kill_rows, np.repeat(cols, counts)] = unreached
         head_columns = np.unique(heads)
         if 4 * head_columns.size < n:
             # Narrow round: snapshot only the columns that can change.
@@ -521,8 +492,6 @@ def dijkstra_csr_multi(
             break
     if masked:
         dist[:, forbidden] = INT_UNREACHED if integral else np.inf
-    if forb_rows is not None:
-        dist[rows_masked, forb_rows[rows_masked]] = unreached
     return dist
 
 

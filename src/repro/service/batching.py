@@ -7,7 +7,7 @@ integral games the batch's whole row working set is staged up front through
 :meth:`~repro.engine.CostEngine.plan_report_prefetch` — the same giant-batch
 substrate whole-profile reports ride — so ``q`` concurrent cost /
 best-response / what-if queries against one game version cost one
-multi-source, per-row-masked traversal per chunk instead of ``q`` small
+giant-batch fill per chunk instead of ``q`` small
 batches.  Coalescing changes only *when* rows are computed, never their
 values (the engine's giant-batch contract), so a batched response is
 bit-identical to the same query served alone.

@@ -22,7 +22,13 @@ import random
 
 import pytest
 
-from repro.core import BBCGame, UniformBBCGame, best_response, equilibrium_report
+from repro.core import (
+    BBCGame,
+    StrategyProfile,
+    UniformBBCGame,
+    best_response,
+    equilibrium_report,
+)
 from repro.dynamics import run_best_response_walk
 from repro.engine import (
     NUMPY_BACKEND_MIN_N,
@@ -175,40 +181,28 @@ def _random_per_row_masks(rng, sources, n):
 
 @needs_numpy
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 12), integral=st.booleans())
-def test_per_row_mask_kernels_match_single_source(seed, n, integral):
-    """Row i of a per-row-masked batch equals a single masked traversal.
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+def test_per_row_mask_kernels_match_single_source(seed, n):
+    """Row i of a per-row-masked BFS batch equals a single masked traversal.
 
-    Each row computes ``d_{G-u_i}`` for its *own* masked node — the
+    Each row computes ``d_{G-u_i}`` for its *own* masked node — the uniform
     giant-batch substrate — so the shared frontier must never leak values
     through a node that is forbidden for one row but live for another.
-    Covers uniform BFS and exact-int / float Dijkstra, zero-length edges,
-    and disconnected nodes.
+    Covers disconnected nodes.  (The batched numpy Dijkstra takes one
+    shared mask; weighted masked rows are derived, see
+    ``test_numpy_derived_weighted_rows_match_masked_traversals``.)
     """
     rng = random.Random(seed)
     rows = _random_adjacency(rng, n)
-    length_rows = [
-        [float(rng.choice(_length_choices(integral))) for _ in range(n)]
-        for _ in range(n)
-    ]
-    indptr, indices, lengths = _csr_with_lengths(rows, length_rows)
+    indptr, indices = build_csr(rows)
     indptr_np, indices_np = npk.csr_arrays(indptr, indices)
-    lengths_np = np.asarray(lengths, dtype=np.int64 if integral else np.float64)
     sources = [rng.randrange(n) for _ in range(rng.randint(2, 2 * n))]
     masks = _random_per_row_masks(rng, sources, n)
     hop_matrix = npk.bfs_hops_csr_multi(indptr_np, indices_np, n, sources, masks)
-    dist_matrix = npk.dijkstra_csr_multi(
-        indptr_np, indices_np, lengths_np, n, sources, masks
-    )
     for i, (source, forbidden) in enumerate(zip(sources, masks)):
         assert hop_matrix[i].tolist() == bfs_hops_csr(
             indptr, indices, n, source, forbidden
         )
-        reference = dijkstra_csr(indptr, indices, lengths, n, source, forbidden)
-        produced = (
-            npk.int_to_float_rows(dist_matrix[i]) if integral else dist_matrix[i]
-        )
-        _float_rows_equal(reference, produced)
 
 
 @needs_numpy
@@ -317,6 +311,16 @@ def test_per_row_masks_reject_collisions_and_misalignment():
             npk.dijkstra_csr_multi(
                 indptr_np, indices_np, np.asarray([1.0, 1.0]), 2, [0, 1], [0, 1, 0]
             )
+        # The batched numpy Dijkstra takes one shared mask: distinct
+        # per-row masks raise, and agreeing ones collapse to that mask.
+        indptr_np, indices_np = npk.csr_arrays(*build_csr([[1], [2], [0]]))
+        lengths_np = np.asarray([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            npk.dijkstra_csr_multi(indptr_np, indices_np, lengths_np, 3, [0, 1], [1, 2])
+        assert np.array_equal(
+            npk.dijkstra_csr_multi(indptr_np, indices_np, lengths_np, 3, [0, 1], [2, 2]),
+            npk.dijkstra_csr_multi(indptr_np, indices_np, lengths_np, 3, [0, 1], 2),
+        )
 
 
 @needs_numpy
@@ -569,14 +573,15 @@ def test_array_mirrors_match_list_space(integral):
             profile = profile.with_strategy(0, {5, 7})
         engine.sync(profile)
         indptr, indices, lengths = engine._csr
-        indptr_np, indices_np, lengths_np, exact_np = engine._csr_np
+        indptr_np, indices_np, lengths_np = engine._csr_np
         assert indptr_np.tolist() == indptr
         assert indices_np.tolist() == indices
-        assert lengths_np.tolist() == lengths
-        if integral:
-            assert exact_np.tolist() == [int(value) for value in lengths]
-        else:
-            assert exact_np is None
+        # One lengths array, in the traversals' label space: exact int64
+        # under the integral-lengths licence, float64 otherwise.
+        assert lengths_np.dtype == (np.int64 if integral else np.float64)
+        assert lengths_np.tolist() == (
+            [int(value) for value in lengths] if integral else lengths
+        )
 
 
 @needs_numpy
@@ -689,6 +694,86 @@ def test_list_kernel_walk_derives_every_masked_row(monkeypatch):
         game, profile, max_rounds=2, record_steps=True, engine=False
     )
     assert walk == reference
+
+
+@needs_numpy
+@pytest.mark.parametrize("integral", [True, False], ids=["int", "float"])
+def test_numpy_weighted_walk_derives_every_masked_row(integral, monkeypatch):
+    """On numpy, weighted games derive their masked rows too: only unmasked
+    base rows are traversed, every masked row is a float64 array row derived
+    from one, and the report and the walk equal the list kernels' and the
+    reference's."""
+    game = _weighted_game(20, integral=integral)
+    profile = random_initial_profile(game, seed=6)
+    engine = CostEngine(game, backend="numpy")
+    masks = []
+    traverse = engine._traverse
+
+    def recording(sources, mask):
+        masks.append(mask)
+        return traverse(sources, mask)
+
+    monkeypatch.setattr(engine, "_traverse", recording)
+    report = equilibrium_report(game, profile, engine=engine)
+    derived = [
+        row
+        for u, (_, rows) in engine._env_cache.items()
+        if u != cost_engine._BASE
+        for row in rows.values()
+    ]
+    assert derived
+    assert all(isinstance(row, np.ndarray) and row.dtype == np.float64 for row in derived)
+    assert engine.stats["giant_batch_traversals"] > 0
+    walk = run_best_response_walk(
+        game, profile, max_rounds=2, record_steps=True, engine=engine
+    )
+    assert masks and all(mask == -1 for mask in masks)
+    assert engine.stats["base_rows_repaired"] > 0
+    for reference in (CostEngine(game, backend="python"), False):
+        expected = equilibrium_report(game, profile, engine=reference)
+        assert report.responses == expected.responses
+        assert report.max_regret == expected.max_regret
+        assert walk == run_best_response_walk(
+            game, profile, max_rounds=2, record_steps=True, engine=reference
+        )
+
+
+@needs_numpy
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 12), integral=st.booleans())
+def test_numpy_derived_weighted_rows_match_masked_traversals(seed, n, integral):
+    """Every numpy-derived weighted row equals the masked ``dijkstra_csr_np``
+    row bit for bit, at any n: zero-length arcs exercise the tie rules, and
+    a node that nobody links to is an unreachable mask."""
+    rng = random.Random(seed)
+    choices = _length_choices(integral)
+    lengths = {
+        (u, v): rng.choice(choices) for u in range(n) for v in range(n) if u != v
+    }
+    lengths[(0, 1)], lengths[(1, 0)] = 0.0, choices[-1]  # never uniform
+    game = BBCGame(nodes=range(n), link_lengths=lengths, default_budget=2.0)
+    lonely = rng.randrange(n)
+    strategies = {}
+    for u in range(n):
+        others = [v for v in range(n) if v not in (u, lonely)]
+        strategies[u] = frozenset(rng.sample(others, min(2, len(others))))
+    engine = CostEngine(game, backend="numpy")
+    engine.sync(StrategyProfile(strategies))
+    assert engine._derive
+    rows = [sorted(strategies[u]) for u in range(n)]
+    length_rows = [[lengths.get((u, v), 0.0) for v in range(n)] for u in range(n)]
+    indptr, indices, edge_lengths = _csr_with_lengths(rows, length_rows)
+    indptr_np, indices_np = npk.csr_arrays(indptr, indices)
+    lengths_np = np.asarray(edge_lengths, dtype=np.int64 if integral else np.float64)
+    for u in range(n):
+        hops = [a for a in range(n) if a != u]
+        for a, row in zip(hops, engine.env_rows(u, hops)):
+            masked = npk.dijkstra_csr_np(indptr_np, indices_np, lengths_np, n, a, u)
+            expected = npk.int_to_float_rows(masked) if integral else masked
+            assert row.dtype == np.float64
+            assert np.array_equal(row, expected)
+    assert engine.stats["base_rows_computed"] == n
+    assert engine.stats["rows_computed"] == n * (n - 1)
 
 
 @needs_numpy

@@ -9,8 +9,9 @@ profile (and, at n <= 8, the ``engine=False`` dict reference).  Every probe
 must match it exactly, and after every step the engine's bookkeeping must
 agree with its caches: ``cache_bytes()`` is the sum of the cached payloads,
 every cached row of a uniform game is an exact integer hop row, and every
-current base row (the unmasked rows the list kernels derive masked rows
-from, at n >= 16) equals a fresh unmasked traversal.
+current base row (the unmasked rows masked rows are derived from: on the
+list kernels at n >= 16, on numpy for weighted games) equals a fresh
+unmasked traversal.
 
 Both traversal backends run the same machine; the numpy one is skipped when
 numpy is not installed.
@@ -59,7 +60,8 @@ def _weighted_game(n, seed):
 
 # n = 8 keeps the dict reference affordable; n = 20 crosses the 16-target
 # gate of the vectorised scoring paths, allows real repairs (limit n // 8)
-# and, on the list kernels, derives masked rows from cached base rows.
+# and, on the list kernels, derives masked rows from cached base rows (the
+# numpy backend derives them for both weighted games).
 GAMES = (
     UniformBBCGame(8, 2),
     UniformBBCGame(20, 2),
@@ -89,9 +91,12 @@ class CostEngineMachine(RuleBasedStateMachine):
             self.engine._repair_edit_limit = len(self.nodes)
         self.profile = self._random_profile(random.Random(seed))
         self.engine.sync(self.profile)
-        assert self.engine._derive == (
-            self.backend == "python" and len(self.nodes) >= 16
-        )
+        # Derivation: on the list kernels from n = 16, on numpy for every
+        # weighted game (uniform games keep its masked BFS batch).
+        if self.backend == "numpy":
+            assert self.engine._derive == (not game.has_uniform_lengths)
+        else:
+            assert self.engine._derive == (len(self.nodes) >= 16)
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -267,7 +272,13 @@ class CostEngineMachine(RuleBasedStateMachine):
             return
         fresh = self._fresh()
         for source, row in entry[1].items():
-            assert row == fresh._traverse([source], -1)[0]
+            # Same container, same dtype, same entries (inf == inf): the
+            # numpy base rows are compared elementwise too.
+            expected = fresh._traverse([source], -1)[0]
+            assert type(row) is type(expected)
+            assert getattr(row, "dtype", None) == getattr(expected, "dtype", None)
+            assert len(row) == len(expected)
+            assert all(a == b for a, b in zip(row, expected))
 
 
 MACHINE_SETTINGS = settings(
