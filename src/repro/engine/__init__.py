@@ -163,9 +163,9 @@ from one sweep are views into one allocation, so only dropping the whole
 group actually releases memory).  Eviction is node-granular within the
 evicted chunk — a node's rows share one version stamp and leave together,
 so the repair contract above always repairs a node's whole set.  The base
-rows are one more ledger entry; the probe that just derived from them
-exempts them, like its own rows, from the eviction its fill triggers, so
-they overshoot the budget by at most ``n`` rows.  Eviction is never
+rows are one more ledger entry that ages and evicts like any chunk: no
+derived row refers to them, so only the probe's own rows are exempt from
+the eviction its fill triggers.  Eviction is never
 silent: ``stats["rows_evicted"]`` /
 ``stats["chunks_evicted"]`` count it, ``stats["evicted_recomputes"]`` counts
 rows that re-entered by recomputation, and :meth:`CostEngine.cache_bytes` /

@@ -210,8 +210,8 @@ def dijkstra_csr_np(
     return dist
 
 
-def _per_row_masks(sources: np.ndarray, n: int, forbidden, kernel: str):
-    """Normalise ``forbidden`` for the batched kernels.
+def _per_row_masks(sources: np.ndarray, n: int, forbidden):
+    """Normalise ``forbidden`` for :func:`bfs_hops_csr_multi`.
 
     Returns ``(scalar_mask, per_row_array)``: exactly one of the two is
     active — ``per_row_array`` is ``None`` for the original shared-mask form
@@ -224,7 +224,7 @@ def _per_row_masks(sources: np.ndarray, n: int, forbidden, kernel: str):
     if isinstance(forbidden, (int, np.integer)):
         scalar = int(forbidden)
         if scalar >= 0 and bool(np.any(sources == scalar)):
-            raise ValueError(f"the {kernel} source cannot be the forbidden node")
+            raise ValueError("the BFS source cannot be the forbidden node")
         return scalar, None
     forb = np.asarray(forbidden, dtype=np.int64)
     if forb.shape != sources.shape:
@@ -233,7 +233,7 @@ def _per_row_masks(sources: np.ndarray, n: int, forbidden, kernel: str):
             f"sources {sources.shape}"
         )
     if bool(np.any((forb >= 0) & (forb == sources))):
-        raise ValueError(f"the {kernel} source cannot be the forbidden node")
+        raise ValueError("the BFS source cannot be the forbidden node")
     if forb.size and bool(np.all(forb == forb[0])):
         return int(forb[0]), None  # uniform masks: take the shared-mask path
     return -1, forb
@@ -272,7 +272,7 @@ def bfs_hops_csr_multi(
     """
     sources = np.asarray(sources, dtype=np.int64)
     num = int(sources.shape[0])
-    forbidden, forb_rows = _per_row_masks(sources, n, forbidden, "BFS")
+    forbidden, forb_rows = _per_row_masks(sources, n, forbidden)
     words = (num + 63) // 64
     frontier = np.zeros((n, words), dtype=np.uint64)
     bit_word = np.arange(num, dtype=np.int64) // 64
@@ -428,7 +428,7 @@ def dijkstra_csr_multi(
     lengths: np.ndarray,
     n: int,
     sources: Sequence[int],
-    forbidden=-1,
+    forbidden: int = -1,
 ) -> np.ndarray:
     """Batched frontier Dijkstra: one ``(S, n)`` matrix of distance rows.
 
@@ -439,16 +439,15 @@ def dijkstra_csr_multi(
     cannot beat the standing label), so sharing the gather across sources
     never changes any label — only the round count shrinks.
 
-    ``forbidden`` is one mask shared by every row; a sequence aligned with
-    ``sources`` is accepted only when its entries agree, and distinct
-    per-row masks raise ``ValueError`` (the engine derives weighted masked
-    rows from unmasked ones instead).
+    ``forbidden`` is one node masked in every row (``int()`` rejects a
+    per-row sequence: the engine derives weighted masked rows from unmasked
+    ones instead).
     """
     sources = np.asarray(sources, dtype=np.int64)
     num = int(sources.shape[0])
-    forbidden, forb_rows = _per_row_masks(sources, n, forbidden, "Dijkstra")
-    if forb_rows is not None:
-        raise ValueError("the batched numpy Dijkstra takes one shared mask")
+    forbidden = int(forbidden)
+    if forbidden >= 0 and bool(np.any(sources == forbidden)):
+        raise ValueError("the Dijkstra source cannot be the forbidden node")
     integral = lengths.dtype.kind in "iu"
     if integral:
         dist = np.full((num, n), INT_UNREACHED, dtype=np.int64)
