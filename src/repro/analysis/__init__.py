@@ -1,4 +1,7 @@
-"""Analysis layer: parameter sweeps and table rendering for the benchmarks."""
+"""Analysis layer: parameter sweeps, the paper's claim tables, and table rendering.
+
+The row builders of the claim tables live in :mod:`repro.analysis.claims`.
+"""
 
 from .studies import (
     connectivity_convergence_study,

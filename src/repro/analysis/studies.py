@@ -1,9 +1,9 @@
 """Parameter-sweep studies behind the paper's theorems.
 
 Each function regenerates the data for one claim of the paper as a list of
-row dictionaries; the benchmarks render them with
-:func:`repro.analysis.tables.format_table` and record a snapshot of the
-output under ``benchmarks/output/``.
+row dictionaries; :mod:`repro.analysis.claims` builds the claim tables from
+them, which the tier-1 tests assert on and ``scripts/claim_tables.py``
+renders under ``benchmarks/output/``.
 
 Every grid study is a map over independent parameter cells, so each one
 accepts ``processes`` and fans the cells out through

@@ -1,8 +1,8 @@
 """Plain-text table rendering for benchmark and example output.
 
-Every benchmark regenerates its paper table/figure as a list of row dicts;
-this module turns those rows into aligned ASCII tables so the harness output
-can be compared with the paper at a glance (and diffed between runs).
+Every claim table regenerates a paper table/figure as a list of row dicts;
+this module turns those rows into aligned ASCII tables so the output can be
+compared with the paper at a glance (and diffed between runs).
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ uniform games:
    to converge;
 3. some walks from non-empty starts appear to take exponentially long.
 
-Each observation gets a study function returning row dictionaries that the
-``bench_dynamics_empirical`` benchmark renders into
-``benchmarks/output/sec43_dynamics.txt``.
+Each observation gets a study function returning row dictionaries;
+:func:`repro.analysis.claims.sec43_dynamics` collects them into the table
+that ``tests/test_paper_claims.py`` asserts on and ``scripts/claim_tables.py``
+renders into ``benchmarks/output/sec43_dynamics.txt``.
 
 The multi-start / multi-size studies accept a ``processes`` argument and fan
 their independent cells out through :func:`repro.experiments.parallel_map`:

@@ -35,7 +35,7 @@ With *fully* uniform link costs the text-reconstructible gadget admits an
 unintended pure Nash equilibrium: the four bottom nodes can link directly to
 their cross-over tops, closing one long cycle through both sub-gadgets that
 reaches every node a bottom cares about, which stabilises the centrals (see
-``tests/test_gadgets.py`` and ``benchmarks/bench_fig1_gadget.py``).  The default construction
+``tests/test_gadgets.py`` and ``tests/test_paper_claims.py``).  The default construction
 therefore uses the one extra degree of non-uniformity the BBC model offers —
 bottom nodes pay link cost 2 for any target other than their own central and
 ``X`` (so those links exceed their budget) — which restores the paper's

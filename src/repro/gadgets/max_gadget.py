@@ -14,8 +14,8 @@ down a unique construction (under the max objective a central with an
 unreachable secondary target is indifferent between its tops).  We therefore
 ship the reconstructed gadget for study and verify its properties
 empirically; the no-equilibrium property of Theorem 7 is *not* certified by
-this module, only measured (``benchmarks/bench_fig5_max_gadget.py`` records
-the measurement in ``benchmarks/output/fig5_max_gadget.txt``).
+this module, only measured (``scripts/claim_tables.py`` records the
+measurement in ``benchmarks/output/fig5_max_gadget.txt``).
 """
 
 from __future__ import annotations

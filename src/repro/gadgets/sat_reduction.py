@@ -25,9 +25,10 @@ links (central->top, top->cross bottom, bottom->central/S/T).
 
 The intended correspondence is: the game has a pure Nash equilibrium iff the
 formula is satisfiable.  The forward direction is exercised by
-:func:`canonical_profile` + an exact equilibrium report; the reverse
-direction is probed by restricted exhaustive search on small formulas
-(see ``benchmarks/bench_fig2_sat_reduction.py``).
+:func:`canonical_profile` + an exact equilibrium report (the Figure 2 claim
+table, asserted by ``tests/test_paper_claims.py``); the reverse direction
+can be probed by :func:`restricted_equilibrium_search` on small formulas,
+which no check runs yet.
 """
 
 from __future__ import annotations
