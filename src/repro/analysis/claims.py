@@ -240,7 +240,10 @@ def thm3_fractional() -> ClaimTable:
 
     Every final profile is certified by the from-scratch reference path,
     independent of every cache the engine-backed dynamics populated.  Needs
-    scipy: without it the dynamics raise ``BestResponseUnavailable``.
+    scipy: without it the dynamics raise ``BestResponseUnavailable``.  The
+    LP solver's float columns are rounded to 9 decimals, so solver noise in
+    the last bits (HiGHS returns 95.99999999999999 for a cost of 96) cannot
+    change the rendered table from one scipy build to the next.
     """
     bases = {
         "uniform(4,1)": UniformBBCGame(4, 1),
@@ -261,9 +264,9 @@ def thm3_fractional() -> ClaimTable:
             "nodes": base.num_nodes,
             "rounds": result.rounds,
             "converged": result.converged,
-            "max_final_regret": result.max_final_regret,
-            "certified_regret": report.max_regret,
-            "final_social_cost": game.social_cost(result.profile),
+            "max_final_regret": round(result.max_final_regret, 9),
+            "certified_regret": round(report.max_regret, 9),
+            "final_social_cost": round(game.social_cost(result.profile), 9),
         })
     title = "Theorem 3: fractional best-response dynamics (epsilon = 1e-4)"
     return ClaimTable([(title, rows)])

@@ -55,8 +55,8 @@ games at every n).  There a missing masked row is never traversed:
 :func:`repro.graphs.int_kernels.mask_repair_hops` /
 :func:`repro.graphs.int_kernels.mask_repair_dijkstra`, which reset only the
 nodes whose every shortest path from ``a`` ran through ``u`` and re-settle
-them from their intact in-boundary, returning a new row bit-identical to the
-masked traversal.  Base rows are one per source, cached in the same store
+them from their intact in-boundary, in place on a copy of the base row;
+the result is bit-identical to the masked traversal.  Base rows are one per source, cached in the same store
 under their own key: stamped with the version, repaired across the edit log
 like any node's rows (counted in ``stats["base_rows_repaired"]``) and
 filled, when missing, by one unmasked traversal of the backend
@@ -65,12 +65,13 @@ filled, when missing, by one unmasked traversal of the backend
 masked rows are stale again by the time a node is re-probed, thus pays one
 small repair per base row and sync instead of ``n - 1`` fresh masked
 traversals per probe.  Self-verification still recomputes with a fresh
-masked traversal.  On numpy the list kernel reads each base row's
-``tolist()``, converted once per fill, and the derived rows are float64
-views into one matrix per fill, like a traversal's.  Numpy's uniform games
-keep the masked giant BFS batch (a uniform n = 1024 report took 0.29-0.42 s
-on it and 0.49-0.72 s derived), and on the list kernels below n = 16 a fresh
-traversal is as cheap as the derivation.  Rows derived
+masked traversal.  On numpy the base rows are copied array to array into
+one float64 matrix per fill, like a traversal's, and the list kernel edits
+each matrix row through a ``memoryview``: no row is converted whole.
+Numpy's uniform games keep the masked giant BFS batch (a uniform n = 1024
+report ties, 0.29-0.31 s on it against 0.26-0.28 s derived, but a one-round
+n = 256 walk took 3.7 s on it and 4.9 s derived), and on the list kernels
+below n = 16 a fresh traversal is as cheap as the derivation.  Rows derived
 while scoring (through rows, penalty-substituted slices, batched
 combination cost vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
 that built them and die with it.  When repair would not pay — more pending net

@@ -100,17 +100,17 @@ REPAIR_LOG_LIMIT = 128
 #: Auto backend selection thresholds: below these node counts the list
 #: kernels' lower fixed overhead pays (each numpy frontier round costs a
 #: handful of array dispatches regardless of size); from them on auto picks
-#: numpy.  Weighted games, both backends deriving their masked rows, best of
-#: three to five per backend on a 2-CPU x86 host, list time over numpy time:
-#: the ``report-dijkstra`` report of ``scripts/bench_speed.py`` measured
-#: 0.88-1.07 from n=64 to n=160 (no backend ahead in every pass), 1.05-1.10
-#: at n=192, 1.23 at 256 and 1.6-1.8 at 1024; a three-round best-response
-#: walk measured 0.86-0.88 at n=96, 0.89-0.95 at 128, 0.89 at 160, 0.79-1.04
-#: at 192 and 0.87 at 256 (each numpy base-row repair converts the whole
-#: row).  So from n=64 to n=160 reports tie within this host's noise, and
-#: from n=96 walks favour the list kernels.  The threshold stays 128, inside
-#: the tie: perfbench's reduced ``report-weighted`` (n=128) checks that the
-#: numpy layers run, and moving it belongs with a benchmark change.
+#: numpy.  Weighted games, both backends deriving their masked rows and
+#: repairing rows in place, best of three per backend on a 2-CPU x86 host,
+#: list time over numpy time: the ``report-dijkstra`` report of
+#: ``scripts/bench_speed.py`` measured 0.97 at n=64, 1.10 at 96, 1.43-1.53
+#: from 128 to 256 and 2.74 at 1024; a three-round best-response walk, two
+#: passes, measured 0.81 and 0.97 at n=96, 1.22 and 1.02 at 128, 1.33 and
+#: 0.98 at 192, 1.01 and 0.96 at 256.  So reports favour numpy from n=128
+#: and walks tie within this host's noise from n=96 to 256.  The threshold
+#: stays 128, where reports turn: perfbench's reduced ``report-weighted``
+#: (n=128) checks that the numpy layers run, and moving it belongs with a
+#: benchmark change.
 NUMPY_BACKEND_MIN_N = 128
 NUMPY_BACKEND_MIN_N_UNIFORM = 256
 
@@ -271,8 +271,10 @@ class CostEngine:
         # them (see _derived_rows): on the list kernels from n=16 (below
         # it, for the reason the repair limit is 0), and on numpy for every
         # weighted game.  Numpy's masked giant BFS batch stays on uniform
-        # games: their n=1024 six-candidate report took 0.29-0.42 s on it
-        # and 0.49-0.72 s derived (best of three, two passes).
+        # games: their n=1024 six-candidate report took 0.29-0.31 s on it
+        # and 0.26-0.28 s derived (best of three, two passes), a tie, but a
+        # one-round n=256 walk took 3.7 s on it and 4.9 s derived (best of
+        # two).
         self._derive = (
             not self.indexed.uniform_lengths if self._np_traversal else n >= 16
         )
@@ -667,7 +669,8 @@ class CostEngine:
         Uniform games repair the exact hop row, weighted games the float
         distance row; either way the cached row object itself is patched.
         Both backends repair with the list kernels over the list CSR, numpy
-        rows through the ``_npk`` adapters.  ``u == _BASE`` repairs the
+        rows through the ``_npk`` adapters, which hand the kernel a
+        ``memoryview`` of the cached array.  ``u == _BASE`` repairs the
         unmasked base rows, counted apart.
         """
         rows = entry[1]
@@ -986,33 +989,33 @@ class CostEngine:
         """Derive every masked row ``(u, a)`` of ``work`` from base row ``a``, in order.
 
         The fill of the derivation path (list kernels at n >= 16, numpy
-        weighted games): each ``d_{G-u}(a, ·)`` is a new row re-settled from
-        ``d_G(a, ·)`` by the list mask-repair kernels, which leave the base
-        row untouched; bit-identical to the masked traversal, which
-        :meth:`_verify_row` still runs.  On numpy each distinct base row is
-        read through its ``tolist()`` once per call, and the rows come back
-        as views into one float64 ``(len(work), n)`` matrix, like a
-        traversal's.  Charged to :attr:`traversal_seconds` like a traversal.
+        weighted games): each ``d_{G-u}(a, ·)`` starts as a copy of
+        ``d_G(a, ·)`` and is re-settled in place by the list mask-repair
+        kernels, so the base row stays untouched; bit-identical to the
+        masked traversal, which :meth:`_verify_row` still runs.  On numpy
+        the base rows are copied array to array into one ``(len(work), n)``
+        matrix, like a traversal's, and the kernels edit each matrix row
+        through a ``memoryview``, so a row costs its re-settled region, not
+        ``n`` conversions.  Charged to :attr:`traversal_seconds` like a
+        traversal.
         """
         bases = self._base_rows([a for _, a in work])
         start = time.perf_counter()
         indptr, indices, lengths = self._csr
         rev_indptr, rev_tails = self._rev_csr()
-        if self._unit is not None:
-            rows = [
-                mask_repair_hops(indptr, indices, bases[a], a, u, rev_indptr, rev_tails)
-                for u, a in work
-            ]
+        if self._np_traversal:
+            rows = _np.stack([bases[a] for _, a in work])
+            targets = map(memoryview, rows)
         else:
-            if self._np_traversal:
-                bases = {a: bases[a].tolist() for a in {a for _, a in work}}
-                rows = _np.empty((len(work), self.indexed.n))
-            else:
-                rows = [None] * len(work)
+            rows = targets = [list(bases[a]) for _, a in work]
+        if self._unit is not None:
+            for (u, a), row in zip(work, targets):
+                mask_repair_hops(indptr, indices, row, a, u, rev_indptr, rev_tails)
+        else:
             length_rows = self.indexed.length_rows
-            for i, (u, a) in enumerate(work):
-                rows[i] = mask_repair_dijkstra(
-                    indptr, indices, lengths, bases[a], a, u,
+            for (u, a), row in zip(work, targets):
+                mask_repair_dijkstra(
+                    indptr, indices, lengths, row, a, u,
                     rev_indptr, rev_tails, length_rows,
                 )
         self.traversal_seconds += time.perf_counter() - start

@@ -29,7 +29,14 @@ flat lists:
   recomputing from scratch; ``tests/test_engine_parity.py`` pins it;
 * ``mask_repair_hops`` / ``mask_repair_dijkstra`` *derive* a masked row
   ``d_{G-u}(a, ·)`` from the unmasked ``d_G(a, ·)``: the same reset-and-
-  re-settle, for the one edit "``u`` is deleted", returned as a new row.
+  re-settle, for the one edit "``u`` is deleted", applied in place to a
+  copy of the unmasked row.
+
+Every row argument of the repair and mask-repair kernels is read and
+written one entry at a time, so it may be a list or a ``memoryview`` of a
+numpy array row (format ``d`` for float64, ``h`` / ``l`` for int16 / int64
+hop rows): entries read back as Python ``float`` / ``int``, so the work per
+row stays proportional to the region it re-settles.
 
 Both traversals accept a ``forbidden`` node that is never entered, which lets
 :class:`repro.engine.CostEngine` compute ``d_{G-u}`` distances by masking
@@ -49,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, MutableSequence, Sequence, Tuple
 
 #: Sentinel for unreachable nodes in :func:`bfs_hops_csr` results.
 UNREACHED = -1
@@ -374,7 +381,7 @@ def _resettle_dist(
 def repair_hops_csr(
     indptr: Sequence[int],
     indices: Sequence[int],
-    hops: List[int],
+    hops: MutableSequence[int],
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
     rev_indptr: Sequence[int],
@@ -432,7 +439,7 @@ def repair_dijkstra_csr(
     indptr: Sequence[int],
     indices: Sequence[int],
     lengths: Sequence[float],
-    dist: List[float],
+    dist: MutableSequence[float],
     source: int,
     edits: Sequence[Tuple[int, Iterable[int], Iterable[int]]],
     rev_indptr: Sequence[int],
@@ -497,17 +504,17 @@ def repair_dijkstra_csr(
 def mask_repair_hops(
     indptr: Sequence[int],
     indices: Sequence[int],
-    base: Sequence[int],
+    hops: MutableSequence[int],
     source: int,
     u: int,
     rev_indptr: Sequence[int],
     rev_tails: Sequence[int],
-) -> List[int]:
-    """Derive the masked hop row ``d_{G-u}(source, ·)`` from the unmasked one.
+) -> None:
+    """Turn the unmasked hop row ``hops`` into ``d_{G-u}(source, ·)``, in place.
 
-    ``base`` is :func:`bfs_hops_csr`'s row from ``source`` on the graph
-    ``indptr`` / ``indices`` (reverse CSR ``rev_indptr`` / ``rev_tails``);
-    it is left untouched and a new row is returned, equal to
+    On entry ``hops`` holds (a copy of) :func:`bfs_hops_csr`'s row from
+    ``source`` on the graph ``indptr`` / ``indices`` (reverse CSR
+    ``rev_indptr`` / ``rev_tails``); on return it equals
     ``bfs_hops_csr(indptr, indices, n, source, forbidden=u)``.
 
     Deleting ``u`` can only lengthen distances, and only of the nodes whose
@@ -519,46 +526,44 @@ def mask_repair_hops(
     """
     if u == source:
         raise ValueError("the BFS source cannot be the forbidden node")
-    hops = list(base)
     level = hops[u]
     if level < 0:
-        return hops  # u is unreachable: deleting it changes nothing
+        return  # u is unreachable: deleting it changes nothing
     hops[u] = UNREACHED
     seeds = [y for y in indices[indptr[u] : indptr[u + 1]] if hops[y] == level + 1]
     lost = _lost_hops(hops, seeds, {}, indptr, indices, rev_indptr, rev_tails)
     if lost:
         _resettle_hops(hops, lost, [], indptr, indices, rev_indptr, rev_tails, u)
-    return hops
 
 
 def mask_repair_dijkstra(
     indptr: Sequence[int],
     indices: Sequence[int],
     lengths: Sequence[float],
-    base: Sequence[float],
+    dist: MutableSequence[float],
     source: int,
     u: int,
     rev_indptr: Sequence[int],
     rev_tails: Sequence[int],
     length_rows: Sequence[Sequence[float]],
-) -> List[float]:
-    """Derive the masked distance row ``d_{G-u}(source, ·)`` from the unmasked one.
+) -> None:
+    """Turn the unmasked distance row ``dist`` into ``d_{G-u}(source, ·)``, in place.
 
     The weighted twin of :func:`mask_repair_hops`, with
-    :func:`repair_dijkstra_csr`'s argument conventions; the returned row
-    equals ``dijkstra_csr(..., forbidden=u)`` bit for bit and ``base`` is
-    left untouched.  The level test does not hold with zero-length arcs (a
-    node can be supported by a same-distance neighbour that is itself lost),
-    so the region reset here is the safe over-approximation: every node
-    reachable from ``u`` along tight arcs (:func:`_phase1_affected`).
+    :func:`repair_dijkstra_csr`'s argument conventions: ``dist`` holds (a
+    copy of) the unmasked :func:`dijkstra_csr` row on entry and equals
+    ``dijkstra_csr(..., forbidden=u)`` bit for bit on return.  The level
+    test does not hold with zero-length arcs (a node can be supported by a
+    same-distance neighbour that is itself lost), so the region reset here
+    is the safe over-approximation: every node reachable from ``u`` along
+    tight arcs (:func:`_phase1_affected`).
     """
     if u == source:
         raise ValueError("the Dijkstra source cannot be the forbidden node")
     inf = math.inf
-    dist = list(base)
     du = dist[u]
     if du == inf:
-        return dist
+        return
     dist[u] = inf
     u_lengths = length_rows[u]
     seeds = [
@@ -575,7 +580,6 @@ def mask_repair_dijkstra(
             dist, affected, [], indptr, indices, lengths, rev_indptr, rev_tails,
             length_rows, u,
         )
-    return dist
 
 
 def scaled_float_row(hops: Sequence[int], unit: float) -> List[float]:

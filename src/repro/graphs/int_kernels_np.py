@@ -27,10 +27,12 @@ per-edge work happens inside numpy's C loops:
   the list mask-repair kernels instead;
 * :func:`repair_hops_csr_np` / :func:`repair_dijkstra_csr_np` — not array
   sweeps but adapters: they run the list repair kernels
-  (``repair_hops_csr`` / ``repair_dijkstra_csr``) on a cached array row's
-  ``tolist()`` and write the result back in place.  A repair touches a
-  small region of one row, where the list kernels' per-node work beats an
-  array sweep's per-round dispatch, so the repair algorithm exists once.
+  (``repair_hops_csr`` / ``repair_dijkstra_csr``) on a ``memoryview`` of a
+  cached array row, which the kernels edit in place entry by entry.  A
+  repair touches a small region of one row, where the list kernels'
+  per-node work beats an array sweep's per-round dispatch (and no
+  conversion of the whole row is paid), so the repair algorithm exists
+  once.
 
 **Bit-identity.**  Hop counts and integer lengths are computed in exact
 ``int64`` space, so equality with the list kernels is literal, and the
@@ -537,13 +539,13 @@ def repair_hops_csr_np(
     """Repair an array hop row in place with the list kernel ``repair_hops_csr``.
 
     The arguments are the list kernel's (list CSR and list reverse CSR);
-    only ``hops`` is the engine's cached array.  It is written back through
-    ``hops[:]``, keeping its dtype and its identity: the row may be a view
-    into a giant-batch chunk.
+    only ``hops`` is the engine's cached array, which the kernel edits
+    through a ``memoryview``: entry by entry, keeping its dtype and its
+    identity (the row may be a view into a giant-batch chunk).
     """
-    row = hops.tolist()
-    repair_hops_csr(indptr, indices, row, source, edits, rev_indptr, rev_tails, forbidden)
-    hops[:] = row
+    repair_hops_csr(
+        indptr, indices, memoryview(hops), source, edits, rev_indptr, rev_tails, forbidden
+    )
 
 
 def repair_dijkstra_csr_np(
@@ -560,15 +562,13 @@ def repair_dijkstra_csr_np(
 ) -> None:
     """Repair a float64 distance row in place with ``repair_dijkstra_csr``.
 
-    The arguments are the list kernel's; ``dist`` is written back through
-    ``dist[:]`` like :func:`repair_hops_csr_np` writes its row.
+    The arguments are the list kernel's; ``dist`` is edited through a
+    ``memoryview`` like :func:`repair_hops_csr_np` edits its row.
     """
-    row = dist.tolist()
     repair_dijkstra_csr(
-        indptr, indices, lengths, row, source, edits,
+        indptr, indices, lengths, memoryview(dist), source, edits,
         rev_indptr, rev_tails, length_rows, forbidden,
     )
-    dist[:] = row
 
 
 __all__ = [

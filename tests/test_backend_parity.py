@@ -44,6 +44,8 @@ from repro.graphs.int_kernels import (
     build_csr,
     dijkstra_csr,
     dijkstra_csr_multi,
+    mask_repair_dijkstra,
+    mask_repair_hops,
     reverse_csr,
 )
 from repro.experiments.workloads import random_initial_profile
@@ -62,7 +64,9 @@ from hypothesis import given, settings, strategies as st
 
 from test_best_response import scoring_game, sparse_profile
 from test_engine_parity import (
+    MASK_SHAPES,
     _csr_with_lengths,
+    _mask_repair_case,
     _random_adjacency,
     _random_edit_sequence,
 )
@@ -325,8 +329,9 @@ def test_per_row_masks_reject_collisions_and_misalignment():
 def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
     """Array rows repaired through the list-kernel adapters are bit-identical
     to fresh traversals of the new graph, and a repaired row that is a view
-    into a batch matrix is written in place: its dtype and the other rows
-    stay as they were."""
+    into a batch matrix is edited in place: int16 and int64 hop rows and
+    float64 distance rows keep their dtype, and the other row stays as it
+    was."""
     rng = random.Random(seed)
     rows = _random_adjacency(rng, n)
     length_rows = [
@@ -362,17 +367,77 @@ def test_repair_kernels_match_fresh_traversals_np(seed, n, steps, integral):
             )
         # Row 0 of a two-row batch matrix, repaired through its view.
         pair = [sources[0], sources[-1]]
-        matrix = npk.bfs_hops_csr_multi(indptr0_np, indices0_np, n, pair, forbidden)
+        batch = npk.bfs_hops_csr_multi(indptr0_np, indices0_np, n, pair, forbidden)
+        assert batch.dtype == np.int16
+        for dtype in (np.int16, np.int64):
+            matrix = batch.astype(dtype)
+            untouched = matrix[1].copy()
+            npk.repair_hops_csr_np(
+                indptr1, indices1, matrix[0], pair[0], edits,
+                rev_indptr, rev_tails, forbidden,
+            )
+            assert matrix.dtype == dtype
+            assert np.array_equal(matrix[1], untouched)
+            assert matrix[0].tolist() == bfs_hops_csr(
+                indptr1, indices1, n, pair[0], forbidden
+            )
+        matrix = np.asarray(
+            [dijkstra_csr(indptr0, indices0, lengths0, n, s, forbidden) for s in pair]
+        )
         untouched = matrix[1].copy()
-        npk.repair_hops_csr_np(
-            indptr1, indices1, matrix[0], pair[0], edits,
-            rev_indptr, rev_tails, forbidden,
+        npk.repair_dijkstra_csr_np(
+            indptr1, indices1, lengths1, matrix[0], pair[0], edits,
+            rev_indptr, rev_tails, length_rows, forbidden,
         )
-        assert matrix.dtype == np.int16
+        assert matrix.dtype == np.float64
         assert np.array_equal(matrix[1], untouched)
-        assert matrix[0].tolist() == bfs_hops_csr(
-            indptr1, indices1, n, pair[0], forbidden
+        assert matrix[0].tolist() == dijkstra_csr(
+            indptr1, indices1, lengths1, n, pair[0], forbidden
         )
+
+
+@needs_numpy
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 40),
+    shape=st.sampled_from(MASK_SHAPES),
+    hop_dtype=st.sampled_from([np.int16, np.int64] if np is not None else [None]),
+)
+def test_mask_repair_kernels_derive_into_array_rows(seed, n, shape, hop_dtype):
+    """The mask-repair kernels derive through a ``memoryview`` of an array
+    row exactly as through a list, as the engine's numpy fill does: a
+    float64 row that is a view into a two-row matrix (its other row stays as
+    it was) and int16 / int64 hop rows (the dtype is kept) all equal the
+    masked traversals, and the base rows they were copied from stay
+    untouched.  Lengths include zero, ``u`` may be unreachable, and rows
+    hold ``inf`` / ``UNREACHED`` entries."""
+    indptr, indices, lengths, length_rows, rev_indptr, rev_tails, source, u = (
+        _mask_repair_case(seed, n, shape)
+    )
+    base_hops = np.asarray(bfs_hops_csr(indptr, indices, n, source), dtype=hop_dtype)
+    base_dist = np.asarray(dijkstra_csr(indptr, indices, lengths, n, source))
+    other = dijkstra_csr(indptr, indices, lengths, n, u)
+    for masked in [u] + [v for v in range(n) if v not in (source, u)]:
+        hops = base_hops.copy()
+        mask_repair_hops(
+            indptr, indices, memoryview(hops), source, masked, rev_indptr, rev_tails
+        )
+        assert hops.dtype == hop_dtype
+        assert hops.tolist() == bfs_hops_csr(indptr, indices, n, source, forbidden=masked)
+        matrix = np.empty((2, n))
+        matrix[0] = base_dist
+        matrix[1] = other
+        mask_repair_dijkstra(
+            indptr, indices, lengths, memoryview(matrix[0]), source, masked,
+            rev_indptr, rev_tails, length_rows,
+        )
+        assert matrix[0].tolist() == dijkstra_csr(
+            indptr, indices, lengths, n, source, forbidden=masked
+        )
+        assert matrix[1].tolist() == other
+    assert base_hops.tolist() == bfs_hops_csr(indptr, indices, n, source)
+    assert base_dist.tolist() == dijkstra_csr(indptr, indices, lengths, n, source)
 
 
 # --------------------------------------------------------------------- #

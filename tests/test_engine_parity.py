@@ -202,19 +202,19 @@ def test_repair_kernels_match_fresh_traversals(seed, n, steps):
             assert dist == dijkstra_csr(indptr1, indices1, lengths1, n, source, forbidden)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(2, 40),
-    shape=st.sampled_from(
-        ["random", "u-unreachable", "u-only-out-neighbour", "u-no-out-arcs",
-         "source-no-out-arcs"]
-    ),
-)
-def test_mask_repair_kernels_match_masked_traversals(seed, n, shape):
-    """Deriving ``d_{G-u}(s, ·)`` from ``d_G(s, ·)`` equals the masked
-    traversal element for element, and leaves the base row untouched;
-    lengths include zero."""
+#: Graph shapes the mask-repair draws cover besides plain random graphs.
+MASK_SHAPES = [
+    "random", "u-unreachable", "u-only-out-neighbour", "u-no-out-arcs",
+    "source-no-out-arcs",
+]
+
+
+def _mask_repair_case(seed, n, shape):
+    """A random graph (out-degree <= 3, lengths including zero) of ``shape``.
+
+    Returns ``(indptr, indices, lengths, length_rows, rev_indptr, rev_tails,
+    source, u)``, where ``shape`` places ``u`` relative to ``source``.
+    """
     rng = random.Random(seed)
     rows = [
         sorted(rng.sample([v for v in range(n) if v != x], rng.randint(0, min(3, n - 1))))
@@ -232,16 +232,38 @@ def test_mask_repair_kernels_match_masked_traversals(seed, n, shape):
     length_rows = [[float(rng.choice([0, 0, 1, 2, 3, 5, 9])) for _ in range(n)] for _ in range(n)]
     indptr, indices, lengths = _csr_with_lengths(rows, length_rows)
     rev_indptr, rev_tails = reverse_csr(indptr, indices, n)
+    return indptr, indices, lengths, length_rows, rev_indptr, rev_tails, source, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 40),
+    shape=st.sampled_from(MASK_SHAPES),
+)
+def test_mask_repair_kernels_match_masked_traversals(seed, n, shape):
+    """Deriving ``d_{G-u}(s, ·)`` in place on a copy of ``d_G(s, ·)`` equals
+    the masked traversal element for element, and leaves the base row
+    untouched; lengths include zero."""
+    indptr, indices, lengths, length_rows, rev_indptr, rev_tails, source, u = (
+        _mask_repair_case(seed, n, shape)
+    )
     hops = bfs_hops_csr(indptr, indices, n, source)
     dist = dijkstra_csr(indptr, indices, lengths, n, source)
     for masked in [u] + [v for v in range(n) if v not in (source, u)]:
-        assert mask_repair_hops(
-            indptr, indices, hops, source, masked, rev_indptr, rev_tails
-        ) == bfs_hops_csr(indptr, indices, n, source, forbidden=masked)
-        assert mask_repair_dijkstra(
-            indptr, indices, lengths, dist, source, masked,
+        derived_hops = list(hops)
+        mask_repair_hops(
+            indptr, indices, derived_hops, source, masked, rev_indptr, rev_tails
+        )
+        assert derived_hops == bfs_hops_csr(indptr, indices, n, source, forbidden=masked)
+        derived_dist = list(dist)
+        mask_repair_dijkstra(
+            indptr, indices, lengths, derived_dist, source, masked,
             rev_indptr, rev_tails, length_rows,
-        ) == dijkstra_csr(indptr, indices, lengths, n, source, forbidden=masked)
+        )
+        assert derived_dist == dijkstra_csr(
+            indptr, indices, lengths, n, source, forbidden=masked
+        )
     assert hops == bfs_hops_csr(indptr, indices, n, source)
     assert dist == dijkstra_csr(indptr, indices, lengths, n, source)
 
@@ -770,13 +792,46 @@ def _kernel_references(source):
     return found
 
 
+def _whole_row_conversions(source, names):
+    """Whole-row conversions inside the functions or methods ``names``.
+
+    Returns ``(function, expression)`` for every ``.tolist`` reference and
+    every assignment to a sliced target (a ``row[:] = ...`` write-back) in
+    the named top-level functions and ``Class.method`` methods of ``source``.
+    """
+    functions = {}
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.ClassDef):
+            for member in statement.body:
+                if isinstance(member, ast.FunctionDef):
+                    functions[f"{statement.name}.{member.name}"] = member
+        elif isinstance(statement, ast.FunctionDef):
+            functions[statement.name] = statement
+    found = []
+    for name in names:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and node.attr == "tolist":
+                found.append((name, ast.unparse(node)))
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    (name, ast.unparse(target))
+                    for target in targets
+                    if isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Slice)
+                ]
+    return found
+
+
 def test_traversal_kernels_are_called_only_from_the_dispatch():
     """``CostEngine._traverse`` is the engine's one traversal dispatch: no
     other code in ``cost_engine.py`` touches a traversal kernel, the repair
     kernels are touched only by ``_repair_node`` and the mask-repair kernels
     only by ``_derived_rows``.  The repair algorithm exists once: in
     ``int_kernels_np`` each ``repair_*_np`` only wraps its list repair
-    kernel, and the module defines no other repair code."""
+    kernel, and the module defines no other repair code.  Rows are derived
+    and repaired in place: neither the adapters nor ``_derived_rows``
+    convert a whole row (``tolist()``) or write one back (``row[:] =``)."""
     import pathlib
 
     from repro.engine import cost_engine
@@ -800,6 +855,9 @@ def test_traversal_kernels_are_called_only_from_the_dispatch():
         "dijkstra_csr_np",
     }
     assert [(owner, name) for owner, name in references if owner != home(name)] == []
+    assert _whole_row_conversions(
+        inspect.getsource(cost_engine), ["CostEngine._derived_rows"]
+    ) == []
 
     # Read as text, so the guard also runs where numpy is not installed.
     np_source = pathlib.Path(int_kernels.__file__).with_name("int_kernels_np.py").read_text()
@@ -809,6 +867,9 @@ def test_traversal_kernels_are_called_only_from_the_dispatch():
         ("repair_hops_csr_np", "repair_hops_csr"),
         ("repair_dijkstra_csr_np", "repair_dijkstra_csr"),
     }
+    assert _whole_row_conversions(
+        np_source, ["repair_hops_csr_np", "repair_dijkstra_csr_np"]
+    ) == []
     assert {
         statement.name
         for statement in ast.parse(np_source).body
