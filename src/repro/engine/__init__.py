@@ -49,8 +49,9 @@ exact int space, and a float is made from it only where a cost is read
 (``float(h) * unit``, one helper, ``CostEngine._distances``), so repaired
 rows are **bit-identical** to recomputation.
 
-**The derivation contract** (list kernels at n >= 16; numpy weighted
-games at every n).  There a missing masked row is never traversed:
+**The derivation contract** (every giant-batch chunk, on both backends and
+at every n; every other fill on the list kernels at n >= 16 and on numpy
+weighted games).  There a missing masked row is never traversed:
 ``d_{G-u}(a, ·)`` is *derived* from the unmasked *base row* ``d_G(a, ·)`` by
 :func:`repro.graphs.int_kernels.mask_repair_hops` /
 :func:`repro.graphs.int_kernels.mask_repair_dijkstra`, which reset only the
@@ -66,12 +67,12 @@ masked rows are stale again by the time a node is re-probed, thus pays one
 small repair per base row and sync instead of ``n - 1`` fresh masked
 traversals per probe.  Self-verification still recomputes with a fresh
 masked traversal.  On numpy the base rows are copied array to array into
-one float64 matrix per fill, like a traversal's, and the list kernel edits
-each matrix row through a ``memoryview``: no row is converted whole.
-Numpy's uniform games keep the masked giant BFS batch (a uniform n = 1024
-report ties, 0.29-0.31 s on it against 0.26-0.28 s derived, but a one-round
-n = 256 walk took 3.7 s on it and 4.9 s derived), and on the list kernels
-below n = 16 a fresh traversal is as cheap as the derivation.  Rows derived
+one matrix of the row dtype per fill, like a traversal's, and the list
+kernel edits each matrix row through a ``memoryview``: no row is converted
+whole.  A probe's fill for one masked node is still traversed under that
+node's mask on numpy's uniform games (a one-round n = 256 walk ran faster
+that way) and on the list kernels below n = 16 (a fresh traversal is as
+cheap as the derivation there).  Rows derived
 while scoring (through rows, penalty-substituted slices, batched
 combination cost vectors) belong to the :class:`~repro.engine.cost_engine.StrategyScorer`
 that built them and die with it.  When repair would not pay — more pending net
@@ -133,19 +134,21 @@ and the ``report-bfs`` / ``report-dijkstra`` scenarios of
 (floors enforced: >=3x on the Dijkstra-backed report at n=1024 and on the
 BFS report at n=4096).
 
-**The giant-batch contract** (new in PR 6).  Both kernel families'
-multi-source forms additionally take a *per-row* forbidden mask — row ``i``
-of one call computes ``d_{G-u_i}(s_i, ·)`` — so a whole-profile report is
-one giant sweep instead of n small per-node batches.  Entry points that
+**The giant-batch contract** (new in PR 6).  A whole-profile report fills
+its masked rows chunk by chunk, one fill per chunk of many nodes' rows,
+instead of n small per-node batches: the chunk's missing base rows come
+from one unmasked multi-source traversal and every masked row of the chunk
+is derived from them (the derivation contract above), on both backends.
+Entry points that
 probe every node against one profile (:func:`repro.core.equilibrium_report`,
 :func:`repro.core.swap_stability_report`) stage the full row working set up
 front via :meth:`CostEngine.plan_report_prefetch`; the engine splits the
 plan into contiguous chunks of roughly
 :data:`~repro.engine.cost_engine.GIANT_CHUNK_TARGET_BYTES` and drains one
-chunk per masked multi-source traversal, lazily, as probes first touch a
-planned node.  The short-circuiting checkers (``is_pure_nash``,
-``first_unstable_node``) deliberately do not plan — rows staged for nodes
-never probed would be wasted.  Planning changes only *when* rows are
+chunk per fill, lazily, as probes first touch a planned node.  The
+short-circuiting checkers (``is_pure_nash``, ``first_unstable_node``)
+deliberately do not plan — rows staged for nodes never probed would be
+wasted.  Planning changes only *when* rows are
 computed, never their values: every giant-batch result is bit-identical to
 the per-node path and to the dict reference, pinned by
 ``tests/test_backend_parity.py``.
@@ -154,7 +157,7 @@ the per-node path and to the dict reference, pinned by
 cap).  ``CostEngine(game, memory_budget_bytes=...)`` bounds the byte
 footprint of the cached rows (one per ``(u, a)``: ``2 n`` bytes for a
 uniform game's int16 hop row, ``8 n`` for a list row or a float row, plus
-one ``8 n`` base row per source on the derivation path; scorer-local
+one base row of the same size per source; scorer-local
 derived rows are never charged), defaulting to
 :func:`~repro.engine.cost_engine.default_memory_budget` — 16 MiB floored,
 256 MiB capped.  A

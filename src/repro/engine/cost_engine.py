@@ -23,8 +23,7 @@ re-relaxation of only the region the arc changes could have reached, instead
 of a fresh traversal.  A multi-node change, or a row that has fallen behind
 the edit log, resets to a full recompute.
 
-On the list kernels (at n >= 16), and on numpy for weighted games, a
-missing masked row is not traversed at all: it is **derived** from the
+A missing masked row is usually not traversed: it is **derived** from the
 unmasked *base row* ``d_G(a, ·)`` of its source by
 :func:`~repro.graphs.int_kernels.mask_repair_hops` /
 :func:`~repro.graphs.int_kernels.mask_repair_dijkstra`, which re-settle only
@@ -33,8 +32,11 @@ from the backend's unmasked traversal and are cached like any other rows,
 one per source under the ``_BASE`` key, so the same stamp, ledger and
 edit-log repair keep them current across single-node steps: a round-robin
 walk pays one small repair per base row and sync instead of ``n - 1`` fresh
-masked traversals per probe.  Numpy's uniform games keep the masked BFS
-batch, whose bit-parallel frontiers are cheaper than derivation.
+masked traversals per probe.  Every giant-batch chunk (below) derives its
+rows, on both backends and at every n; a probe's fill for one masked node
+derives on the list kernels from n = 16 and on numpy's weighted games,
+while numpy's uniform games (and the list kernels below n = 16) traverse
+it under that node's mask.
 
 Memory is bounded in *bytes*, not rows: every cached row is charged to a
 :class:`~repro.engine.row_store.ChunkLedger` and whole LRU chunks are
@@ -43,9 +45,9 @@ evicted once ``memory_budget_bytes`` is exceeded (see
 *giant-batch* plan: :meth:`CostEngine.plan_report_prefetch` records the
 whole working set of an equilibrium report up front, and the first probe of
 any planned node materialises its entire chunk — potentially hundreds of
-masked rows for dozens of nodes — in **one** multi-source, per-row-masked
-traversal (on the derivation path, one unmasked traversal of the chunk's
-missing base rows) instead of one small batch per node.
+masked rows for dozens of nodes — in **one** fill: one unmasked traversal
+of the chunk's missing base rows plus the derivations, instead of one
+small batch per node.
 """
 
 from __future__ import annotations
@@ -120,13 +122,15 @@ DEFAULT_BUDGET_FLOOR_BYTES = 16 * 2**20
 DEFAULT_BUDGET_CAP_BYTES = 256 * 2**20
 
 #: Target cached bytes of one giant-batch chunk: big enough to amortise the
-#: numpy per-round dispatch across dozens of nodes' rows, small enough that
-#: a chunk (and the traversal's transient frontier state, several times the
-#: output's bytes) stays cache- and budget-friendly.  Measured on the
-#: uniform n=4096 six-candidate report (2-CPU x86 box), 2048-row chunks of
-#: int16 hop rows ran the report in 6.2-7.4 s, 8192-row chunks in 7.7-8.4 s.
-#: Chunks are additionally capped at a quarter of the engine's byte budget
-#: so the in-flight chunk can never crowd out the rest of the cache.
+#: numpy per-round dispatch of the chunk's base-row traversal across dozens
+#: of nodes' rows, small enough that a chunk (plus its base rows and the
+#: traversal's transient frontier state) stays cache- and budget-friendly.
+#: Measured on the uniform n=4096 six-candidate report, chunks derived
+#: (2-CPU x86 box, four runs each), 2048-row chunks of int16 hop rows ran
+#: the report in 2.31-2.52 s, 8192-row chunks in 2.40-3.20 s and 512-row
+#: chunks in 2.60 s.  Chunks are additionally capped at a quarter of the
+#: engine's byte budget so the in-flight chunk can never crowd out the rest
+#: of the cache.
 GIANT_CHUNK_TARGET_BYTES = 16 * 2**20
 
 #: A report plan larger than this many masked rows (an unrestricted report
@@ -267,14 +271,15 @@ class CostEngine:
         # so stale rows always drop and recompute.
         n = self.indexed.n
         self._repair_edit_limit = n // 8 if n >= 16 else 0
-        # Derive masked rows from cached base rows instead of traversing
-        # them (see _derived_rows): on the list kernels from n=16 (below
-        # it, for the reason the repair limit is 0), and on numpy for every
-        # weighted game.  Numpy's masked giant BFS batch stays on uniform
-        # games: their n=1024 six-candidate report took 0.29-0.31 s on it
-        # and 0.26-0.28 s derived (best of three, two passes), a tie, but a
-        # one-round n=256 walk took 3.7 s on it and 4.9 s derived (best of
-        # two).
+        # Derive a probe's masked rows (one masked node's fill) from cached
+        # base rows instead of traversing them (see _derived_rows): on the
+        # list kernels from n=16, and on numpy for every weighted game.
+        # Planned chunks always derive (_fill).  One traversal under the
+        # node's mask stays cheaper on numpy's uniform games, where a
+        # one-round n=256 walk took 3.3-3.7 s traversed and 4.2-4.9 s
+        # derived, and on the list kernels below n=16 (the reason the
+        # repair limit is 0), where an n=7 three-free-node sweep took
+        # 0.145-0.154 s traversed and 0.17-0.25 s derived (2-CPU x86 box).
         self._derive = (
             not self.indexed.uniform_lengths if self._np_traversal else n >= 16
         )
@@ -833,7 +838,7 @@ class CostEngine:
         """Fill every missing planned row of ``chunk`` in one giant batch.
 
         All members' missing ``(mask, source)`` pairs go through one
-        :meth:`_fill`; the members are then
+        planned :meth:`_fill`, which derives them; the members are then
         grouped into one ledger chunk so they age and evict together.  Rows
         already cached (or repaired current by :meth:`_ensure_current`) are
         left untouched, which keeps the fill bit-identical to the per-row
@@ -848,7 +853,7 @@ class CostEngine:
             work.extend((member, a) for a in hops if a not in cached)
         members = [member for member, _ in chunk]
         if work:
-            self._fill(work)
+            self._fill(work, planned=True)
             self.stats["giant_batch_traversals"] += 1
             self.stats["giant_batch_rows"] += len(work)
         # One ledger chunk for the whole batch, exempt from the eviction its
@@ -861,16 +866,16 @@ class CostEngine:
     # ------------------------------------------------------------------ #
     # Distance rows: one kernel dispatch, one fill path
     # ------------------------------------------------------------------ #
-    def _traverse(self, sources: List[int], masks) -> list:
+    def _traverse(self, sources: List[int], mask: int) -> list:
         """Run one traversal: the rows of ``sources``, aligned with them.
 
-        The engine's only call into a traversal kernel.  ``masks`` is the
-        node every row avoids (``-1``: none) or, for a batch, a list aligned
-        with ``sources``.  One source runs the backend's single-source
-        kernel, more run its multi-source kernel.  Uniform games get exact
-        BFS hop rows (``UNREACHED`` = -1; :func:`~repro.graphs.int_kernels_np
-        .hop_dtype` arrays on numpy, int lists on the list kernels), which is
-        what the cache stores and repairs.  Weighted games get float
+        The engine's only call into a traversal kernel.  ``mask`` is the one
+        node every row avoids (``-1``: none).  One source runs the backend's
+        single-source kernel, more run its multi-source kernel.  Uniform
+        games get exact BFS hop rows (``UNREACHED`` = -1;
+        :func:`~repro.graphs.int_kernels_np.hop_dtype` arrays on numpy, int
+        lists on the list kernels), which is what the cache stores and
+        repairs.  Weighted games get float
         distance rows; integer lengths traverse in exact int64 before one
         conversion (``float(int)`` is exact under
         :attr:`IndexedGame.integral_lengths`).  Every call is charged to
@@ -883,30 +888,30 @@ class CostEngine:
         if self._np_traversal:
             indptr, indices, lengths = self._csr_np
             if uniform and single:
-                rows = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], masks)[None]
+                rows = _npk.bfs_hops_csr_np(indptr, indices, n, sources[0], mask)[None]
             elif uniform:
-                rows = _npk.bfs_hops_csr_multi(indptr, indices, n, sources, masks)
+                rows = _npk.bfs_hops_csr_multi(indptr, indices, n, sources, mask)
             else:
                 if single:
                     rows = _npk.dijkstra_csr_np(
-                        indptr, indices, lengths, n, sources[0], masks
+                        indptr, indices, lengths, n, sources[0], mask
                     )[None]
                 else:
                     rows = _npk.dijkstra_csr_multi(
-                        indptr, indices, lengths, n, sources, masks
+                        indptr, indices, lengths, n, sources, mask
                     )
                 if lengths.dtype.kind == "i":
                     rows = _npk.int_to_float_rows(rows)
         else:
             indptr, indices, lengths = self._csr
             if uniform and single:
-                rows = [bfs_hops_csr(indptr, indices, n, sources[0], masks)]
+                rows = [bfs_hops_csr(indptr, indices, n, sources[0], mask)]
             elif uniform:
-                rows = bfs_hops_csr_multi(indptr, indices, n, sources, masks)
+                rows = bfs_hops_csr_multi(indptr, indices, n, sources, mask)
             elif single:
-                rows = [dijkstra_csr(indptr, indices, lengths, n, sources[0], masks)]
+                rows = [dijkstra_csr(indptr, indices, lengths, n, sources[0], mask)]
             else:
-                rows = dijkstra_csr_multi(indptr, indices, lengths, n, sources, masks)
+                rows = dijkstra_csr_multi(indptr, indices, lengths, n, sources, mask)
         self.traversal_seconds += time.perf_counter() - start
         return rows
 
@@ -926,25 +931,23 @@ class CostEngine:
             return scaled_float_row(rows, unit)
         return _npk.scaled_float_rows(rows, unit)
 
-    def _fill(self, work: List[Tuple[int, int]]) -> list:
+    def _fill(self, work: List[Tuple[int, int]], planned: bool = False) -> list:
         """Compute and cache every ``(u, first_hop)`` row of ``work`` in one traversal.
 
-        On the derivation path (list kernels at n >= 16, numpy weighted
-        games) the rows are derived from the base rows instead
-        (:meth:`_derived_rows`).  Stores one row
-        per entry, charges each node's bytes to the ledger,
-        and counts ``rows_computed`` plus the ``evicted_recomputes`` of
-        nodes budget eviction had emptied.  Returns the rows in ``work``
-        order.  Eviction, and the ``keep`` set it spares, stays with the
-        caller.
+        A ``planned`` fill (a giant-batch chunk, whose rows may span many
+        masked nodes) and every fill on the derivation path (list kernels
+        at n >= 16, numpy weighted games) derive the rows from the base rows
+        (:meth:`_derived_rows`); any other fill is one masked node's rows
+        and runs one traversal under its mask.  Stores one row per entry,
+        charges each node's bytes to the ledger, and counts
+        ``rows_computed`` plus the ``evicted_recomputes`` of nodes budget
+        eviction had emptied.  Returns the rows in ``work`` order.
+        Eviction, and the ``keep`` set it spares, stays with the caller.
         """
-        if self._derive:
+        if planned or self._derive:
             rows = self._derived_rows(work)
-        elif len(work) == 1:
-            u, a = work[0]
-            rows = self._traverse([a], u)
         else:
-            rows = self._traverse([a for _, a in work], [u for u, _ in work])
+            rows = self._traverse([a for _, a in work], work[0][0])
         # Every row of one traversal has length n, so the per-row byte cost
         # is one computation, not one per row.
         nbytes = _payload_nbytes(rows[0])

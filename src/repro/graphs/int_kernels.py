@@ -16,10 +16,10 @@ flat lists:
   counter is needed — and edge lengths aligned with ``indices`` instead of
   per-edge attribute-dict lookups;
 * ``bfs_hops_csr_multi`` / ``dijkstra_csr_multi`` — the batched reference
-  forms: one row per source, each with its *own* ``forbidden`` mask (row
-  ``i`` computes ``d_{G-u_i}`` from ``sources[i]``), implemented as plain
-  loops over the single-source kernels so the vectorised batched kernels in
-  :mod:`repro.graphs.int_kernels_np` have a bit-identical reference;
+  forms: one row per source under one shared ``forbidden`` mask,
+  implemented as plain loops over the single-source kernels so the
+  vectorised batched kernels in :mod:`repro.graphs.int_kernels_np` have a
+  bit-identical reference;
 * ``repair_hops_csr`` / ``repair_dijkstra_csr`` *repair* a cached distance
   row in place after some nodes' out-arcs changed, by bounded re-relaxation
   of the affected region instead of a fresh traversal (dynamic SSSP in the
@@ -42,9 +42,11 @@ Both traversals accept a ``forbidden`` node that is never entered, which lets
 :class:`repro.engine.CostEngine` compute ``d_{G-u}`` distances by masking
 ``u`` out of the *shared* profile snapshot instead of rebuilding a per-oracle
 environment graph.  The repair kernels honour the same mask, so masked
-``d_{G-u}`` rows repair exactly like unmasked ones.  On the list kernels the
-engine traverses only unmasked rows at n >= 16 and derives every masked row
-with the mask-repair kernels.
+``d_{G-u}`` rows repair exactly like unmasked ones.  The engine traverses
+masked rows only for one masked node at a time (a probe on the list kernels
+below n = 16, or on numpy's uniform games); every other masked row, a
+giant-batch report chunk's included, is derived with the mask-repair
+kernels.
 
 Edge lengths are assumed non-negative; game construction validates this
 (:meth:`repro.core.game.BBCGame._validate_tables`), so the kernels skip the
@@ -124,49 +126,25 @@ def bfs_hops_csr(
     return dist
 
 
-def per_source_forbidden(sources, forbidden) -> List[int]:
-    """Normalise the batched kernels' ``forbidden`` argument to one mask per row.
-
-    ``forbidden`` is either a single int shared by every source (the original
-    multi-kernel contract; ``-1`` = no mask) or a sequence aligned with
-    ``sources`` so row ``i`` computes ``d_{G-u_i}`` from ``sources[i]``.
-    ``forbidden[i] == sources[i]`` is contradictory and rejected, exactly like
-    the single-source kernels reject it.
-    """
-    try:
-        masks = [int(f) for f in forbidden]
-    except TypeError:
-        return [int(forbidden)] * len(sources)
-    if len(masks) != len(sources):
-        raise ValueError(
-            f"per-row forbidden masks ({len(masks)}) do not align with "
-            f"sources ({len(sources)})"
-        )
-    return masks
-
-
 def bfs_hops_csr_multi(
     indptr: Sequence[int],
     indices: Sequence[int],
     n: int,
     sources: Sequence[int],
-    forbidden=-1,
+    forbidden: int = -1,
 ) -> List[List[int]]:
     """Batched reference BFS: one :func:`bfs_hops_csr` row per source.
 
-    ``forbidden`` is a shared int or a per-row sequence (row ``i`` masks
-    ``forbidden[i]``); see :func:`per_source_forbidden`.  This is the
-    bit-identical reference for the vectorised
-    :func:`repro.graphs.int_kernels_np.bfs_hops_csr_multi`, and what every
-    batched fill of the cost engine (a probe's rows, a giant-batch report
-    chunk) runs on the python backend — a plain loop, so batching changes
-    *when* rows are computed, never their values or their cost per row.
+    ``forbidden`` is one node masked in every row (``int()`` rejects a
+    sequence with ``TypeError``).  This is the bit-identical reference for
+    the vectorised :func:`repro.graphs.int_kernels_np.bfs_hops_csr_multi`,
+    and what the cost engine's multi-row traversals (the unmasked base rows
+    it derives masked rows from, a small game's probe rows) run on the
+    python backend — a plain loop, so batching changes *when* rows are
+    computed, never their values or their cost per row.
     """
-    masks = per_source_forbidden(sources, forbidden)
-    return [
-        bfs_hops_csr(indptr, indices, n, source, mask)
-        for source, mask in zip(sources, masks)
-    ]
+    forbidden = int(forbidden)
+    return [bfs_hops_csr(indptr, indices, n, source, forbidden) for source in sources]
 
 
 def dijkstra_csr_multi(
@@ -175,17 +153,17 @@ def dijkstra_csr_multi(
     lengths: Sequence[float],
     n: int,
     sources: Sequence[int],
-    forbidden=-1,
+    forbidden: int = -1,
 ) -> List[List[float]]:
     """Batched reference Dijkstra: one :func:`dijkstra_csr` row per source.
 
     The weighted counterpart of :func:`bfs_hops_csr_multi`, with the same
-    shared-or-per-row ``forbidden`` contract.
+    one-int ``forbidden`` contract.
     """
-    masks = per_source_forbidden(sources, forbidden)
+    forbidden = int(forbidden)
     return [
-        dijkstra_csr(indptr, indices, lengths, n, source, mask)
-        for source, mask in zip(sources, masks)
+        dijkstra_csr(indptr, indices, lengths, n, source, forbidden)
+        for source in sources
     ]
 
 
@@ -258,8 +236,9 @@ def _phase1_affected(
     entered) can never lose support and are excluded.
 
     Old-graph out-edges of an edited node are reconstructed by
-    :func:`_old_out`.  Hop rows use the exact level test of
-    :func:`_lost_hops` instead.
+    :func:`_old_out`; an empty ``edit_map`` (a mask derivation) reads the
+    CSR directly.  Hop rows use the exact level test of :func:`_lost_hops`
+    instead.
     """
     affected: set = set()
     stack = list(tight_seeds)
@@ -270,7 +249,12 @@ def _phase1_affected(
         affected.add(v)
         dv = dist[v]
         v_lengths = length_rows[v]
-        for y in _old_out(indptr, indices, edit_map, v):
+        out = (
+            _old_out(indptr, indices, edit_map, v)
+            if edit_map
+            else indices[indptr[v] : indptr[v + 1]]
+        )
+        for y in out:
             if y == source or y == forbidden or y in affected:
                 continue
             if dist[y] == dv + v_lengths[y]:
@@ -308,7 +292,12 @@ def _lost_hops(hops, seeds, edit_map, indptr, indices, rev_indptr, rev_tails) ->
             else:
                 hops[y] = UNREACHED
                 lost.append(y)
-                for z in _old_out(indptr, indices, edit_map, y):
+                out = (
+                    _old_out(indptr, indices, edit_map, y)
+                    if edit_map
+                    else indices[indptr[y] : indptr[y + 1]]
+                )
+                for z in out:
                     if hops[z] == below:
                         pending.setdefault(below, []).append(z)
     return lost

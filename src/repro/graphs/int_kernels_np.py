@@ -18,13 +18,12 @@ per-edge work happens inside numpy's C loops:
 * :func:`bfs_hops_csr_multi` / :func:`dijkstra_csr_multi` — the batched
   forms: one traversal computes the rows of many sources under one shared
   mask, amortising the per-round dispatch overhead that otherwise
-  dominates on sparse graphs (a deviation probe wants every candidate
-  first-hop row of one masked node at once; ``all_costs`` and the
-  engine's base rows want unmasked rows).  The BFS also takes **per-row
-  masks** (row ``i`` computes ``d_{G-u_i}`` from ``sources[i]``), so a
-  whole uniform equilibrium report gets the rows of *every* probed node in
-  one giant sweep; weighted masked rows are derived from unmasked ones by
-  the list mask-repair kernels instead;
+  dominates on sparse graphs (a uniform deviation probe wants every
+  candidate first-hop row of one masked node at once; ``all_costs`` and
+  the engine's base rows want unmasked rows).  A giant-batch report
+  chunk's masked rows, which span many masked nodes, are not traversed:
+  the engine derives them from unmasked base rows with the list
+  mask-repair kernels;
 * :func:`repair_hops_csr_np` / :func:`repair_dijkstra_csr_np` — not array
   sweeps but adapters: they run the list repair kernels
   (``repair_hops_csr`` / ``repair_dijkstra_csr``) on a ``memoryview`` of a
@@ -212,35 +211,6 @@ def dijkstra_csr_np(
     return dist
 
 
-def _per_row_masks(sources: np.ndarray, n: int, forbidden):
-    """Normalise ``forbidden`` for :func:`bfs_hops_csr_multi`.
-
-    Returns ``(scalar_mask, per_row_array)``: exactly one of the two is
-    active — ``per_row_array`` is ``None`` for the original shared-mask form
-    (including a per-row sequence whose entries all agree, which collapses to
-    the scalar path), otherwise an int64 array aligned with ``sources`` where
-    row ``i`` masks ``per_row_array[i]`` (negative = unmasked row).  The
-    contradictory ``forbidden[i] == sources[i]`` is rejected like the
-    single-source kernels reject it.
-    """
-    if isinstance(forbidden, (int, np.integer)):
-        scalar = int(forbidden)
-        if scalar >= 0 and bool(np.any(sources == scalar)):
-            raise ValueError("the BFS source cannot be the forbidden node")
-        return scalar, None
-    forb = np.asarray(forbidden, dtype=np.int64)
-    if forb.shape != sources.shape:
-        raise ValueError(
-            f"per-row forbidden masks {forb.shape} do not align with "
-            f"sources {sources.shape}"
-        )
-    if bool(np.any((forb >= 0) & (forb == sources))):
-        raise ValueError("the BFS source cannot be the forbidden node")
-    if forb.size and bool(np.all(forb == forb[0])):
-        return int(forb[0]), None  # uniform masks: take the shared-mask path
-    return -1, forb
-
-
 def bfs_hops_csr_multi(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -263,18 +233,16 @@ def bfs_hops_csr_multi(
     — per-node deviation probes (a handful of sources, same mask) and whole
     ``all_costs`` sweeps (``S = n``) both stay traversal-cheap.
 
-    ``forbidden`` is a shared int or a sequence aligned with ``sources``:
-    with per-row masks, row ``i`` never enters ``forbidden[i]`` (its bit is
-    cleared from every reached word via a per-node blocked bitmask), so one
-    giant traversal serves ``d_{G-u_i}`` rows for *different* masked nodes
-    ``u_i`` — the substrate of whole-report batched prefetch.  Each row's
-    bits evolve exactly as they would alone (bits of different sources never
-    interact), so per-row-masked rows stay bit-identical to the
-    single-source kernel under its own mask.
+    ``forbidden`` is one node masked in every row (``int()`` rejects a
+    sequence with ``TypeError``).  Each row's bits evolve exactly as they
+    would alone (bits of different sources never interact), so every row is
+    bit-identical to the single-source kernel.
     """
     sources = np.asarray(sources, dtype=np.int64)
     num = int(sources.shape[0])
-    forbidden, forb_rows = _per_row_masks(sources, n, forbidden)
+    forbidden = int(forbidden)
+    if forbidden >= 0 and bool(np.any(sources == forbidden)):
+        raise ValueError("the BFS source cannot be the forbidden node")
     words = (num + 63) // 64
     frontier = np.zeros((n, words), dtype=np.uint64)
     bit_word = np.arange(num, dtype=np.int64) // 64
@@ -283,19 +251,6 @@ def bfs_hops_csr_multi(
     np.bitwise_or.at(frontier, (sources, bit_word), bit_mask)
     visited = frontier.copy()
     masked = 0 <= forbidden < n
-    unblocked = None
-    if forb_rows is not None:
-        # blocked[v] has bit i set when row i must never enter node v; AND-ing
-        # its complement out of each round's reached words is the per-row
-        # analogue of zeroing the shared forbidden node's words.
-        rows_masked = np.flatnonzero((forb_rows >= 0) & (forb_rows < n))
-        blocked = np.zeros_like(frontier)
-        np.bitwise_or.at(
-            blocked,
-            (forb_rows[rows_masked], bit_word[rows_masked]),
-            bit_mask[rows_masked],
-        )
-        unblocked = ~blocked
     # Hop labels are never scattered during the sweep.  Instead each round
     # increments a bit-sliced counter over the *visited* words (a carry-save
     # ripple across ceil(log2(rounds+1)) uint64 planes, so the per-round cost
@@ -348,8 +303,6 @@ def bfs_hops_csr_multi(
             np.bitwise_or.at(reached, heads, frontier[tails])
         if masked:
             reached[forbidden] = 0
-        elif unblocked is not None:
-            reached &= unblocked
         fresh = reached & ~visited
         rows = np.flatnonzero(fresh.any(axis=1))
         if rows.size == 0:
@@ -416,11 +369,6 @@ def bfs_hops_csr_multi(
     hops[np.arange(num), sources] = 0
     if masked:
         hops[:, forbidden] = UNREACHED
-    elif forb_rows is not None:
-        # Blocked bits were never set, so these entries already hold
-        # UNREACHED; the explicit write keeps the mask contract load-bearing
-        # rather than incidental.
-        hops[rows_masked, forb_rows[rows_masked]] = UNREACHED
     return hops
 
 
@@ -442,8 +390,7 @@ def dijkstra_csr_multi(
     never changes any label — only the round count shrinks.
 
     ``forbidden`` is one node masked in every row (``int()`` rejects a
-    per-row sequence: the engine derives weighted masked rows from unmasked
-    ones instead).
+    sequence with ``TypeError``).
     """
     sources = np.asarray(sources, dtype=np.int64)
     num = int(sources.shape[0])

@@ -172,43 +172,6 @@ def test_multi_source_rejects_forbidden_source():
         )
 
 
-def _random_per_row_masks(rng, sources, n):
-    """Per-row forbidden masks: a mix of -1 and random non-source nodes."""
-    masks = []
-    for s in sources:
-        if rng.random() < 0.3 or n < 2:
-            masks.append(-1)
-        else:
-            masks.append(rng.choice([v for v in range(n) if v != s]))
-    return masks
-
-
-@needs_numpy
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
-def test_per_row_mask_kernels_match_single_source(seed, n):
-    """Row i of a per-row-masked BFS batch equals a single masked traversal.
-
-    Each row computes ``d_{G-u_i}`` for its *own* masked node — the uniform
-    giant-batch substrate — so the shared frontier must never leak values
-    through a node that is forbidden for one row but live for another.
-    Covers disconnected nodes.  (The batched numpy Dijkstra takes one
-    shared mask; weighted masked rows are derived, see
-    ``test_numpy_derived_weighted_rows_match_masked_traversals``.)
-    """
-    rng = random.Random(seed)
-    rows = _random_adjacency(rng, n)
-    indptr, indices = build_csr(rows)
-    indptr_np, indices_np = npk.csr_arrays(indptr, indices)
-    sources = [rng.randrange(n) for _ in range(rng.randint(2, 2 * n))]
-    masks = _random_per_row_masks(rng, sources, n)
-    hop_matrix = npk.bfs_hops_csr_multi(indptr_np, indices_np, n, sources, masks)
-    for i, (source, forbidden) in enumerate(zip(sources, masks)):
-        assert hop_matrix[i].tolist() == bfs_hops_csr(
-            indptr, indices, n, source, forbidden
-        )
-
-
 @needs_numpy
 def test_hop_dtype_holds_any_repaired_label():
     """The hop dtype of both BFS kernels must hold every label a later repair
@@ -258,14 +221,15 @@ def test_wide_batch_dense_rounds_match_narrow_batches(seed):
     indptr, indices = build_csr(rows)
     indptr_np, indices_np = npk.csr_arrays(indptr, indices)
     num = rng.randint(193, 320)  # words >= 4
-    sources = [rng.randrange(n) for _ in range(num)]
-    for forbidden in (-1, _random_per_row_masks(rng, sources, n)):
+    masked = rng.randrange(n)
+    others = [v for v in range(n) if v != masked]
+    sources = [rng.choice(others) for _ in range(num)]
+    for forbidden in (-1, masked):
         wide = npk.bfs_hops_csr_multi(indptr_np, indices_np, n, sources, forbidden)
         step = 8
         for lo in range(0, num, step):
-            masks = forbidden if forbidden == -1 else forbidden[lo:lo + step]
             narrow = npk.bfs_hops_csr_multi(
-                indptr_np, indices_np, n, sources[lo:lo + step], masks
+                indptr_np, indices_np, n, sources[lo:lo + step], forbidden
             )
             assert np.array_equal(wide[lo:lo + step], narrow)
 
@@ -273,9 +237,9 @@ def test_wide_batch_dense_rounds_match_narrow_batches(seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 10), integral=st.booleans())
 def test_list_multi_kernels_match_single_source(seed, n, integral):
-    """The list-kernel batched forms (the reference, and the python
-    backend's giant-batch path) agree row for row with single traversals —
-    with a shared scalar mask and with per-row masks."""
+    """The list-kernel batched forms (the reference for the numpy batches,
+    and the python backend's multi-row traversals) agree row for row with
+    single traversals, unmasked and under one shared mask."""
     rng = random.Random(seed)
     rows = _random_adjacency(rng, n)
     length_rows = [
@@ -283,39 +247,45 @@ def test_list_multi_kernels_match_single_source(seed, n, integral):
         for _ in range(n)
     ]
     indptr, indices, lengths = _csr_with_lengths(rows, length_rows)
-    sources = [rng.randrange(n) for _ in range(rng.randint(2, 2 * n))]
-    masks = _random_per_row_masks(rng, sources, n)
-    non_sources = [v for v in range(n) if v not in sources]
-    shared = rng.choice(non_sources) if non_sources else -1
-    for forbidden in (masks, shared):
-        per_row = forbidden if isinstance(forbidden, list) else [forbidden] * len(sources)
+    masked = rng.randrange(n)
+    others = [v for v in range(n) if v != masked]
+    sources = [rng.choice(others) for _ in range(rng.randint(2, 2 * n))]
+    for forbidden in (-1, masked):
         assert bfs_hops_csr_multi(indptr, indices, n, sources, forbidden) == [
-            bfs_hops_csr(indptr, indices, n, s, f)
-            for s, f in zip(sources, per_row)
+            bfs_hops_csr(indptr, indices, n, s, forbidden) for s in sources
         ]
         assert dijkstra_csr_multi(
             indptr, indices, lengths, n, sources, forbidden
         ) == [
-            dijkstra_csr(indptr, indices, lengths, n, s, f)
-            for s, f in zip(sources, per_row)
+            dijkstra_csr(indptr, indices, lengths, n, s, forbidden) for s in sources
         ]
 
 
-def test_per_row_masks_reject_collisions_and_misalignment():
+def test_multi_kernels_take_one_int_mask():
+    """Every multi-source kernel masks one node in every row: a sequence of
+    masks raises ``TypeError`` and a source equal to the mask ``ValueError``."""
     indptr, indices = build_csr([[1], [0]])
-    with pytest.raises(ValueError):
-        bfs_hops_csr_multi(indptr, indices, 2, [0, 1], [1, 1])
-    with pytest.raises(ValueError):
-        dijkstra_csr_multi(indptr, indices, [1.0, 1.0], 2, [0, 1], [0, 1, 0])
+    kernels = [
+        lambda forbidden: bfs_hops_csr_multi(indptr, indices, 2, [0, 1], forbidden),
+        lambda forbidden: dijkstra_csr_multi(
+            indptr, indices, [1.0, 1.0], 2, [0, 1], forbidden
+        ),
+    ]
     if np is not None:
         indptr_np, indices_np = npk.csr_arrays(indptr, indices)
-        with pytest.raises(ValueError):
-            npk.bfs_hops_csr_multi(indptr_np, indices_np, 2, [0, 1], [1, 1])
-        # The batched numpy Dijkstra takes one mask shared by every row.
+        kernels += [
+            lambda forbidden: npk.bfs_hops_csr_multi(
+                indptr_np, indices_np, 2, [0, 1], forbidden
+            ),
+            lambda forbidden: npk.dijkstra_csr_multi(
+                indptr_np, indices_np, np.asarray([1.0, 1.0]), 2, [0, 1], forbidden
+            ),
+        ]
+    for kernel in kernels:
         with pytest.raises(TypeError):
-            npk.dijkstra_csr_multi(
-                indptr_np, indices_np, np.asarray([1.0, 1.0]), 2, [0, 1], [-1, -1]
-            )
+            kernel([-1, -1])
+        with pytest.raises(ValueError):
+            kernel(1)
 
 
 @needs_numpy
@@ -795,6 +765,58 @@ def test_numpy_weighted_walk_derives_every_masked_row(integral, monkeypatch):
 
 
 @needs_numpy
+def test_numpy_uniform_plan_chunks_derive(monkeypatch):
+    """On numpy's uniform games a report's plan chunks derive their masked
+    rows: every traversal inside a chunk is unmasked.  A following walk,
+    which plans nothing, still traverses each single-node fill under the
+    probed node's mask.  Report and walk equal the list kernels' and the
+    reference's."""
+    game = UniformBBCGame(20, 2)
+    profile = random_initial_profile(game, seed=6)
+    engine = CostEngine(game, backend="numpy")
+    log = []
+    state = {"chunk": False, "probed": None}
+    traverse, run_chunk, env_rows = engine._traverse, engine._run_plan_chunk, engine.env_rows
+
+    def recording(sources, mask):
+        log.append((state["chunk"], state["probed"], mask))
+        return traverse(sources, mask)
+
+    def chunk(u, members):
+        state["chunk"] = True
+        try:
+            return run_chunk(u, members)
+        finally:
+            state["chunk"] = False
+
+    def rows(u, first_hops):
+        state["probed"] = u
+        return env_rows(u, first_hops)
+
+    monkeypatch.setattr(engine, "_traverse", recording)
+    monkeypatch.setattr(engine, "_run_plan_chunk", chunk)
+    monkeypatch.setattr(engine, "env_rows", rows)
+    report = equilibrium_report(game, profile, engine=engine)
+    in_chunks = [mask for inside, _, mask in log if inside]
+    assert in_chunks and all(mask == -1 for mask in in_chunks)
+    assert engine.stats["giant_batch_traversals"] > 0
+    assert engine.stats["base_rows_computed"] > 0
+    log.clear()
+    walk = run_best_response_walk(
+        game, profile, max_rounds=2, record_steps=True, engine=engine
+    )
+    masked = [(probed, mask) for _, probed, mask in log if mask != -1]
+    assert masked and all(mask == probed for probed, mask in masked)
+    for reference in (CostEngine(game, backend="python"), False):
+        expected = equilibrium_report(game, profile, engine=reference)
+        assert report.responses == expected.responses
+        assert report.max_regret == expected.max_regret
+        assert walk == run_best_response_walk(
+            game, profile, max_rounds=2, record_steps=True, engine=reference
+        )
+
+
+@needs_numpy
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(3, 12), integral=st.booleans())
 def test_numpy_derived_weighted_rows_match_masked_traversals(seed, n, integral):
@@ -953,8 +975,7 @@ def test_giant_batch_under_tiny_budget_evicts_mid_report_and_stays_exact(backend
         assert walk.probes == walk_ref.probes
         assert walk.deviations == walk_ref.deviations
         assert engine.cache_bytes() <= bound
-        if engine._derive:
-            assert engine.stats["base_rows_computed"] > 0
+        assert engine.stats["base_rows_computed"] > 0
 
 
 def test_swap_stability_report_uses_the_plan_and_matches_reference():

@@ -881,7 +881,6 @@ def test_traversal_kernels_are_called_only_from_the_dispatch():
         "hop_dtype",
         "bfs_hops_csr_np",
         "dijkstra_csr_np",
-        "_per_row_masks",
         "bfs_hops_csr_multi",
         "dijkstra_csr_multi",
         "int_to_float_rows",
