@@ -26,16 +26,21 @@ def _report_engine(game, profile, candidates, engine):
     working set is known up front; handing it to
     :meth:`~repro.engine.cost_engine.CostEngine.plan_report_prefetch` lets
     the engine fill it chunk by chunk, one giant batch per chunk, instead
-    of one small batch per node.  Returns the resolved
-    engine to thread into the per-node probes (or ``engine`` unchanged when
-    the reference path was requested or the engine subsystem resolves to
-    none).  Planning never changes a computed value, only the batching.
+    of one small batch per node.  The engine plans exactly the nodes a
+    restriction map lists, so a node the report's ``candidates`` leave out
+    (every other node is its candidate) is listed with ``None``.  Returns
+    the resolved engine to thread into the per-node probes (or ``engine``
+    unchanged when the reference path was requested or the engine subsystem
+    resolves to none).  Planning never changes a computed value, only the
+    batching.
     """
     from ..engine import resolve_engine
 
     resolved = resolve_engine(game, engine)
     if resolved is None:
         return engine
+    if candidates is not None:
+        candidates = {node: candidates.get(node) for node in game.nodes}
     resolved.plan_report_prefetch(profile, candidates)
     return resolved
 

@@ -58,10 +58,13 @@ weighted games).  There a missing masked row is never traversed:
 nodes whose every shortest path from ``a`` ran through ``u`` and re-settle
 them from their intact in-boundary, in place on a copy of the base row;
 the result is bit-identical to the masked traversal.  Base rows are one per source, cached in the same store
-under their own key: stamped with the version, repaired across the edit log
-like any node's rows (counted in ``stats["base_rows_repaired"]``) and
-filled, when missing, by one unmasked traversal of the backend
-(``stats["base_rows_computed"]``); ``rows_computed``, ``rows_repaired`` and
+under their own key: stamped with the version, repaired on read across the
+edit log like any node's rows (counted in ``stats["base_rows_repaired"]``)
+and filled, when missing, by one unmasked traversal of the backend
+(``stats["base_rows_computed"]``).  A fill repairs only the stale base rows
+it reads; the unread stale ones are dropped (``stats["rows_evicted"]``)
+and re-traversed when a later fill reads them, so the ledger charges the
+rows kept; ``rows_computed``, ``rows_repaired`` and
 ``rows_reused`` keep counting masked rows only.  A round-robin walk, whose
 masked rows are stale again by the time a node is re-probed, thus pays one
 small repair per base row and sync instead of ``n - 1`` fresh masked
@@ -148,7 +151,9 @@ plan into contiguous chunks of roughly
 chunk per fill, lazily, as probes first touch a planned node.  The
 short-circuiting checkers (``is_pure_nash``, ``first_unstable_node``)
 deliberately do not plan — rows staged for nodes never probed would be
-wasted.  Planning changes only *when* rows are
+wasted.  A restriction map plans exactly the nodes it lists (a service
+batch lists only its queried nodes); ``None`` plans every node.  Planning
+changes only *when* rows are
 computed, never their values: every giant-batch result is bit-identical to
 the per-node path and to the dict reference, pinned by
 ``tests/test_backend_parity.py``.

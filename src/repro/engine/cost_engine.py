@@ -709,11 +709,12 @@ class CostEngine:
         self._plan_chunk_of = {}
 
     def plan_report_prefetch(self, profile: StrategyProfile, candidates=None) -> int:
-        """Plan one report's whole row working set for giant-batch execution.
+        """Plan the rows a report, or the nodes a map lists, will read, for giant batches.
 
-        ``candidates`` mirrors :func:`repro.core.equilibrium
-        .equilibrium_report`'s restriction dict ``{label: candidate
-        labels}``; ``None`` (or a missing node) means every other node.  Per
+        ``candidates`` maps each node to plan to its candidate labels
+        (``None``: every other node); exactly the nodes it lists are
+        planned, so a service batch stages only the rows its queries read.
+        ``candidates=None`` plans every node against every other node.  Per
         node the wanted first hops are those a probe of it reads
         (:meth:`_probe_hops`), grouped into byte-bounded chunks.  The first
         subsequent :meth:`env_rows` call for any planned node, on either
@@ -727,12 +728,16 @@ class CostEngine:
         """
         self.sync(profile)
         self._clear_plan()
+        if candidates is None:
+            candidates = dict.fromkeys(self.indexed.labels)
+        index = self.indexed.index
         pairs: List[Tuple[int, List[int]]] = []
         total = 0
-        for u, label in enumerate(self.indexed.labels):
-            hops = self._probe_hops(
-                u, candidates.get(label) if candidates is not None else None
-            )
+        for label, node_candidates in candidates.items():
+            u = index.get(label)
+            if u is None:
+                continue
+            hops = self._probe_hops(u, node_candidates)
             if not hops:
                 continue
             total += len(hops)
@@ -970,15 +975,26 @@ class CostEngine:
     def _base_rows(self, sources: List[int]) -> Dict[int, Row]:
         """The current unmasked base rows ``{a: d_G(a, ·)}``, covering ``sources``.
 
-        Brings the ``_BASE`` entry current (repairing it across the edit log
-        like any node's rows), then fills every missing source in one
-        unmasked :meth:`_traverse`, charged to the ledger under ``_BASE``
-        and counted in ``base_rows_computed``.
+        A stale ``_BASE`` entry keeps only the requested sources it caches,
+        which are repaired across the edit log like any node's rows; the
+        unread stale rows are dropped (counted in ``rows_evicted``) and come
+        back through the unmasked traversal when a later fill reads them.
+        Every missing source is then filled in one unmasked
+        :meth:`_traverse`, charged to the ledger under ``_BASE`` and counted
+        in ``base_rows_computed``.
         """
+        sources = list(dict.fromkeys(sources))
+        entry = self._env_cache.get(_BASE)
+        if entry is not None and entry[0] != self.version:
+            kept = {a: entry[1][a] for a in sources if a in entry[1]}
+            self.stats["rows_evicted"] += self._drop_node(_BASE) - len(kept)
+            if kept:
+                self._env_cache[_BASE] = (entry[0], kept)
+                self._ledger.add(_BASE, _payload_nbytes(next(iter(kept.values()))) * len(kept))
         self._ensure_current(_BASE)
         entry = self._env_cache.get(_BASE)
         cached = entry[1] if entry is not None else {}
-        missing = [a for a in dict.fromkeys(sources) if a not in cached]
+        missing = [a for a in sources if a not in cached]
         if missing:
             rows = self._traverse(missing, -1)
             cached = self._env_cache.setdefault(_BASE, (self.version, {}))[1]

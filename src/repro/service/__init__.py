@@ -27,8 +27,8 @@ The layer cake, bottom up:
   writes committed atomically through validation → engine sync → publish.
 * :mod:`repro.service.batching` — :class:`Query` / :class:`Response` and
   the coalescing executor: a run of concurrent reads against one game
-  version stages its whole row working set through
-  :meth:`~repro.engine.CostEngine.plan_report_prefetch` and drains it in
+  version stages the rows its queries read through
+  :meth:`~repro.engine.CostEngine.plan_report_prefetch` and drains them in
   giant multi-source traversals, bit-identical to serving each query
   alone.
 * :mod:`repro.service.service` — :class:`GameService`: one asyncio worker

@@ -3,12 +3,13 @@
 The service's unit of work is a **batch**: the run of read queries its
 worker loop drained from the queue between two strategy updates.  All reads
 in a batch execute against the same ``(version, profile)`` pair, and for
-integral games the batch's whole row working set is staged up front through
+integral games the rows the batch's queries read are staged up front through
 :meth:`~repro.engine.CostEngine.plan_report_prefetch` — the same giant-batch
 substrate whole-profile reports ride — so ``q`` concurrent cost /
 best-response / what-if queries against one game version cost one
-giant-batch fill per chunk instead of ``q`` small
-batches.  Coalescing changes only *when* rows are computed, never their
+giant-batch fill per chunk instead of ``q`` small batches.  The plan lists
+only the queried nodes: rows of nodes no query touches are neither planned
+nor repaired.  Coalescing changes only *when* rows are computed, never their
 values (the engine's giant-batch contract), so a batched response is
 bit-identical to the same query served alone.
 
@@ -272,24 +273,18 @@ def execute_query(entry: GameEntry, query: Query) -> Response:
     return _respond(entry, query.kind, lambda: _serve_query(entry, query))
 
 
-def _plan_candidates(entry: GameEntry, queries: List[Query]):
+def _plan_candidates(entry: GameEntry, queries: List[Query]) -> Dict[object, list]:
     """Build the prefetch restriction map for a batch of integral reads.
 
-    Returns ``(should_plan, candidates_map)``.  A ``report`` query subsumes
-    every per-node probe, so its own restriction map (or the full working
-    set) is planned; otherwise every game node gets an explicit entry — the
-    probed nodes their candidate / hypothetical first hops, all others an
-    empty list — because :meth:`CostEngine.plan_report_prefetch` treats a
-    *missing* node as "plan every row" (full-report semantics).  The engine
-    always adds a node's current arcs itself, which is exactly the working
-    set of a plain ``cost`` query; ``all_costs`` / ``social_cost`` use the
-    engine's own batched full-row sweep and need no planning.
+    Maps each node a ``cost`` / ``best_response`` / ``what_if`` query probes
+    to the first hops it reads beyond its current arcs, which the engine
+    adds itself: a ``best_response``'s candidates, a ``what_if``'s
+    hypothetical targets, nothing for a plain ``cost``.  The engine plans
+    exactly the listed nodes.  ``report`` queries stage their own plan
+    through :func:`~repro.core.equilibrium.equilibrium_report`, and
+    ``all_costs`` / ``social_cost`` use the engine's own batched full-row
+    sweep, so none of them is listed.
     """
-    report_queries = [q for q in queries if q.kind == "report"]
-    if report_queries:
-        if len(report_queries) == 1:
-            return True, report_queries[0].candidates
-        return True, None
     touched: Dict[object, list] = {}
     for query in queries:
         if query.kind == "best_response":
@@ -301,25 +296,22 @@ def _plan_candidates(entry: GameEntry, queries: List[Query]):
         elif query.kind == "what_if":
             wanted = list(query.strategy) if query.strategy else []
         elif query.kind == "cost":
-            wanted = []  # current arcs are added by the engine itself
+            wanted = []
         else:
             continue
         seen = touched.setdefault(query.node, [])
         touched[query.node] = list(dict.fromkeys([*seen, *wanted]))
-    if not touched:
-        return False, None
-    candidates = {label: [] for label in entry.game.nodes}
-    candidates.update(touched)
-    return True, candidates
+    return touched
 
 
 def execute_batch(entry: GameEntry, queries: List[Query]) -> List[Response]:
     """Execute a drained run of read queries as one coalesced batch.
 
-    For integral entries with at least two row-touching queries, the whole
-    working set is staged via ``plan_report_prefetch`` first, so the
-    per-query probes drain giant chunks instead of issuing per-node
-    traversals.  Order is preserved; every query gets exactly one response.
+    For integral entries with at least two row-touching queries, the rows
+    of the queried nodes (:func:`_plan_candidates`) are staged via
+    ``plan_report_prefetch`` first, so the per-query probes drain giant
+    chunks instead of issuing per-node traversals.  Order is preserved;
+    every query gets exactly one response.
     """
     row_queries = [q for q in queries if q.kind in ROW_QUERY_KINDS]
     if (
@@ -328,8 +320,8 @@ def execute_batch(entry: GameEntry, queries: List[Query]) -> List[Response]:
         and entry.engine is not None
     ):
         try:
-            should_plan, candidates = _plan_candidates(entry, row_queries)
-            if should_plan:
+            candidates = _plan_candidates(entry, row_queries)
+            if candidates:
                 entry.engine.plan_report_prefetch(entry.profile, candidates)
         except BBCError:
             # Planning is an optimisation only — never let it fail a batch;

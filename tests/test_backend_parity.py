@@ -764,6 +764,48 @@ def test_numpy_weighted_walk_derives_every_masked_row(integral, monkeypatch):
         )
 
 
+@pytest.mark.parametrize(
+    "backend", ["python", pytest.param("numpy", marks=needs_numpy)]
+)
+def test_a_fill_repairs_only_the_base_rows_it_reads(backend):
+    """Base rows are repaired on read: after one local sync, a fill that
+    reads k of the cached base rows repairs exactly those k and drops the
+    other stale ones, the ledger charges only the rows kept, and the derived
+    rows equal the list kernels' and the reference's."""
+    n = 20
+    game = _weighted_game(n, seed=8)
+    profile = random_initial_profile(game, seed=3)
+    engine = CostEngine(game, backend=backend)
+    engine.sync(profile)
+    engine._base_rows(list(range(n)))
+    assert set(engine._env_cache[cost_engine._BASE][1]) == set(range(n))
+    # One local sync that changes the graph: node 5 buys a link it lacked.
+    mover, node = 5, 0
+    arcs = sorted(profile.strategy(mover))
+    target = next(v for v in range(n) if v not in arcs and v != mover)
+    profile = profile.with_strategy(mover, frozenset(arcs[1:] + [target]))
+    engine.sync(profile)
+    candidates = [v for v in (3, 7, 11) if v not in profile.strategy(node)]
+    hops = list(dict.fromkeys([*candidates, *sorted(profile.strategy(node))]))
+    repaired = engine.stats["base_rows_repaired"]
+    result = best_response(game, profile, node, candidates=candidates, engine=engine)
+    assert engine.stats["base_rows_repaired"] - repaired == len(hops)
+    version, bases = engine._env_cache[cost_engine._BASE]
+    assert version == engine.version and set(bases) == set(hops)
+    assert engine.cache_bytes() == sum(
+        cost_engine._payload_nbytes(row)
+        for _, rows in engine._env_cache.values()
+        for row in rows.values()
+    )
+    reference = CostEngine(game, backend="python")
+    reference.sync(profile)
+    for row, expected in zip(engine.env_rows(node, hops), reference.env_rows(node, hops)):
+        _float_rows_equal(expected, row)
+    assert result == best_response(
+        game, profile, node, candidates=candidates, engine=False
+    )
+
+
 @needs_numpy
 def test_numpy_uniform_plan_chunks_derive(monkeypatch):
     """On numpy's uniform games a report's plan chunks derive their masked

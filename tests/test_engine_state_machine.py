@@ -233,14 +233,28 @@ class CostEngineMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     # Engine-side events
     # ------------------------------------------------------------------ #
-    @rule(restricted=st.booleans())
-    def plan_report(self, restricted):
+    @rule(data=st.data())
+    def plan_report(self, data):
+        # None plans every node against every other; a restriction map, over
+        # every node or over a drawn subset (as a service batch lists only
+        # its queried nodes), plans exactly the nodes it lists.
+        listed = data.draw(
+            st.none()
+            | st.just(self.nodes)
+            | st.lists(st.sampled_from(self.nodes), min_size=1, unique=True),
+            label="planned nodes",
+        )
+        others = {node: [v for v in self.nodes if v != node] for node in self.nodes}
         candidates = None
-        if restricted:
-            candidates = {
-                node: [v for v in self.nodes if v != node][:4] for node in self.nodes
-            }
-        self.engine.plan_report_prefetch(self.profile, candidates)
+        if listed is not None:
+            candidates = {node: others[node][:4] for node in listed}
+        planned = self.engine.plan_report_prefetch(self.profile, candidates)
+        wanted = others if candidates is None else candidates
+        index = self.engine.indexed.index
+        assert set(self.engine._plan_chunk_of) == {index[node] for node in wanted}
+        assert planned == sum(
+            len({*hops, *self.profile.strategy(node)}) for node, hops in wanted.items()
+        )
 
     @rule(budget=st.sampled_from([0, 600, 4_000, None]))
     def set_budget(self, budget):

@@ -85,7 +85,10 @@ def test_uniform_games_cache_one_exact_hop_row_per_pair(backend, entry_bytes):
         node: rng.sample([v for v in game.nodes if v != node], 4)
         for node in game.nodes
     }
-    engine.plan_report_prefetch(profile, {0: candidates[0], 1: candidates[1]})
+    planned = engine.plan_report_prefetch(profile, {0: candidates[0], 1: candidates[1]})
+    # Exactly the listed nodes are planned: their candidates plus current arcs.
+    assert planned == sum(len({*candidates[u], *profile.strategy(u)}) for u in (0, 1))
+    assert set(engine._plan_chunk_of) == {0, 1}
     for step in range(6):
         node = step % 3  # nodes 0 and 1 planned, node 2 per-node filled
         best_response(game, profile, node, candidates=candidates[node], engine=engine)

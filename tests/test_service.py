@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import FractionalBBCGame, UniformBBCGame, equilibrium_report
 from repro.core.errors import InvalidStrategy
+from repro.experiments.workloads import random_initial_profile
 from repro.reliability import FaultPlan, FaultRule, active_faults
 from repro.rng import as_rng
 from repro.service import (
@@ -30,6 +31,7 @@ from repro.service import (
     ServiceClosedError,
     UnknownGameError,
 )
+from repro.service.batching import execute_query
 from repro.service.catalog import KIND_INTEGRAL
 
 
@@ -257,6 +259,79 @@ class TestBatching:
 
         for together, alone in zip(run(batched()), run(solo())):
             assert together.comparable() == alone.comparable()
+
+    def test_batch_plans_and_repairs_only_the_queried_nodes(self):
+        game = UniformBBCGame(24, 2)
+        profile = random_initial_profile(game, seed=2)
+        queries = [
+            Query(kind="cost", node=1),
+            Query(kind="cost", node=2),
+            Query(kind="best_response", node=3, candidates=(0, 9, 14)),
+        ]
+        # No mover is queried, so every queried row goes stale on each update.
+        updates = [(20, (21, 22)), (21, (3, 4)), (22, (5, 6))]
+
+        async def scenario():
+            async with GameService() as svc:
+                entry = svc.register("g", game, profile=profile, backend="python")
+                engine = entry.engine
+                planned = []
+                plan = engine.plan_report_prefetch
+
+                def recording(*args):
+                    planned.append(plan(*args))
+                    return planned[-1]
+
+                engine.plan_report_prefetch = recording
+                # The report caches every node's rows under its own plan.
+                await svc.report("g")
+                for node, strategy in updates[:2]:
+                    await svc.update("g", node, strategy)
+                del planned[:]
+                first = await svc.gather("g", queries)
+                first_plan = planned[:]
+                await svc.update("g", *updates[2])
+                queried = {engine.indexed.index[q.node] for q in queries}
+                stamps = {
+                    u: version
+                    for u, (version, _) in engine._env_cache.items()
+                    if u >= 0 and u not in queried
+                }
+                want_repaired = sum(len(engine._env_cache[u][1]) for u in queried)
+                repaired = engine.stats["rows_repaired"]
+                second = await svc.gather("g", queries)
+                after = {
+                    u: engine._env_cache[u][0] for u in stamps if u in engine._env_cache
+                }
+                return (
+                    first, second, first_plan, stamps, after,
+                    engine.stats["rows_repaired"] - repaired, want_repaired,
+                )
+
+        first, second, first_plan, stamps, after, repaired, want = run(scenario())
+        # Exactly the queried nodes' rows are planned: current arcs for the
+        # cost reads, candidates plus current arcs for the best response.
+        current = profile
+        for node, strategy in updates[:2]:
+            current = current.with_strategy(node, frozenset(strategy))
+        reads = {1: (), 2: (), 3: (0, 9, 14)}
+        assert first_plan == [
+            sum(
+                len({*extra, *current.strategy(node)} - {node})
+                for node, extra in reads.items()
+            )
+        ]
+        # The second batch repairs the queried nodes' rows and leaves every
+        # other node's stale rows as they were.
+        assert repaired == want > 0
+        assert stamps and after == stamps
+        # Every response equals the same query served alone.
+        alone = GameCatalog().register("g", game, profile=profile, backend="python")
+        for batch, moves in ((first, updates[:2]), (second, updates[2:])):
+            for node, strategy in moves:
+                alone.apply_update(node, strategy)
+            expected = [execute_query(alone, query) for query in queries]
+            assert [r.comparable() for r in batch] == [r.comparable() for r in expected]
 
 
 # --------------------------------------------------------------------------
