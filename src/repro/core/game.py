@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -173,6 +174,18 @@ class BBCGame:
         """Return ``l(source, target)``, the length of the link if present."""
         return self._link_lengths.get((source, target), self._default_link_length)
 
+    def pair_overrides(self, table: str) -> Tuple[PairFunction, float]:
+        """Return a read-only view of the sparse ``table`` and its default.
+
+        ``table`` is ``"weights"`` or ``"link_lengths"``; every pair missing
+        from the view takes the default.
+        """
+        overrides, default = {
+            "weights": (self._weights, self._default_weight),
+            "link_lengths": (self._link_lengths, self._default_link_length),
+        }[table]
+        return MappingProxyType(overrides), default
+
     def budget(self, node: Node) -> float:
         """Return ``b(node)``, the node's total link budget."""
         return self._budgets.get(node, self._default_budget)
@@ -208,17 +221,6 @@ class BBCGame:
         """
         lengths = set(self._link_lengths.values()) | {self._default_link_length}
         return len(lengths) == 1
-
-    @property
-    def has_uniform_weights(self) -> bool:
-        """Return ``True`` when every preference weight equals the default.
-
-        Together with :attr:`has_uniform_lengths` this licences the engine's
-        O(n) indexed-snapshot fast path: all parameter rows collapse to shared
-        constant rows instead of n² per-pair probes.
-        """
-        weights = set(self._weights.values()) | {self._default_weight}
-        return len(weights) == 1
 
     # ------------------------------------------------------------------ #
     # Strategies and profiles

@@ -1,12 +1,14 @@
 """Dense int-indexed view of a :class:`~repro.core.game.BBCGame`.
 
-Game parameters live in sparse ``{(label, label): value}`` dicts with default
-fallbacks, which is the right representation for *defining* games but makes
-every hot-loop access a tuple construction plus a dict probe.
-:class:`IndexedGame` materialises what the hot loops actually read — link
-lengths plus each node's positive-preference targets and their weights — once
-into flat per-node rows indexed by dense ints, so the cost engine's inner
-loops are plain list lookups.
+A game keeps its parameters as sparse ``{(label, label): value}`` overrides
+over defaults, which suits *defining* games but makes every hot-loop access a
+tuple construction plus a dict probe.  :class:`IndexedGame` materialises what
+the hot loops read — link lengths plus each node's positive-preference targets
+and their weights — into flat per-node rows indexed by dense ints, built from
+the overrides (:meth:`~repro.core.game.BBCGame.pair_overrides`) without
+probing the n² pairs.  Nodes without overrides share one default row per
+parameter, which keeps an n ~ 16k uniform game at megabytes, not gigabytes;
+rows are read-only — nothing writes to them and no public method returns one.
 
 The mapping is fixed at construction: ``labels[i]`` is the label of int node
 ``i`` and ``index[label]`` inverts it.  Declaration order is preserved, which
@@ -16,7 +18,7 @@ keeps engine results deterministic and aligned with the reference
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 from ..core.game import BBCGame
 from ..core.objectives import Objective
@@ -65,50 +67,33 @@ class IndexedGame:
         # scorer's C-level fast path over penalty-substituted rows.
         self.penalty_dominates = self.penalty >= (self.n - 1) * self.unit_length
 
-        self.length_rows: List[List[float]] = []
-        self.target_rows: List[List[int]] = []
-        self.target_weight_rows: List[List[float]] = []
-        if self.n >= 2 and game.has_uniform_weights and game.has_uniform_lengths:
-            # O(n) snapshot for constant-parameter games (every uniform game):
-            # all rows are known without probing the n^2 node pairs, and the
-            # constant length/weight rows can be *shared* across nodes — the
-            # rows are read-only everywhere downstream, so aliasing one list n
-            # times is safe and drops the snapshot from the gigabyte scale
-            # that made n ~ 16k games unconstructible.  Only `target_rows`
-            # differ per node (each excludes its own index) and stay distinct.
-            length = self.unit_length
-            shared_lengths = [length] * self.n
-            self.length_rows = [shared_lengths] * self.n
-            weight = game.weight(self.labels[0], self.labels[1])
-            if weight > 0:
-                base = list(range(self.n))
-                self.target_rows = [base[:u] + base[u + 1 :] for u in range(self.n)]
-                shared_weights = [weight] * (self.n - 1)
-                self.target_weight_rows = [shared_weights] * self.n
-            else:
-                empty: List[int] = []
-                self.target_rows = [empty] * self.n
-                self.target_weight_rows = [empty] * self.n
-            self.unit_weight_nodes: List[bool] = [weight == 1.0 or weight <= 0] * self.n
-            lengths_integral = float(length).is_integer()
-        else:
-            for u, source in enumerate(self.labels):
-                weights = [game.weight(source, target) for target in self.labels]
-                weights[u] = 0.0
-                self.length_rows.append(
-                    [game.link_length(source, target) for target in self.labels]
-                )
-                targets = [v for v, w in enumerate(weights) if v != u and w > 0]
-                self.target_rows.append(targets)
-                self.target_weight_rows.append([weights[v] for v in targets])
-            # Whether each node's positive weights are all exactly 1.0, computed
-            # once here so per-probe scorer construction is O(1) in n.
-            self.unit_weight_nodes = [
-                all(w == 1.0 for w in row) for row in self.target_weight_rows
-            ]
-            lengths_integral = all(
-                float(length).is_integer() for row in self.length_rows for length in row
-            )
+        n = self.n
+        length_overrides, default_length = game.pair_overrides("link_lengths")
+        self.length_rows: List[List[float]] = [[default_length] * n] * n
+        for u, row in self._override_rows(length_overrides, default_length).items():
+            self.length_rows[u] = row
+        # Self pairs are rejected by the game, so the default sits on every
+        # diagonal: the lengths present are the default and the overrides.
+        lengths_integral = all(
+            float(length).is_integer()
+            for length in (default_length, *length_overrides.values())
+        )
+
+        weight_overrides, default_weight = game.pair_overrides("weights")
+        base = list(range(n)) if default_weight > 0 else []
+        self.target_rows: List[List[int]] = [base[:u] + base[u + 1 :] for u in range(n)]
+        shared_weights = [default_weight] * len(self.target_rows[0])
+        self.target_weight_rows: List[List[float]] = [shared_weights] * n
+        # Whether each node's positive weights are all exactly 1.0, computed
+        # once here so per-probe scorer construction is O(1) in n; a node
+        # without targets (n = 1, or a zero default) counts as unit-weight.
+        self.unit_weight_nodes = [not shared_weights or default_weight == 1.0] * n
+        for u, row in self._override_rows(weight_overrides, default_weight).items():
+            row[u] = 0.0
+            targets = [v for v, weight in enumerate(row) if weight > 0]
+            self.target_rows[u] = targets
+            self.target_weight_rows[u] = [row[v] for v in targets]
+            self.unit_weight_nodes[u] = all(row[v] == 1.0 for v in targets)
         # When labels already are 0..n-1 (every uniform game), label->int
         # translation is the identity and scorers can skip it entirely.  The
         # type check matters: floats/bools numerically equal to 0..n-1 would
@@ -135,6 +120,18 @@ class IndexedGame:
             and self.n * max(self.penalty, (self.n - 1) * self.unit_length) <= 2.0**53
             and lengths_integral
         )
+
+    def _override_rows(
+        self, overrides: Mapping[Tuple[Node, Node], float], default: float
+    ) -> Dict[int, List[float]]:
+        """Return the full row of each source in ``overrides``, by int node."""
+        rows: Dict[int, List[float]] = {}
+        for (source, target), value in overrides.items():
+            u = self.index[source]
+            if u not in rows:
+                rows[u] = [default] * self.n
+            rows[u][self.index[target]] = value
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexedGame(n={self.n}, objective={self.objective.value})"

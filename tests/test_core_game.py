@@ -50,6 +50,11 @@ def test_nonuniform_tables_and_validation():
     assert game.link_length("b", "c") == 4.0
     assert not game.is_uniform
     assert not game.has_uniform_lengths
+    weights, default_weight = game.pair_overrides("weights")
+    assert dict(weights) == {("a", "b"): 2.0} and default_weight == 0.0
+    assert dict(game.pair_overrides("link_lengths")[0]) == {("b", "c"): 4.0}
+    with pytest.raises(TypeError):
+        weights[("a", "c")] = 1.0
     with pytest.raises(InvalidGameDefinition):
         BBCGame(nodes=["a", "a"])
     with pytest.raises(InvalidGameDefinition):

@@ -15,7 +15,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     BBCGame,
@@ -657,13 +657,15 @@ def test_float_labels_do_not_take_the_int_fast_path():
 
 
 def _assert_snapshot_matches_game(indexed, game):
-    # The generic snapshot loop's definition, spelled out via the public
-    # game API: whatever construction path IndexedGame took, its rows must
-    # equal this per-pair reconstruction.
+    # The snapshot's definition, spelled out per pair via the public game
+    # API: however IndexedGame builds its rows, they must equal this.
+    n = len(indexed.labels)
+    lengths = [
+        [game.link_length(source, target) for target in indexed.labels]
+        for source in indexed.labels
+    ]
     for u, source in enumerate(indexed.labels):
-        assert indexed.length_rows[u] == [
-            game.link_length(source, target) for target in indexed.labels
-        ]
+        assert indexed.length_rows[u] == lengths[u]
         weights = [game.weight(source, target) for target in indexed.labels]
         weights[u] = 0.0
         targets = [v for v, w in enumerate(weights) if v != u and w > 0]
@@ -672,35 +674,77 @@ def _assert_snapshot_matches_game(indexed, game):
         assert indexed.unit_weight_nodes[u] == all(
             weights[v] == 1.0 for v in targets
         )
+    values = {length for row in lengths for length in row}
+    longest = max(values)
+    integral = all(float(length).is_integer() for length in values)
+    penalty = game.disconnection_penalty
+    assert indexed.uniform_lengths == (len(values) == 1)
+    assert indexed.unit_length == longest
+    assert indexed.penalty_dominates == (penalty >= (n - 1) * longest)
+    assert indexed.integral_lengths == (integral and (n - 1) * longest <= 2.0**53)
+    assert indexed.exact_sums == (
+        float(penalty).is_integer()
+        and n * max(penalty, (n - 1) * longest) <= 2.0**53
+        and integral
+    )
 
 
-def test_indexed_snapshot_fast_path_matches_per_pair_probing():
+@st.composite
+def _sparse_games(draw):
+    n = draw(st.integers(1, 7))
+    labels = draw(
+        st.sampled_from(
+            [
+                list(range(n)),
+                random.Random(n).sample(range(10, 10 + 3 * n), n),
+                [f"node-{i}" for i in reversed(range(n))],
+            ]
+        )
+    )
+    default_weight = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    default_length = draw(st.sampled_from([1.0, 2.0, 1.5]))
+    pairs = [(s, t) for s in labels for t in labels if s != t]
+    weight_values = st.sampled_from([0.0, 1.0, 2.5, 3, default_weight])
+    length_values = st.sampled_from([1.0, 2.0, 0.5, 3.25, 4, default_length])
+
+    def sparse(values):
+        # A game with one node has no pairs to draw from.
+        return draw(st.dictionaries(st.sampled_from(pairs), values, max_size=12)) if pairs else {}
+
+    if draw(st.booleans()):
+        # A dense table that overrides every off-diagonal pair.
+        weights = {pair: draw(weight_values) for pair in pairs}
+    else:
+        weights = sparse(weight_values)
+    lengths = sparse(length_values)
+    return BBCGame(
+        labels,
+        weights=weights,
+        link_lengths=lengths,
+        default_weight=default_weight,
+        default_link_length=default_length,
+        disconnection_penalty=draw(st.sampled_from([None, 1.0, 7.5, 2.0**60])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=_sparse_games())
+@example(game=BBCGame(range(1), default_weight=2.5))
+@example(game=UniformBBCGame(9, 2))
+def test_indexed_snapshot_matches_per_pair_probing(game):
     from repro.engine import IndexedGame
 
-    # Constant-parameter games take the O(n) shared-row fast path …
-    _assert_snapshot_matches_game(IndexedGame(UniformBBCGame(9, 2)), UniformBBCGame(9, 2))
-    # … including with redundant overrides equal to the defaults (the
-    # has_uniform_* predicates are value-based, not dict-emptiness-based) …
-    redundant = BBCGame(
-        nodes=range(6),
-        weights={(0, 1): 1.0, (3, 2): 1.0},
-        link_lengths={(2, 4): 1.0},
-        default_budget=2.0,
-    )
-    _assert_snapshot_matches_game(IndexedGame(redundant), redundant)
-    # … and with an all-zero weight default (no targets anywhere).
-    zero_weight = BBCGame(nodes=range(5), default_weight=0.0, default_budget=1.0)
-    indexed = IndexedGame(zero_weight)
-    _assert_snapshot_matches_game(indexed, zero_weight)
-    assert all(row == [] for row in indexed.target_rows)
-    # Non-uniform parameters stay on the generic per-pair loop; same contract.
-    weighted = BBCGame(
-        nodes=range(7),
-        weights={(0, 3): 2.5, (1, 2): 0.0},
-        link_lengths={(4, 5): 3.0},
-        default_budget=2.0,
-    )
-    _assert_snapshot_matches_game(IndexedGame(weighted), weighted)
+    indexed = IndexedGame(game)
+    _assert_snapshot_matches_game(indexed, game)
+    # Memory contract: nodes without overrides share one row object per
+    # parameter, however large n is.
+    for table, rows in (
+        ("link_lengths", indexed.length_rows),
+        ("weights", indexed.target_weight_rows),
+    ):
+        overridden = {indexed.index[source] for source, _ in game.pair_overrides(table)[0]}
+        plain = [rows[u] for u in range(indexed.n) if u not in overridden]
+        assert len({id(row) for row in plain}) <= 1
 
 
 def test_explicit_engine_for_wrong_game_is_rejected():

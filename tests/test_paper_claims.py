@@ -143,7 +143,12 @@ def test_thm6_convergence_to_strong_connectivity():
     random_rows, adversarial_rows = table.rows(0), table.rows(1)
     assert all(row["within_bound"] for row in random_rows)
     assert all(row["probes_to_connectivity"] <= row["n_squared"] for row in adversarial_rows)
-    # The adversarial probe counts grow super-linearly in n.
+    # On the committed ring+path rows the probe count is the closed form
+    # p * floor(3 (p + 1) / 2), p the path length: 18, 45, 84 for p = 3, 5, 7 ...
+    for row in adversarial_rows:
+        p = row["path"]
+        assert row["probes_to_connectivity"] == p * ((3 * (p + 1)) // 2)
+    # ... so the adversarial probe counts grow super-linearly in n.
     probes = [row["probes_to_connectivity"] for row in adversarial_rows]
     sizes = [row["n"] for row in adversarial_rows]
     assert probes[-1] / probes[0] > (sizes[-1] / sizes[0]) * 1.2
