@@ -374,21 +374,6 @@ def best_response(
     )
 
 
-def best_response_cost(
-    game: BBCGame,
-    profile: StrategyProfile,
-    node: Node,
-    *,
-    candidates: Optional[Sequence[Node]] = None,
-    limit: float = DEFAULT_ENUMERATION_LIMIT,
-    engine=None,
-) -> float:
-    """Return only the optimal achievable cost for ``node`` (convenience)."""
-    return best_response(
-        game, profile, node, candidates=candidates, limit=limit, engine=engine
-    ).best_cost
-
-
 def greedy_response(
     game: BBCGame,
     profile: StrategyProfile,
@@ -507,16 +492,3 @@ def single_swap_response(
         evaluated=evaluated,
         improved=improved,
     )
-
-
-def count_feasible_strategies(game: BBCGame, node: Node) -> int:
-    """Return how many budget-maximal strategies ``node`` has (diagnostics)."""
-    candidates = [v for v in game.nodes if v != node]
-    costs = {game.link_cost(node, v) for v in candidates}
-    if len(costs) <= 1:
-        per_link = next(iter(costs)) if costs else 0.0
-        if per_link <= 0:
-            return 1
-        max_links = min(len(candidates), int(game.budget(node) // per_link))
-        return math.comb(len(candidates), max_links)
-    return sum(1 for _ in game.feasible_strategies(node, maximal_only=True))

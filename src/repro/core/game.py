@@ -20,7 +20,6 @@ import itertools
 import math
 from types import MappingProxyType
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -554,15 +553,3 @@ class UniformBBCGame(BBCGame):
     def minimum_possible_social_cost(self) -> float:
         """Return ``n`` times the per-node lower bound (a social-cost lower bound)."""
         return self.n * self.minimum_possible_node_cost()
-
-
-def make_weight_table(
-    nodes: Sequence[Node], weight_function: Callable[[Node, Node], float]
-) -> Dict[Tuple[Node, Node], float]:
-    """Materialise a dense weight table from a function (helper for examples)."""
-    table: Dict[Tuple[Node, Node], float] = {}
-    for source in nodes:
-        for target in nodes:
-            if source != target:
-                table[(source, target)] = weight_function(source, target)
-    return table

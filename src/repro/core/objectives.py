@@ -15,7 +15,7 @@ an :class:`Objective` value rather than duplicated.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Hashable, Mapping
+from typing import Hashable, Mapping
 
 Node = Hashable
 
@@ -40,29 +40,3 @@ class Objective(enum.Enum):
         if self is Objective.SUM:
             return "preference-weighted sum of distances"
         return "preference-weighted maximum distance"
-
-
-def aggregate_costs(
-    objective: Objective,
-    weights: Callable[[Node], float],
-    distances: Mapping[Node, float],
-    penalty: float,
-    all_targets: Mapping[Node, float] | None = None,
-) -> float:
-    """Aggregate raw distances into a node cost.
-
-    ``distances`` maps *reachable* targets to their distance.  Targets that
-    appear in ``all_targets`` (a ``{target: weight}`` mapping) but not in
-    ``distances`` contribute ``weight * penalty``.  When ``all_targets`` is
-    ``None`` only the reachable targets are aggregated (used by callers that
-    pre-fill missing distances themselves).
-    """
-    weighted: Dict[Node, float] = {}
-    if all_targets is None:
-        for target, distance in distances.items():
-            weighted[target] = weights(target) * distance
-    else:
-        for target, weight in all_targets.items():
-            distance = distances.get(target, penalty)
-            weighted[target] = weight * distance
-    return objective.aggregate(weighted)

@@ -18,13 +18,11 @@ summaries — ``tests/test_sweep.py`` pins that parity.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence
 
 from ..rng import SeedLike, as_rng
-from .best_response import count_feasible_strategies
 from .equilibrium import is_pure_nash
 from .errors import SearchSpaceTooLarge
 from .game import BBCGame, DEFAULT_ENUMERATION_LIMIT
@@ -372,43 +370,6 @@ def _search_shard_cell(args) -> list:
     return list(_sweep_blocks(context, lo, hi))
 
 
-def find_equilibria(
-    game: BBCGame,
-    *,
-    candidate_strategies: Optional[Mapping[Node, Sequence[Strategy]]] = None,
-    candidate_targets: Optional[Mapping[Node, Sequence[Node]]] = None,
-    max_results: Optional[int] = None,
-    profile_limit: float = DEFAULT_PROFILE_LIMIT,
-    deviation_limit: float = DEFAULT_ENUMERATION_LIMIT,
-    tolerance: float = 1e-9,
-    engine=None,
-) -> List[StrategyProfile]:
-    """Return (up to ``max_results``) pure Nash equilibria found by enumeration.
-
-    Same sweep (Gray order, incremental checks, tri-state ``engine``) as
-    :func:`exhaustive_equilibrium_search`, collecting the equilibria instead
-    of summarising them.  ``deviation_limit`` bounds the per-node deviation
-    enumeration exactly as there.
-    """
-    from ..engine.sweep import gray_code_profiles
-
-    if max_results is not None and max_results < 1:
-        return []
-    check = _nash_checker(game, tolerance, deviation_limit, engine)
-    results: List[StrategyProfile] = []
-    for profile in gray_code_profiles(
-        game,
-        candidate_strategies=candidate_strategies,
-        candidate_targets=candidate_targets,
-        limit=profile_limit,
-    ):
-        if check(profile):
-            results.append(profile)
-            if max_results is not None and len(results) >= max_results:
-                break
-    return results
-
-
 def random_profile(game: BBCGame, seed: SeedLike = None) -> StrategyProfile:
     """Return a uniformly random budget-maximal profile of ``game``.
 
@@ -466,12 +427,4 @@ def sampled_equilibrium_search(
         equilibria_found=found,
         first_equilibrium=first,
         exhausted=False,
-    )
-
-
-def estimate_profile_space(game: BBCGame) -> float:
-    """Return (an estimate of) the number of budget-maximal profiles of ``game``."""
-    return math.prod(
-        (max(1, count_feasible_strategies(game, node)) for node in game.nodes),
-        start=1.0,
     )

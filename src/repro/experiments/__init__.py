@@ -19,7 +19,6 @@ from .workloads import (
     latency_overlay_game,
     random_initial_profile,
     random_preference_game,
-    uniform_game,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "latency_overlay_game",
     "random_initial_profile",
     "empty_initial_profile",
-    "uniform_game",
     "max_cost_first_convergence_study",
     "empty_start_convergence_study",
     "scheduler_comparison_study",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from ..core import BBCGame, Objective, StrategyProfile, UniformBBCGame
+from ..core import BBCGame, Objective, StrategyProfile
 from ..rng import SeedLike, as_rng as _rng
 
 
@@ -126,8 +126,3 @@ def random_initial_profile(game: BBCGame, seed: SeedLike = None) -> StrategyProf
 def empty_initial_profile(game: BBCGame) -> StrategyProfile:
     """The empty starting profile (the paper's conjectured-convergent start)."""
     return game.empty_profile()
-
-
-def uniform_game(n: int, k: int, objective: Objective = Objective.SUM) -> UniformBBCGame:
-    """Convenience constructor matching the paper's (n, k)-uniform notation."""
-    return UniformBBCGame(n, k, objective=objective)

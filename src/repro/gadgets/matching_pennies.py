@@ -55,7 +55,6 @@ from ..core import (
     SearchSummary,
     StrategyProfile,
     best_response,
-    equilibrium_report,
     exhaustive_equilibrium_search,
 )
 from ..core.errors import InvalidGameDefinition
@@ -391,8 +390,3 @@ def no_equilibrium_search(
         candidate_targets=gadget.candidate_targets(),
         stop_at_first=stop_at_first,
     )
-
-
-def gadget_equilibrium_report(gadget: MatchingPenniesGadget, profile: StrategyProfile):
-    """Convenience wrapper: full equilibrium report for a gadget profile."""
-    return equilibrium_report(gadget.game, profile)

@@ -18,14 +18,6 @@ Node = Hashable
 DistanceMatrix = Dict[Node, Dict[Node, float]]
 
 
-def all_pairs_hop_distances(graph: DiGraph) -> DistanceMatrix:
-    """Return hop-count distances between all pairs of nodes.
-
-    Unreachable pairs are omitted from the inner dictionaries.
-    """
-    return {node: dict(bfs_distances(graph, node)) for node in graph.nodes()}
-
-
 def all_pairs_weighted_distances(
     graph: DiGraph, length_attr: str = "length", default_length: float = 1
 ) -> DistanceMatrix:

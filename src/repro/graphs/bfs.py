@@ -7,29 +7,12 @@ best-response engine; it is kept free of per-edge attribute lookups for speed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Hashable
 
 from .digraph import DiGraph
 from .errors import NodeNotFound
 
 Node = Hashable
-
-
-def bfs_order(graph: DiGraph, source: Node) -> List[Node]:
-    """Return the nodes reachable from ``source`` in BFS visiting order."""
-    if not graph.has_node(source):
-        raise NodeNotFound(source)
-    seen: Set[Node] = {source}
-    order: List[Node] = [source]
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nxt in graph.successors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return order
 
 
 def bfs_distances(graph: DiGraph, source: Node) -> Dict[Node, int]:
@@ -51,51 +34,6 @@ def bfs_distances(graph: DiGraph, source: Node) -> Dict[Node, int]:
     return dist
 
 
-def bfs_distances_adjacency(
-    adjacency: Mapping[Node, Iterable[Node]], source: Node
-) -> Dict[Node, int]:
-    """BFS distances over a plain ``{node: successors}`` mapping.
-
-    The best-response search evaluates thousands of candidate strategies and
-    works on adjacency snapshots rather than full :class:`DiGraph` objects;
-    this variant avoids any graph-object overhead.
-    """
-    dist: Dict[Node, int] = {source: 0}
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        base = dist[node]
-        for nxt in adjacency.get(node, ()):
-            if nxt not in dist:
-                dist[nxt] = base + 1
-                queue.append(nxt)
-    return dist
-
-
-def bfs_tree(graph: DiGraph, source: Node) -> Dict[Node, Optional[Node]]:
-    """Return a BFS predecessor tree rooted at ``source``.
-
-    ``source`` maps to ``None``; every other reachable node maps to its BFS
-    parent.
-    """
-    if not graph.has_node(source):
-        raise NodeNotFound(source)
-    parent: Dict[Node, Optional[Node]] = {source: None}
-    queue: deque = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nxt in graph.successors(node):
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    return parent
-
-
-def reachable_set(graph: DiGraph, source: Node) -> Set[Node]:
-    """Return the set of nodes reachable from ``source`` (including itself)."""
-    return set(bfs_distances(graph, source))
-
-
 def reach(graph: DiGraph, source: Node) -> int:
     """Return the *reach* of ``source``: the number of nodes it can reach.
 
@@ -103,20 +41,3 @@ def reach(graph: DiGraph, source: Node) -> int:
     itself (an isolated node has reach 1).
     """
     return len(bfs_distances(graph, source))
-
-
-def shortest_path(graph: DiGraph, source: Node, target: Node) -> Optional[List[Node]]:
-    """Return one hop-minimal path from ``source`` to ``target``.
-
-    Returns ``None`` when ``target`` is unreachable.
-    """
-    if not graph.has_node(target):
-        raise NodeNotFound(target)
-    parent = bfs_tree(graph, source)
-    if target not in parent:
-        return None
-    path: List[Node] = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path

@@ -8,7 +8,7 @@ is a standard binary-heap Dijkstra with lazy deletion.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from .digraph import DiGraph
 from .errors import NegativeEdgeLength, NodeNotFound
@@ -45,81 +45,3 @@ def dijkstra_distances(
             counter += 1
             heapq.heappush(heap, (d + length, counter, nxt))
     return dist
-
-
-def dijkstra_distances_weighted_adjacency(
-    adjacency: Mapping[Node, Iterable[Tuple[Node, _Number]]], source: Node
-) -> Dict[Node, _Number]:
-    """Dijkstra over a plain ``{node: [(successor, length), ...]}`` mapping.
-
-    Used by the best-response engine for non-uniform games where candidate
-    strategies are evaluated on adjacency snapshots.
-    """
-    dist: Dict[Node, _Number] = {}
-    heap: List[Tuple[_Number, int, Node]] = [(0, 0, source)]
-    counter = 0
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        for nxt, length in adjacency.get(node, ()):
-            if nxt in dist:
-                continue
-            if length < 0:
-                raise NegativeEdgeLength(node, nxt, length)
-            counter += 1
-            heapq.heappush(heap, (d + length, counter, nxt))
-    return dist
-
-
-def dijkstra_path(
-    graph: DiGraph,
-    source: Node,
-    target: Node,
-    length_attr: str = "length",
-    default_length: _Number = 1,
-) -> Optional[Tuple[_Number, List[Node]]]:
-    """Return ``(distance, path)`` for one shortest path, or ``None``.
-
-    ``None`` is returned when ``target`` is unreachable from ``source``.
-    Tight-edge predecessors are tracked during the main loop (the parent of a
-    node is updated whenever a strictly better tentative distance is pushed),
-    so the path falls out of a single backward walk with no extra traversal
-    or graph copy.
-    """
-    if not graph.has_node(source):
-        raise NodeNotFound(source)
-    if not graph.has_node(target):
-        raise NodeNotFound(target)
-    dist: Dict[Node, _Number] = {}
-    parent: Dict[Node, Optional[Node]] = {source: None}
-    best_seen: Dict[Node, _Number] = {source: 0}
-    heap: List[Tuple[_Number, int, Node]] = [(0, 0, source)]
-    counter = 0
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        if node == target:
-            break
-        for nxt, data in graph.successor_items(node):
-            if nxt in dist:
-                continue
-            length = data.get(length_attr, default_length)
-            if length < 0:
-                raise NegativeEdgeLength(node, nxt, length)
-            candidate = d + length
-            if candidate < best_seen.get(nxt, float("inf")):
-                best_seen[nxt] = candidate
-                parent[nxt] = node
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, nxt))
-    if target not in dist:
-        return None
-    path: List[Node] = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return dist[target], path

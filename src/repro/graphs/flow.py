@@ -251,21 +251,3 @@ class FlowNetwork:
                     parent_arc[head] = arc_id
                     heapq.heappush(heap, (candidate, head))
         return dist, parent_arc
-
-def min_cost_unit_flow_cost(
-    edges: List[Tuple[Node, Node, float, float]], source: Node, sink: Node
-) -> Optional[float]:
-    """Convenience wrapper: cost of a min-cost unit flow over an edge list.
-
-    ``edges`` contains ``(tail, head, capacity, cost)`` tuples.  Returns
-    ``None`` when a unit of flow cannot be routed at all.
-    """
-    network = FlowNetwork()
-    network.add_node(source)
-    network.add_node(sink)
-    for tail, head, capacity, cost in edges:
-        network.add_edge(tail, head, capacity, cost)
-    try:
-        return network.min_cost_unit_flow(source, sink)
-    except InfeasibleFlow:
-        return None

@@ -6,8 +6,6 @@ seed so every experiment in the benchmark harness is reproducible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 from ..rng import SeedLike, as_rng as _rng
 from .digraph import DiGraph
 
@@ -39,43 +37,6 @@ def directed_path(n: int) -> DiGraph:
     return graph
 
 
-def complete_graph(n: int) -> DiGraph:
-    """Return the complete digraph on ``0..n-1`` (no self loops)."""
-    graph = empty_graph(n)
-    for tail in range(n):
-        for head in range(n):
-            if tail != head:
-                graph.add_edge(tail, head)
-    return graph
-
-
-def complete_kary_out_tree(branching: int, height: int) -> DiGraph:
-    """Return a complete ``branching``-ary out-tree of the given ``height``.
-
-    Nodes are numbered in BFS order with the root at 0; edges point away from
-    the root.  A tree of height ``h`` has ``(branching**(h+1) - 1)/(branching-1)``
-    nodes (or ``h + 1`` when ``branching == 1``).
-    """
-    if branching < 1:
-        raise ValueError("branching factor must be at least 1")
-    if height < 0:
-        raise ValueError("height must be non-negative")
-    graph = DiGraph()
-    graph.add_node(0)
-    frontier = [0]
-    next_label = 1
-    for _ in range(height):
-        new_frontier: List[int] = []
-        for parent in frontier:
-            for _ in range(branching):
-                child = next_label
-                next_label += 1
-                graph.add_edge(parent, child)
-                new_frontier.append(child)
-        frontier = new_frontier
-    return graph
-
-
 def hypercube(dimension: int) -> DiGraph:
     """Return the directed ``dimension``-cube on ``2**dimension`` nodes.
 
@@ -93,24 +54,6 @@ def hypercube(dimension: int) -> DiGraph:
     return graph
 
 
-def random_k_out_graph(n: int, k: int, seed: SeedLike = None) -> DiGraph:
-    """Return a graph where every node has exactly ``k`` distinct out-links.
-
-    This is the natural random initial configuration of an (n, k)-uniform BBC
-    game: each node buys ``k`` links to distinct other nodes chosen uniformly
-    at random.
-    """
-    if k >= n:
-        raise ValueError("k must be smaller than n (no self links, no duplicates)")
-    rng = _rng(seed)
-    graph = empty_graph(n)
-    for node in range(n):
-        targets = rng.sample([v for v in range(n) if v != node], k)
-        for target in targets:
-            graph.add_edge(node, target)
-    return graph
-
-
 def random_digraph(n: int, edge_probability: float, seed: SeedLike = None) -> DiGraph:
     """Return an Erdos-Renyi style random digraph G(n, p)."""
     if not 0 <= edge_probability <= 1:
@@ -122,60 +65,3 @@ def random_digraph(n: int, edge_probability: float, seed: SeedLike = None) -> Di
             if tail != head and rng.random() < edge_probability:
                 graph.add_edge(tail, head)
     return graph
-
-
-def ring_with_tail(ring_size: int, tail_size: int) -> DiGraph:
-    """Return the Ω(n²) convergence lower-bound instance of Section 4.3.
-
-    A directed ring over ``ring_size`` nodes (labelled ``0..ring_size-1``)
-    plus a directed path of ``tail_size`` nodes (labelled
-    ``ring_size..ring_size+tail_size-1``) whose last hop enters the ring at
-    node 0.  The path is oriented towards the ring, so the tail of the path
-    can reach every node while ring nodes cannot reach the path.
-    """
-    if ring_size < 1 or tail_size < 0:
-        raise ValueError("ring_size must be >= 1 and tail_size >= 0")
-    graph = directed_cycle(ring_size)
-    previous: Optional[int] = None
-    for offset in range(tail_size):
-        node = ring_size + offset
-        graph.add_node(node)
-        if previous is not None:
-            graph.add_edge(previous, node)
-        previous = node
-    if previous is not None:
-        graph.add_edge(previous, 0)
-    else:  # tail_size == 0: nothing to attach
-        pass
-    # Reorient the path so it points *towards* the ring: the construction in
-    # the paper has the path ending at a ring node, which the loop above
-    # already guarantees (previous -> 0).  The first path node has no
-    # incoming edge, as required.
-    return graph
-
-
-def union_of_graphs(graphs: Sequence[DiGraph]) -> DiGraph:
-    """Return the disjoint-union-preserving union of ``graphs``.
-
-    Node labels are kept as-is; callers are responsible for making them
-    disjoint if a disjoint union is intended.
-    """
-    merged = DiGraph()
-    for graph in graphs:
-        merged.add_nodes_from(graph.nodes())
-        for tail, head, data in graph.edges_with_data():
-            merged.add_edge(tail, head, **dict(data))
-    return merged
-
-
-def relabel(graph: DiGraph, mapping: dict) -> DiGraph:
-    """Return a copy of ``graph`` with nodes renamed through ``mapping``.
-
-    Nodes absent from ``mapping`` keep their original label.
-    """
-    renamed = DiGraph()
-    for node in graph.nodes():
-        renamed.add_node(mapping.get(node, node))
-    for tail, head, data in graph.edges_with_data():
-        renamed.add_edge(mapping.get(tail, tail), mapping.get(head, head), **dict(data))
-    return renamed

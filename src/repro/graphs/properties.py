@@ -8,12 +8,10 @@ metrics.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
-from .apsp import all_pairs_hop_distances
 from .bfs import bfs_distances, reach
 from .digraph import DiGraph
-from .scc import is_strongly_connected
 
 Node = Hashable
 
@@ -21,21 +19,6 @@ Node = Hashable
 def reach_vector(graph: DiGraph) -> Dict[Node, int]:
     """Return the reach (number of reachable nodes, inclusive) of every node."""
     return {node: reach(graph, node) for node in graph.nodes()}
-
-
-def minimum_reach(graph: DiGraph) -> int:
-    """Return the smallest reach over all nodes (0 for the empty graph)."""
-    vector = reach_vector(graph)
-    return min(vector.values()) if vector else 0
-
-
-def sorted_reach_profile(graph: DiGraph) -> Tuple[int, ...]:
-    """Return the reach values in non-decreasing order.
-
-    The convergence argument of Lemma 9/10 tracks exactly this vector: best
-    response steps can only make it lexicographically larger.
-    """
-    return tuple(sorted(reach_vector(graph).values()))
 
 
 def hop_distance_sum(graph: DiGraph, source: Node, penalty: float) -> float:
@@ -51,16 +34,6 @@ def hop_distance_sum(graph: DiGraph, source: Node, penalty: float) -> float:
     return total + missing * penalty
 
 
-def hop_distance_max(graph: DiGraph, source: Node, penalty: float) -> float:
-    """Return the maximum hop distance from ``source`` (or the penalty)."""
-    dist = bfs_distances(graph, source)
-    n = graph.number_of_nodes()
-    if len(dist) < n:
-        return penalty
-    others = [d for node, d in dist.items() if node != source]
-    return float(max(others)) if others else 0.0
-
-
 def total_hop_distance(graph: DiGraph, penalty: float) -> float:
     """Return the sum over all ordered pairs of hop distances (with penalty)."""
     return sum(hop_distance_sum(graph, node, penalty) for node in graph.nodes())
@@ -74,44 +47,3 @@ def is_out_regular(graph: DiGraph, degree: Optional[int] = None) -> bool:
     if len(degrees) != 1:
         return False
     return degree is None or degrees == {degree}
-
-
-def degree_histogram(graph: DiGraph) -> Dict[int, int]:
-    """Return ``{out_degree: count}`` over all nodes."""
-    histogram: Dict[int, int] = {}
-    for node in graph.nodes():
-        histogram[graph.out_degree(node)] = histogram.get(graph.out_degree(node), 0) + 1
-    return histogram
-
-
-def distance_histogram(graph: DiGraph) -> Dict[int, int]:
-    """Return a histogram of finite pairwise hop distances (excluding self pairs)."""
-    histogram: Dict[int, int] = {}
-    matrix = all_pairs_hop_distances(graph)
-    for source, row in matrix.items():
-        for target, distance in row.items():
-            if source == target:
-                continue
-            histogram[distance] = histogram.get(distance, 0) + 1
-    return histogram
-
-
-def average_distance(graph: DiGraph, penalty: float) -> float:
-    """Return the average ordered-pair distance with the disconnection penalty."""
-    n = graph.number_of_nodes()
-    if n <= 1:
-        return 0.0
-    return total_hop_distance(graph, penalty) / (n * (n - 1))
-
-
-def connectivity_summary(graph: DiGraph) -> Dict[str, object]:
-    """Return a small report used by the experiment harness."""
-    reaches = reach_vector(graph)
-    return {
-        "nodes": graph.number_of_nodes(),
-        "edges": graph.number_of_edges(),
-        "strongly_connected": is_strongly_connected(graph),
-        "min_reach": min(reaches.values()) if reaches else 0,
-        "max_reach": max(reaches.values()) if reaches else 0,
-        "out_regular": is_out_regular(graph),
-    }

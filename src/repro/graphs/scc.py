@@ -98,26 +98,3 @@ def condensation(graph: DiGraph) -> Tuple[DiGraph, Dict[Node, int]]:
         if tail_id != head_id:
             dag.add_edge(tail_id, head_id)
     return dag, membership
-
-
-def sink_components(graph: DiGraph) -> List[Set[Node]]:
-    """Return the components with no outgoing edge in the condensation.
-
-    These are exactly the components whose members have minimum reach in a
-    non-strongly-connected configuration (Lemma 10 of the paper reasons about
-    them).
-    """
-    components = strongly_connected_components(graph)
-    membership: Dict[Node, int] = {}
-    for component_id, component in enumerate(components):
-        for node in component:
-            membership[node] = component_id
-    has_outgoing = [False] * len(components)
-    for tail, head in graph.edges():
-        if membership[tail] != membership[head]:
-            has_outgoing[membership[tail]] = True
-    return [
-        component
-        for component_id, component in enumerate(components)
-        if not has_outgoing[component_id]
-    ]

@@ -15,7 +15,6 @@ from repro.analysis import (
     regularity_study,
     ring_path_lower_bound_study,
 )
-from repro.core import Objective
 from repro.experiments import (
     empty_initial_profile,
     empty_start_convergence_study,
@@ -25,7 +24,6 @@ from repro.experiments import (
     random_initial_profile,
     random_preference_game,
     scheduler_comparison_study,
-    uniform_game,
 )
 
 
@@ -93,7 +91,6 @@ def test_workload_generators_produce_valid_games():
     profile = random_initial_profile(sparse, seed=3)
     sparse.validate_profile(profile)
     assert empty_initial_profile(sparse).number_of_edges() == 0
-    assert uniform_game(6, 2, Objective.MAX).objective is Objective.MAX
 
 
 def test_dynamics_studies_produce_rows():

@@ -12,8 +12,6 @@ from repro.core import (
     StrategyProfile,
     UniformBBCGame,
     best_response,
-    best_response_cost,
-    count_feasible_strategies,
     greedy_response,
     random_profile,
     single_swap_response,
@@ -138,15 +136,6 @@ def test_single_swap_is_a_lower_bound_on_improvement():
         exact = best_response(game, profile, node)
         assert swap.best_cost + 1e-9 >= exact.best_cost
         assert swap.best_cost <= swap.current_cost + 1e-9
-
-
-def test_best_response_cost_helper_and_counts():
-    game = UniformBBCGame(6, 2)
-    profile = random_profile(game, seed=0)
-    assert best_response_cost(game, profile, 0) == pytest.approx(
-        best_response(game, profile, 0).best_cost
-    )
-    assert count_feasible_strategies(game, 0) == 10  # C(5, 2)
 
 
 def scoring_game(n, weighted, seed):

@@ -11,7 +11,6 @@ from repro.core import (
     SearchSpaceTooLarge,
     StrategyProfile,
     UniformBBCGame,
-    make_weight_table,
 )
 
 
@@ -133,9 +132,3 @@ def test_minimum_possible_costs():
     assert game.minimum_possible_social_cost() == 70.0
     max_game = UniformBBCGame(7, 2, objective=Objective.MAX)
     assert max_game.minimum_possible_node_cost() == 2.0
-
-
-def test_make_weight_table():
-    table = make_weight_table([0, 1, 2], lambda u, v: float(u + v))
-    assert table[(0, 1)] == 1.0
-    assert (1, 1) not in table

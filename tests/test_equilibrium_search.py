@@ -8,9 +8,7 @@ from repro.core import (
     UniformBBCGame,
     enumerate_profiles,
     equilibrium_report,
-    estimate_profile_space,
     exhaustive_equilibrium_search,
-    find_equilibria,
     first_unstable_node,
     is_pure_nash,
     random_profile,
@@ -55,7 +53,6 @@ def test_enumerate_profiles_and_space_estimate():
     game = UniformBBCGame(4, 1)
     profiles = list(enumerate_profiles(game))
     assert len(profiles) == 3 ** 4
-    assert estimate_profile_space(game) == 3 ** 4
     with pytest.raises(SearchSpaceTooLarge):
         list(enumerate_profiles(game, limit=10))
 
@@ -65,19 +62,6 @@ def test_exhaustive_search_finds_cycle_equilibria():
     summary = exhaustive_equilibrium_search(game, stop_at_first=True)
     assert summary.has_equilibrium
     assert is_pure_nash(game, summary.first_equilibrium)
-
-
-def test_find_equilibria_returns_verified_profiles():
-    game = UniformBBCGame(4, 1)
-    equilibria = find_equilibria(game, max_results=3)
-    assert 1 <= len(equilibria) <= 3
-    assert all(is_pure_nash(game, profile) for profile in equilibria)
-
-
-def test_find_equilibria_max_results_zero_returns_nothing():
-    game = UniformBBCGame(4, 1)
-    assert find_equilibria(game, max_results=0) == []
-    assert find_equilibria(game, max_results=0, engine=False) == []
 
 
 def test_candidate_restriction_in_search():

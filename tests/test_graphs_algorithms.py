@@ -6,21 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
     DiGraph,
-    all_pairs_hop_distances,
     bfs_distances,
-    bfs_distances_adjacency,
-    bfs_order,
     condensation,
     diameter,
     dijkstra_distances,
-    dijkstra_path,
     eccentricity,
     floyd_warshall,
     is_strongly_connected,
     random_digraph,
     reach,
-    shortest_path,
-    sink_components,
     strongly_connected_components,
     directed_cycle,
     directed_path,
@@ -32,27 +26,6 @@ def test_bfs_distances_simple_path():
     graph = directed_path(5)
     assert bfs_distances(graph, 0) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
     assert bfs_distances(graph, 4) == {4: 0}
-
-
-def test_bfs_order_visits_reachable_nodes_once():
-    graph = from_adjacency({0: [1, 2], 1: [2], 2: [0], 3: []})
-    order = bfs_order(graph, 0)
-    assert order[0] == 0
-    assert set(order) == {0, 1, 2}
-    assert len(order) == 3
-
-
-def test_bfs_adjacency_variant_matches_graph_variant():
-    graph = random_digraph(12, 0.3, seed=1)
-    adjacency = graph.adjacency()
-    for source in graph.nodes():
-        assert bfs_distances(graph, source) == bfs_distances_adjacency(adjacency, source)
-
-
-def test_shortest_path_returns_none_when_unreachable():
-    graph = from_adjacency({0: [1], 1: [], 2: []})
-    assert shortest_path(graph, 0, 2) is None
-    assert shortest_path(graph, 0, 1) == [0, 1]
 
 
 def test_reach_counts_self():
@@ -68,11 +41,7 @@ def test_dijkstra_respects_lengths():
     graph.add_edge(0, 2, length=5)
     graph.add_edge(2, 3, length=1)
     dist = dijkstra_distances(graph, 0)
-    assert dist[3] == 2
-    result = dijkstra_path(graph, 0, 3)
-    assert result is not None
-    length, path = result
-    assert length == 2 and path == [0, 1, 3]
+    assert dist == {0: 0, 1: 1, 2: 5, 3: 2}
 
 
 @settings(max_examples=20, deadline=None)
@@ -108,18 +77,11 @@ def test_condensation_is_a_dag_with_expected_size():
     assert membership[0] != membership[2]
 
 
-def test_sink_components_of_two_cycles_joined():
-    graph = from_adjacency({0: [1], 1: [0, 2], 2: [3], 3: [2]})
-    sinks = sink_components(graph)
-    assert sinks == [{2, 3}]
-
-
 def test_floyd_warshall_matches_per_source_bfs():
     graph = random_digraph(9, 0.3, seed=7)
     dense = floyd_warshall(graph)
-    sparse = all_pairs_hop_distances(graph)
     for source in graph.nodes():
-        assert dense[source] == pytest.approx(sparse[source])
+        assert dense[source] == pytest.approx(bfs_distances(graph, source))
 
 
 def test_diameter_and_eccentricity():

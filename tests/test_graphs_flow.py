@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.graphs import FlowNetwork, InfeasibleFlow, min_cost_unit_flow_cost
+from repro.graphs import FlowNetwork, InfeasibleFlow
 
 
 def test_single_path_unit_flow():
@@ -44,10 +44,6 @@ def test_negative_cost_rejected():
     network = FlowNetwork()
     with pytest.raises(Exception):
         network.add_edge("s", "t", 1.0, -1.0)
-
-
-def test_helper_returns_none_when_unroutable():
-    assert min_cost_unit_flow_cost([("s", "a", 0.2, 1.0)], "s", "t") is None
 
 
 def test_matches_networkx_on_random_instances():

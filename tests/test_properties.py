@@ -7,7 +7,6 @@ from repro.core import (
     Objective,
     StrategyProfile,
     UniformBBCGame,
-    aggregate_costs,
     best_response,
     random_profile,
 )
@@ -84,18 +83,11 @@ def test_objective_aggregation_bounds(values):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(5, 9))
-def test_aggregate_costs_fills_missing_targets_with_penalty(seed, n):
+def test_empty_profile_pays_penalty_per_target(seed, n):
     game = UniformBBCGame(n, 1)
-    profile = game.empty_profile()
-    cost = aggregate_costs(
-        Objective.SUM,
-        lambda target: 1.0,
-        {},
-        game.disconnection_penalty,
-        all_targets={v: 1.0 for v in range(1, n)},
+    assert game.node_cost(game.empty_profile(), 0) == pytest.approx(
+        (n - 1) * game.disconnection_penalty
     )
-    assert cost == pytest.approx((n - 1) * game.disconnection_penalty)
-    assert cost == pytest.approx(game.node_cost(profile, 0))
 
 
 @settings(max_examples=20, deadline=None)

@@ -27,7 +27,6 @@ from repro.core import (
     UniformBBCGame,
     enumerate_profiles,
     exhaustive_equilibrium_search,
-    find_equilibria,
     is_pure_nash,
     random_profile,
     sampled_equilibrium_search,
@@ -301,17 +300,14 @@ def test_exhaustive_search_summary_parity_non_uniform():
         assert sweep == reference
 
 
-def test_find_equilibria_parity_and_deviation_limit():
+def test_searches_honour_deviation_limit():
+    # deviation_limit bounds each node's deviation enumeration on the sweep
+    # path and on the dict-based reference path alike.
     game = UniformBBCGame(4, 1)
-    assert find_equilibria(game, max_results=4) == find_equilibria(
-        game, max_results=4, engine=False
-    )
-    # The drift fix: find_equilibria now threads deviation_limit into the
-    # per-node deviation enumeration, like exhaustive_equilibrium_search.
     with pytest.raises(SearchSpaceTooLarge):
-        find_equilibria(game, deviation_limit=1)
+        exhaustive_equilibrium_search(game, deviation_limit=1)
     with pytest.raises(SearchSpaceTooLarge):
-        find_equilibria(game, deviation_limit=1, engine=False)
+        exhaustive_equilibrium_search(game, deviation_limit=1, engine=False)
     with pytest.raises(SearchSpaceTooLarge):
         sampled_equilibrium_search(game, samples=1, deviation_limit=1)
 
